@@ -5,8 +5,8 @@ training recipe, and scaling-law analysis tools.
 """
 
 from .budget import (
-    Budget, BudgetLedger, DeviceSpec, load_devices, model_flops_estimate,
-    should_stop, total_exaflops, utilization,
+    Budget, DeviceSpec, load_devices, model_flops_estimate, total_exaflops,
+    utilization,
 )
 from .config import PRESETS, RunConfig, load_run_config, parse_run_config, render_run_config
 from .corpus import (
@@ -17,8 +17,7 @@ from .corpus import (
 from .errors import AnalysisError, ConfigurationError, ContractError
 from .harness import emit_report, prepare, run_ablation, run_pretrain, write_svg
 from .model import (
-    Model, ModelConfig, attention, build, ffn, forward, layer_norm_identity,
-    param_count, positional_embedding, sinusoidal_table,
+    Model, ModelConfig, attention, build, ffn, param_count, sinusoidal_table,
 )
 from .scaling import PowerLawFit, ShiftEstimate, estimate_shift, fit_power_law
 from .tensor import (
@@ -31,7 +30,7 @@ from .tokenizer import (
 from .trainer import (
     AdamState, BatchRampConfig, FinetuneProtocol, LossCurve, MaskingConfig,
     OptimizerConfig, PretrainResult, ScheduleConfig, accumulation_at,
-    adam_step, clip_gradients, finetune, lr_at, mask_batch, mask_mlm,
+    adam_step, clip_gradients, finetune, lr_at, mask_batch,
     matthews_correlation, planned_samples, pretrain,
 )
 

@@ -1,4 +1,4 @@
-"""FLOP and wallclock accounting; drives budget-tied stopping.
+"""FLOP and wallclock accounting for compute budgets.
 
 Two views of compute are reported side by side: the device-peak budget
 (peak TFLOP/s times wallclock, the exaFLOP column of the reproduction
@@ -9,9 +9,9 @@ plus backward 4N per token).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError
 from .model import ModelConfig, param_count
 
 BUDGET_KINDS = ("steps", "seconds")
@@ -40,48 +40,6 @@ class Budget:
             raise ConfigurationError(f"budget kind must be one of {BUDGET_KINDS}")
         if self.amount < 0:
             raise ConfigurationError("budget amount must be nonnegative")
-
-
-@dataclass
-class BudgetLedger:
-    """Monotone counters for one training run.
-
-    estimated_flops_used tracks 6 * params * tokens_ingested; the
-    flops_per_token factor is fixed at construction.
-    """
-
-    budget: Budget = field(default_factory=Budget)
-    flops_per_token: float = 0.0
-    wallclock_elapsed: float = 0.0
-    tokens_ingested: int = 0
-    estimated_flops_used: float = 0.0
-    step: int = 0
-    _stopped: bool = False
-
-    def record(self, tokens: int = 0, seconds: float = 0.0, steps: int = 0) -> None:
-        if tokens < 0 or seconds < 0 or steps < 0:
-            raise ContractError("ledger updates must be nonnegative")
-        self.tokens_ingested += tokens
-        self.wallclock_elapsed += seconds
-        self.step += steps
-        self.estimated_flops_used = self.flops_per_token * self.tokens_ingested
-
-    def should_stop(self, budget: Budget | None = None) -> bool:
-        return should_stop(self, budget or self.budget)
-
-
-def should_stop(ledger: BudgetLedger, budget: Budget) -> bool:
-    """True once the budget is exhausted; latches true thereafter."""
-    if ledger._stopped:
-        return True
-    budget.validate()
-    if budget.kind == "seconds":
-        done = ledger.wallclock_elapsed >= budget.amount
-    else:
-        done = ledger.step >= budget.amount
-    if done:
-        ledger._stopped = True
-    return done
 
 
 def total_exaflops(device: DeviceSpec, hours: float) -> float:

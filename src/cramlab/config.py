@@ -115,6 +115,9 @@ class RunConfig:
     def validate(self) -> None:
         self.pipeline.validate()
         self.model.validate()
+        for section in (self.train.schedule(), self.train.ramp(),
+                        self.train.optimizer(), self.train.masking()):
+            section.validate()
         if self.report.curve_interval < 1:
             raise ConfigurationError("report.curve_interval must be positive")
         if self.tokenizer.vocab_size != self.model.vocab_size:

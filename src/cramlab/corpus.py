@@ -15,8 +15,9 @@ instead of producing the full sorted order).
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -273,7 +274,6 @@ class PipelineReport:
     tokens_before_dedup: int = 0
     tokens_after_dedup: int = 0
     stats: StatsReport | None = None
-    stage_log: list[str] = field(default_factory=list)
 
     def to_text(self) -> str:
         lines = [
@@ -304,7 +304,7 @@ def curate(
         if not norm:
             report.dropped_empty += 1
             continue
-        ids = wp.encode(norm)
+        ids = wp.encode_normalized(norm)
         raws.append(RawEntry(text=text, char_count=len(norm)))
         tokenized.append(TokenizedEntry.from_ids(ids, source_index=i))
 
@@ -317,7 +317,6 @@ def curate(
             else:
                 report.dropped_filter += 1
         raws, tokenized = kept_r, kept_t
-        report.stage_log.append(f"filter t={cfg.t}")
     report.entries_after_filter = len(tokenized)
     report.tokens_before_dedup = sum(e.token_count for e in tokenized)
 
@@ -329,14 +328,12 @@ def curate(
 
     if cfg.dedup_min_len is not None:
         tokenized = dedup_exact(tokenized, cfg.dedup_min_len)
-        report.stage_log.append(f"dedup L={cfg.dedup_min_len}")
     report.entries_after_dedup = len(tokenized)
     report.tokens_after_dedup = sum(e.token_count for e in tokenized)
 
     ds = pack(tokenized, cfg.seq_len, cfg.shuffle_seed, wp.vocab_size)
     if cfg.sort:
         ds = sort_by_prevalence(ds)
-        report.stage_log.append("prevalence sort")
     report.stats = corpus_stats(ds, mean_compression_ratio=ratio)
     return ds, report
 
@@ -349,9 +346,11 @@ def save_dataset(path: str, ds: PackedDataset) -> None:
         "<IIIQ", DATASET_VERSION, ds.seq_len, ds.vocab_size, ds.sequence_count
     )
     body = ds.sequences.astype("<u2").tobytes()
-    with open(path, "wb") as fh:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(body)
+    os.replace(tmp, path)
 
 
 def load_dataset(path: str) -> PackedDataset:

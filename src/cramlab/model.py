@@ -9,7 +9,6 @@ end of the stack, and logits computed only at masked positions.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,18 +136,6 @@ def sinusoidal_table(S: int, d: int, dtype=np.float32) -> np.ndarray:
     return table.astype(dtype)
 
 
-def positional_embedding(kind: str, S: int, d: int, scale: float = 1.0, dtype=np.float32):
-    """Position table for additive kinds; (cos, sin) pair for rotary."""
-    if kind in ("scaled_sinusoidal", "sinusoidal"):
-        table = sinusoidal_table(S, d, dtype)
-        if kind == "scaled_sinusoidal":
-            table = table * np.asarray(scale, dtype=dtype)
-        return table
-    if kind == "rotary":
-        return rotary_tables(S, d, dtype)
-    raise ConfigurationError(f"no table form for embedding kind {kind!r}")
-
-
 def rotary_tables(S: int, dh: int, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
     """(cos, sin) tables of shape (S, dh), half-duplicated frequencies."""
     if dh % 2:
@@ -161,21 +148,6 @@ def rotary_tables(S: int, dh: int, dtype=np.float32) -> tuple[np.ndarray, np.nda
     return cos.astype(dtype), sin.astype(dtype)
 
 
-_ln_bypass = False
-
-
-@contextmanager
-def layer_norm_identity():
-    """Test hook: every layer_norm in forward becomes the identity."""
-    global _ln_bypass
-    old = _ln_bypass
-    _ln_bypass = True
-    try:
-        yield
-    finally:
-        _ln_bypass = old
-
-
 class Model:
     def __init__(self, config: ModelConfig, params: dict[str, Tensor], dtype=np.float32):
         self.config = config
@@ -184,9 +156,6 @@ class Model:
         self._rot_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- parameter bookkeeping -------------------------------------------
-    def named_params(self) -> dict[str, Tensor]:
-        return self.params
-
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.zero_grad()
@@ -205,8 +174,6 @@ class Model:
 
     # -- forward ----------------------------------------------------------
     def _ln(self, x: Tensor, stem: str) -> Tensor:
-        if _ln_bypass:
-            return x
         return layer_norm(
             x,
             self.params[f"{stem}_gain"],
@@ -397,11 +364,6 @@ def ffn(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: int = 
     if config.linear_bias:
         out = add(out, p[f"l{layer}_b2"])
     return reshape(out, (B, S, d))
-
-
-def forward(model: Model, batch: np.ndarray, masked_positions=None) -> Tensor:
-    """Logits at masked positions ((P, V); all B*S rows when dense)."""
-    return model.logits(batch, masked_positions=masked_positions)
 
 
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:

@@ -97,9 +97,6 @@ class Tensor:
             raise ContractError("item() on non-scalar tensor")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, name=self.name)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{tag})"
@@ -108,13 +105,7 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
         return mul(self, other)
 
     def __neg__(self):
@@ -123,20 +114,8 @@ class Tensor:
     def __sub__(self, other):
         return add(self, scale(_as_tensor(other, self.dtype), -1.0))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
     def sum(self):
         return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 class Tape:
@@ -177,11 +156,6 @@ class Tape:
         # Drop the graph now; closures pin every intermediate buffer and
         # the record list is the only thing keeping the cycle alive.
         self._records.clear()
-
-    def clear(self) -> None:
-        """Drop recorded intermediates; the tape becomes reusable."""
-        self._records.clear()
-        self._consumed = False
 
     def __len__(self) -> int:
         return len(self._records)

@@ -15,6 +15,7 @@ than max_chars_per_word) becomes <unk>.
 
 from __future__ import annotations
 
+import os
 import unicodedata
 import warnings
 from collections import Counter
@@ -83,11 +84,11 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    unk_id, sep_id, mask_id, cls_id, pad_id = UNK_ID, SEP_ID, MASK_ID, CLS_ID, PAD_ID
-
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="ascii") as fh:
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="ascii") as fh:
             fh.write("\n".join(self.tokens) + "\n")
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
@@ -109,9 +110,13 @@ class WordPieceModel:
         return len(self.vocab)
 
     def encode(self, text: str) -> list[int]:
+        return self.encode_normalized(normalize(text))
+
+    def encode_normalized(self, normalized: str) -> list[int]:
+        """Ids of text that has already been through normalize()."""
         ids: list[int] = []
         cache = self._word_cache
-        for word in pre_tokenize(normalize(text)):
+        for word in pre_tokenize(normalized):
             got = cache.get(word)
             if got is None:
                 got = self._encode_word(word)

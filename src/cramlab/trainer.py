@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import Budget, BudgetLedger
+from .budget import Budget
 from .errors import ConfigurationError, ContractError
-from .model import Model, param_count
+from .model import Model
 from .tensor import (
     Tape, Tensor, add, cross_entropy_from_logits, dropout, gather_rows,
     matmul, reshape, truncated_normal,
@@ -230,16 +230,6 @@ def mask_batch(
     return inputs, positions, labels
 
 
-def mask_mlm(
-    seq: np.ndarray, cfg: MaskingConfig, rng: np.random.Generator, vocab_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-sequence form of mask_batch."""
-    inputs, positions, labels = mask_batch(
-        np.asarray(seq)[None, :], cfg, rng, vocab_size
-    )
-    return inputs[0], positions, labels
-
-
 def lr_at(step: float, cfg: ScheduleConfig) -> float:
     """Learning rate at an (integer or fractional) step of the schedule."""
     cfg.validate()
@@ -302,10 +292,6 @@ def adam_step(
         g = p.grad
         if g is None:
             continue
-        # float64 accumulation of float32 values cannot overflow, so a
-        # non-finite sum means a non-finite gradient entry.
-        if not math.isfinite(float(np.sum(g, dtype=np.float64))):
-            raise FloatingPointError(f"non-finite gradient in {name}")
         m = state.m.get(name)
         if m is None:
             m = state.m[name] = np.zeros_like(p.data)
@@ -322,13 +308,18 @@ def adam_step(
 
 def clip_gradients(grads, clip_norm: float | None) -> float:
     """Scale gradients in place so the global L2 norm is at most
-    clip_norm; returns the pre-clip norm."""
+    clip_norm; returns the pre-clip norm. A non-finite norm raises
+    FloatingPointError before any gradient is scaled."""
     grads = [g for g in grads if g is not None]
     sq = 0.0
     for g in grads:
         r = g.ravel()
         sq += float(np.einsum("i,i->", r, r, dtype=np.float64))
     total = math.sqrt(sq)
+    # float64 sums of float32 squares cannot overflow, so a non-finite
+    # norm means a non-finite gradient entry.
+    if not math.isfinite(total):
+        raise FloatingPointError("non-finite gradient norm")
     if clip_norm is not None and total > clip_norm and total > 0:
         factor = clip_norm / total
         for g in grads:
@@ -344,7 +335,6 @@ class PretrainResult:
     samples: int
     aborted: bool = False
     abort_reason: str | None = None
-    ledger: BudgetLedger | None = None
 
 
 def planned_samples(schedule: ScheduleConfig, ramp: BatchRampConfig) -> int:
@@ -386,7 +376,6 @@ def pretrain(
     rng = np.random.default_rng(seed)
     eval_rng = np.random.default_rng(seed + 1)
     wallclock_mode = budget.kind == "seconds"
-    ledger = BudgetLedger(budget=budget, flops_per_token=6.0 * param_count(model.config))
     curve = LossCurve()
     state = AdamState()
     sched = ScheduleConfig(
@@ -408,6 +397,7 @@ def pretrain(
     vocab_size = dataset.vocab_size
     cursor = 0
     step = 0
+    tokens = 0
     samples = 0
     aborted = False
     abort_reason = None
@@ -461,7 +451,7 @@ def pretrain(
                     scaled = loss * (1.0 / acc)
                     tape.backward(scaled)
                 step_loss += loss.item() / acc
-                ledger.record(tokens=rows.size)
+                tokens += rows.size
             if not math.isfinite(step_loss):
                 raise FloatingPointError("non-finite training loss")
             samples += acc * ramp.micro_batch
@@ -471,38 +461,32 @@ def pretrain(
             lr = lr_at(min(step, sched.total_steps), sched)
             adam_step(model.params, state, lr, optimizer, Model.decay_exempt)
             step += 1
-            ledger.record(steps=1)
             if step % curve_interval == 0:
-                curve.append(CurvePoint(step, ledger.tokens_ingested, lr,
-                                        step_loss, curve_seconds()))
+                curve.append(CurvePoint(step, tokens, lr, step_loss, curve_seconds()))
                 last_good = model.snapshot()
-                last_good_state = (step, ledger.tokens_ingested, samples)
+                last_good_state = (step, tokens, samples)
             last_loss = step_loss
             last_lr = lr
     except FloatingPointError as exc:
         model.restore(last_good)
         aborted = True
         abort_reason = str(exc)
-        step, tokens_done, samples = last_good_state
+        step, tokens, samples = last_good_state
     else:
-        tokens_done = ledger.tokens_ingested
         if step > 0 and step % curve_interval != 0:
-            curve.append(CurvePoint(step, ledger.tokens_ingested, last_lr,
-                                    last_loss, curve_seconds()))
+            curve.append(CurvePoint(step, tokens, last_lr, last_loss, curve_seconds()))
     finally:
         np.seterr(**err_state)
 
-    ledger.wallclock_elapsed = max(ledger.wallclock_elapsed, elapsed())
     if checkpoint_path is not None:
         model.save(checkpoint_path)
     return PretrainResult(
         curve=curve,
         steps=step,
-        tokens=tokens_done,
+        tokens=tokens,
         samples=samples,
         aborted=aborted,
         abort_reason=abort_reason,
-        ledger=ledger,
     )
 
 

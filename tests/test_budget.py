@@ -1,20 +1,18 @@
-"""Budget accounting tests: the exaFLOP table arithmetic, the 6*N*D
-estimator, ledger monotonicity, and the stop latch."""
+"""Budget accounting tests: the exaFLOP table arithmetic and the 6*N*D
+estimator."""
 
 import numpy as np
 import pytest
 
 from cramlab.budget import (
     Budget,
-    BudgetLedger,
     DeviceSpec,
     load_devices,
     model_flops_estimate,
-    should_stop,
     total_exaflops,
     utilization,
 )
-from cramlab.errors import ConfigurationError, ContractError
+from cramlab.errors import ConfigurationError
 from cramlab.model import ModelConfig, param_count
 
 
@@ -89,45 +87,6 @@ def test_model_flops_estimate_linearity():
     assert model_flops_estimate(1000, 5) == 30000.0
     with pytest.raises(ConfigurationError):
         model_flops_estimate(cfg, -1)
-
-
-def test_ledger_tracks_flops_per_token():
-    ledger = BudgetLedger(budget=Budget("steps", 100), flops_per_token=6000.0)
-    ledger.record(tokens=500, steps=1)
-    ledger.record(tokens=250, seconds=2.0, steps=1)
-    assert ledger.tokens_ingested == 750
-    assert ledger.step == 2
-    assert ledger.wallclock_elapsed == 2.0
-    assert ledger.estimated_flops_used == 750 * 6000.0
-
-
-def test_ledger_rejects_negative_updates():
-    ledger = BudgetLedger()
-    with pytest.raises(ContractError):
-        ledger.record(tokens=-1)
-    with pytest.raises(ContractError):
-        ledger.record(seconds=-0.1)
-    with pytest.raises(ContractError):
-        ledger.record(steps=-2)
-
-
-def test_should_stop_transitions_once_and_latches():
-    ledger = BudgetLedger(budget=Budget("steps", 3))
-    flips = []
-    for _ in range(6):
-        flips.append(ledger.should_stop())
-        ledger.record(steps=1)
-    assert flips == [False, False, False, True, True, True]
-    # once latched, a looser budget does not reopen the run
-    assert ledger.should_stop(Budget("steps", 1000))
-
-
-def test_should_stop_wallclock_mode():
-    ledger = BudgetLedger(budget=Budget("seconds", 10.0))
-    ledger.record(seconds=9.5)
-    assert not should_stop(ledger, ledger.budget)
-    ledger.record(seconds=0.5)
-    assert should_stop(ledger, ledger.budget)
 
 
 def test_utilization_fraction():

@@ -1,6 +1,8 @@
 """Curation pipeline tests: filter arithmetic, dedup against a naive
 quadratic reference, packing, prevalence sort, stats, binary format."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from cramlab.corpus import (
     pack, save_dataset, sort_by_prevalence,
 )
 from cramlab.errors import ConfigurationError, ContractError
-from cramlab.tokenizer import SEP_ID
+from cramlab.tokenizer import SEP_ID, SPECIAL_TOKENS, Vocab
 
 
 def entry(ids, source_index=0):
@@ -326,6 +328,26 @@ def test_dataset_round_trip(tmp_path):
     assert back.sequences.dtype == np.int32
     assert back.seq_len == ds.seq_len and back.vocab_size == ds.vocab_size
     assert np.array_equal(back.unigram_counts, ds.unigram_counts)
+
+
+def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):
+    data_path, vocab_path = tmp_path / "d.bin", tmp_path / "vocab.txt"
+    save_dataset(str(data_path), make_ds(np.random.default_rng(362)))
+    Vocab(list(SPECIAL_TOKENS) + ["a", "b"]).save(str(vocab_path))
+    before = data_path.read_bytes(), vocab_path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("simulated crash before rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="simulated crash"):
+        save_dataset(str(data_path), make_ds(np.random.default_rng(363)))
+    with pytest.raises(OSError, match="simulated crash"):
+        Vocab(list(SPECIAL_TOKENS) + ["c"]).save(str(vocab_path))
+    assert (data_path.read_bytes(), vocab_path.read_bytes()) == before
+    monkeypatch.undo()
+    assert load_dataset(str(data_path)).sequence_count > 0
+    assert Vocab.load(str(vocab_path)).tokens[5:] == ["a", "b"]
 
 
 def test_dataset_bytes_deterministic(tmp_path):

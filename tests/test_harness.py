@@ -385,10 +385,19 @@ def test_ablation_runs_rows_and_renders_table(corpus_path, workdir, task_path):
 
 
 def test_ablation_validates_every_row_before_running(corpus_path, tmp_path):
-    rows = [("fine", {}), ("typo", {"model.nope": "1"})]
-    with pytest.raises(ConfigurationError, match="unknown config key"):
-        run_ablation(base_cfg(), rows, corpus_path, str(tmp_path))
-    assert not os.path.exists(str(tmp_path / "run-fine"))
+    bad_rows = [
+        ({"model.nope": "1"}, "unknown config key"),
+        ({"train.peak_lr": "-1"}, "peak_lr"),
+        ({"train.schedule_kind": "cosine"}, "schedule kind"),
+        ({"train.micro_batch": "0"}, "micro_batch"),
+        ({"train.beta1": "1.0"}, "betas"),
+        ({"train.p_mask": "0.5"}, "p_mask"),
+    ]
+    for overrides, message in bad_rows:
+        rows = [("fine", {}), ("bad", overrides)]
+        with pytest.raises(ConfigurationError, match=message):
+            run_ablation(base_cfg(), rows, corpus_path, str(tmp_path))
+        assert not os.path.exists(str(tmp_path / "run-fine"))
 
 
 def test_ablation_marks_diverged_rows_failed(corpus_path, workdir):
