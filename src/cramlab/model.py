@@ -25,6 +25,7 @@ from .tensor import (
 FFN_KINDS = ("glu_gelu", "gelu")
 NORM_PLACEMENTS = ("pre", "post")
 EMBEDDING_KINDS = ("scaled_sinusoidal", "learned", "sinusoidal", "rotary")
+NORMAL = "normal"  # param_layout init drawn from truncated_normal
 
 
 @dataclass
@@ -89,38 +90,59 @@ class ModelConfig:
         return cfg
 
 
-def param_count(config: ModelConfig) -> int:
-    """Closed-form element count of the built parameter set."""
+def param_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str | float]]:
+    """Every parameter as name -> (shape, init), in build and checkpoint order.
+
+    init is NORMAL for a truncated-normal(0.02) draw, otherwise the
+    constant every element starts at.
+    """
     config.validate()
     d, v, f = config.hidden_dim, config.vocab_size, config.ffn_dim
-    total = v * d  # token embedding
+    layout: dict[str, tuple[tuple[int, ...], str | float]] = {}
+
+    def norm(stem: str) -> None:
+        layout[f"{stem}_gain"] = ((d,), 1.0)
+        layout[f"{stem}_bias"] = ((d,), 0.0)
+
+    layout["tok_emb"] = ((v, d), NORMAL)
     if config.embedding_kind == "scaled_sinusoidal":
-        total += 1
+        layout["pos_scale"] = ((1,), 1.0 / math.sqrt(d))
     elif config.embedding_kind == "learned":
-        total += config.seq_len * d
+        layout["pos_emb"] = ((config.seq_len, d), NORMAL)
     if config.embedding_norm:
-        total += 2 * d
-    per_layer = 4 * d * d + 2 * (2 * d)  # projections + two layer norms
-    if config.qkv_bias:
-        per_layer += 3 * d
-    if config.linear_bias:
-        per_layer += d  # attention output bias
-    per_layer += d * f
-    per_layer += (f // 2 if config.ffn_kind == "glu_gelu" else f) * d
-    if config.linear_bias:
-        per_layer += f + d  # both FFN biases
-    total += config.num_layers * per_layer
-    if config.final_norm:
-        total += 2 * d
-    if config.nonlinear_head:
-        total += d * d + 2 * d
+        norm("emb_norm")
+    fout = f // 2 if config.ffn_kind == "glu_gelu" else f
+    for i in range(config.num_layers):
+        norm(f"l{i}_attn_norm")
+        layout.update({f"l{i}_w{which}": ((d, d), NORMAL) for which in "qkvo"})
+        if config.qkv_bias:
+            layout.update({f"l{i}_b{which}": ((d,), 0.0) for which in "qkv"})
         if config.linear_bias:
-            total += d
+            layout[f"l{i}_bo"] = ((d,), 0.0)
+        norm(f"l{i}_ffn_norm")
+        layout[f"l{i}_w1"] = ((d, f), NORMAL)
+        if config.linear_bias:
+            layout[f"l{i}_b1"] = ((f,), 0.0)
+        layout[f"l{i}_w2"] = ((fout, d), NORMAL)
+        if config.linear_bias:
+            layout[f"l{i}_b2"] = ((d,), 0.0)
+    if config.final_norm:
+        norm("final_norm")
+    if config.nonlinear_head:
+        layout["head_w"] = ((d, d), NORMAL)
+        if config.linear_bias:
+            layout["head_b"] = ((d,), 0.0)
+        norm("head_norm")
     if not config.tie_embeddings:
-        total += v * d
+        layout["decoder"] = ((v, d), NORMAL)
     if config.decoder_bias:
-        total += v
-    return total
+        layout["decoder_bias"] = ((v,), 0.0)
+    return layout
+
+
+def param_count(config: ModelConfig) -> int:
+    """Element count of the built parameter set."""
+    return sum(math.prod(shape) for shape, _ in param_layout(config).values())
 
 
 def sinusoidal_table(S: int, d: int, dtype=np.float32) -> np.ndarray:
@@ -292,16 +314,22 @@ class Model:
 
     @classmethod
     def load(cls, path: str, dtype=np.float32) -> "Model":
+        """Wrap a checkpoint's arrays after checking them against the layout."""
         arrays, config_strs = ckpt.load_checkpoint(path)
         config = ModelConfig.from_strs(config_strs)
-        model = build(config, seed=0, dtype=dtype)
-        for name, tensor in model.params.items():
+        layout = param_layout(config)
+        extra = sorted(set(arrays) - set(layout))
+        if extra:
+            raise ContractError(f"checkpoint holds undeclared parameters {', '.join(extra)}")
+        params: dict[str, Tensor] = {}
+        for name, (shape, _) in layout.items():
             if name not in arrays:
                 raise ContractError(f"checkpoint missing parameter {name}")
-            if tuple(arrays[name].shape) != tuple(tensor.shape):
+            if arrays[name].shape != shape:
                 raise ContractError(f"checkpoint shape mismatch for {name}")
-            tensor.data[...] = arrays[name].astype(dtype)
-        return model
+            params[name] = Tensor(arrays[name].astype(dtype, copy=False),
+                                  requires_grad=True, name=name)
+        return cls(config, params, dtype)
 
 
 def attention(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: int = 0,
@@ -368,64 +396,10 @@ def ffn(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: int = 
 
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
     """Construct and initialize all parameters deterministically."""
-    config.validate()
     rng = np.random.default_rng(seed)
-    d, v, f = config.hidden_dim, config.vocab_size, config.ffn_dim
     params: dict[str, Tensor] = {}
-
-    def weight(name: str, shape) -> None:
-        params[name] = Tensor(truncated_normal(shape, 0.02, rng, dtype),
-                              requires_grad=True, name=name)
-
-    def zeros(name: str, shape) -> None:
-        params[name] = Tensor(np.zeros(shape, dtype), requires_grad=True, name=name)
-
-    def norm(stem: str) -> None:
-        params[f"{stem}_gain"] = Tensor(np.ones(d, dtype), requires_grad=True,
-                                        name=f"{stem}_gain")
-        zeros(f"{stem}_bias", d)
-
-    weight("tok_emb", (v, d))
-    if config.embedding_kind == "scaled_sinusoidal":
-        params["pos_scale"] = Tensor(
-            np.full(1, 1.0 / math.sqrt(d), dtype), requires_grad=True, name="pos_scale"
-        )
-    elif config.embedding_kind == "learned":
-        weight("pos_emb", (config.seq_len, d))
-    if config.embedding_norm:
-        norm("emb_norm")
-    fout = f // 2 if config.ffn_kind == "glu_gelu" else f
-    for i in range(config.num_layers):
-        norm(f"l{i}_attn_norm")
-        for which in "qkvo":
-            weight(f"l{i}_w{which}", (d, d))
-        if config.qkv_bias:
-            for which in "qkv":
-                zeros(f"l{i}_b{which}", d)
-        if config.linear_bias:
-            zeros(f"l{i}_bo", d)
-        norm(f"l{i}_ffn_norm")
-        weight(f"l{i}_w1", (d, f))
-        if config.linear_bias:
-            zeros(f"l{i}_b1", f)
-        weight(f"l{i}_w2", (fout, d))
-        if config.linear_bias:
-            zeros(f"l{i}_b2", d)
-    if config.final_norm:
-        norm("final_norm")
-    if config.nonlinear_head:
-        weight("head_w", (d, d))
-        if config.linear_bias:
-            zeros("head_b", d)
-        norm("head_norm")
-    if not config.tie_embeddings:
-        weight("decoder", (v, d))
-    if config.decoder_bias:
-        zeros("decoder_bias", v)
-
-    model = Model(config, params, dtype)
-    built = sum(p.data.size for p in params.values())
-    expected = param_count(config)
-    if built != expected:
-        raise ContractError(f"parameter enumeration {built} != closed form {expected}")
-    return model
+    for name, (shape, init) in param_layout(config).items():
+        data = (truncated_normal(shape, 0.02, rng, dtype) if init == NORMAL
+                else np.full(shape, init, dtype))
+        params[name] = Tensor(data, requires_grad=True, name=name)
+    return Model(config, params, dtype)

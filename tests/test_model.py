@@ -2,14 +2,17 @@
 tables, attention/FFN against direct numpy references, persistence."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from cramlab import checkpoint as ckpt
+from cramlab.config import PRESETS, RunConfig, apply_overrides
 from cramlab.errors import ConfigurationError, ContractError
 from cramlab.model import (
-    Model, ModelConfig, attention, build, ffn, param_count, rotary_tables,
-    sinusoidal_table,
+    Model, ModelConfig, attention, build, ffn, param_count, param_layout,
+    rotary_tables, sinusoidal_table,
 )
 from cramlab.tensor import Tensor
 
@@ -33,24 +36,44 @@ def test_param_count_small_config_closed_form():
     assert param_count(small_config()) == 16769
 
 
-@pytest.mark.parametrize("kw", [
-    {},
-    {"ffn_kind": "gelu"},
-    {"norm_placement": "post"},
-    {"embedding_kind": "learned"},
-    {"embedding_kind": "sinusoidal"},
-    {"embedding_kind": "rotary"},
-    {"qkv_bias": True, "linear_bias": True, "decoder_bias": True},
-    {"nonlinear_head": True},
-    {"nonlinear_head": True, "linear_bias": True},
-    {"tie_embeddings": False},
-    {"final_norm": False, "embedding_norm": False},
-    {"num_layers": 0},
-])
-def test_param_count_matches_enumeration(kw):
+# Counts computed by the closed-form formula this layout replaced, so the
+# layout is checked against an oracle it does not share code with.
+PINNED_COUNTS = [
+    ({}, 16769),
+    ({"ffn_kind": "gelu"}, 18817),
+    ({"norm_placement": "post"}, 16769),
+    ({"embedding_kind": "learned"}, 17280),
+    ({"embedding_kind": "sinusoidal"}, 16768),
+    ({"embedding_kind": "rotary"}, 16768),
+    ({"qkv_bias": True, "linear_bias": True, "decoder_bias": True}, 17281),
+    ({"nonlinear_head": True}, 17857),
+    ({"nonlinear_head": True, "linear_bias": True}, 18145),
+    ({"tie_embeddings": False}, 18817),
+    ({"final_norm": False, "embedding_norm": False}, 16641),
+    ({"num_layers": 0}, 2177),
+]
+
+
+@pytest.mark.parametrize("kw, want", PINNED_COUNTS,
+                         ids=[f"kw{i}" for i in range(len(PINNED_COUNTS))])
+def test_param_count_matches_enumeration(kw, want):
     cfg = small_config(**kw)
+    assert param_count(cfg) == want
     model = build(cfg, seed=1)
-    assert sum(p.data.size for p in model.params.values()) == param_count(cfg)
+    assert sum(p.data.size for p in model.params.values()) == want
+    assert list(model.params) == list(param_layout(cfg))
+
+
+@pytest.mark.parametrize("preset, want", [
+    ("crammed", 95984641),
+    ("original_arch", 110945024),
+    ("minimal_arch", 110945024),
+])
+def test_param_count_paper_shape(preset, want):
+    cfg = RunConfig()
+    apply_overrides(cfg, PRESETS[preset])
+    assert (cfg.model.num_layers, cfg.model.hidden_dim, cfg.model.vocab_size) == (12, 768, 32768)
+    assert param_count(cfg.model) == want
 
 
 def test_build_deterministic_by_seed():
@@ -288,11 +311,83 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_detects_missing_param(tmp_path):
-    from cramlab import checkpoint as ckpt
     model = build(small_config(), seed=29)
     path = str(tmp_path / "ck")
-    arrays = {k: v.data for k, v in model.params.items()}
-    arrays.pop("l1_wq")
-    ckpt.save_checkpoint(path, arrays, model.config.to_strs())
-    with pytest.raises(ContractError):
+    good = {k: v.data for k, v in model.params.items()}
+    missing = dict(good)
+    missing.pop("l1_wq")
+    reshaped = dict(good, l1_wq=good["l1_wq"].reshape(16, 64))
+    extra = dict(good, decoder=good["tok_emb"], l9_wq=good["l1_wq"])
+    for arrays, message in [(missing, "missing parameter l1_wq"),
+                            (reshaped, "shape mismatch for l1_wq"),
+                            (extra, "undeclared parameters decoder, l9_wq")]:
+        ckpt.save_checkpoint(path, arrays, model.config.to_strs())
+        with pytest.raises(ContractError, match=message):
+            Model.load(path)
+
+
+def test_load_wraps_checkpoint_without_initializing(tmp_path, monkeypatch):
+    model = build(small_config(embedding_kind="learned", tie_embeddings=False,
+                               linear_bias=True), seed=30)
+    path = str(tmp_path / "ck")
+    model.save(path)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("Model.load drew an initialization")
+
+    monkeypatch.setattr("cramlab.model.truncated_normal", no_init)
+    back = Model.load(path)
+    assert list(back.params) == list(model.params)
+    for name, p in model.params.items():
+        assert back.params[name].data.dtype == np.float32
+        assert back.params[name].data.tobytes() == p.data.tobytes()
+        assert back.params[name].requires_grad and back.params[name].name == name
+
+
+def test_checkpoint_torn_save_is_refused(tmp_path, monkeypatch):
+    model = build(small_config(), seed=31)
+    path = str(tmp_path / "ck")
+    model.save(path)
+    moved = {k: v.data + 1 for k, v in model.params.items()}
+    real_replace = os.replace
+    done: list[str] = []
+
+    def crash_on_second_replace(src, dst):
+        if done:
+            raise OSError("simulated crash between the two renames")
+        done.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_on_second_replace)
+    with pytest.raises(OSError):
+        ckpt.save_checkpoint(path, moved, model.config.to_strs())
+    monkeypatch.undo()
+    with pytest.raises(ContractError, match="does not match its manifest"):
+        ckpt.load_checkpoint(path)
+
+
+def test_checkpoint_detects_flipped_blob_byte(tmp_path):
+    model = build(small_config(), seed=32)
+    path = str(tmp_path / "ck")
+    model.save(path)
+    with open(ckpt.blob_path(path), "r+b") as fh:
+        fh.seek(1001)
+        byte = fh.read(1)
+        fh.seek(1001)
+        fh.write(bytes([byte[0] ^ 0x10]))
+    with pytest.raises(ContractError, match="does not match its manifest"):
         Model.load(path)
+
+
+def test_checkpoint_without_blob_line_still_loads(tmp_path):
+    model = build(small_config(), seed=33)
+    path = str(tmp_path / "ck")
+    model.save(path)
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    assert sum(ln.startswith("blob ") for ln in lines) == 1
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(ln for ln in lines if not ln.startswith("blob ")) + "\n")
+    back = Model.load(path)
+    for name, p in model.params.items():
+        assert back.params[name].data.tobytes() == p.data.tobytes()

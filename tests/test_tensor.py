@@ -334,6 +334,29 @@ def test_truncated_normal_respects_bounds_and_seed():
     assert draws.tobytes() == again.tobytes()
 
 
+def _truncated_normal_full_rescan(shape, std, rng, dtype=np.float32):
+    """Reference: the original loop, which rescans every element each round."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+    return out.astype(dtype)
+
+
+@pytest.mark.parametrize("shape, std, seed, dtype", [
+    ((300, 200), 0.02, 15, np.float32),
+    ((64, 33, 3), 1.0, 16, np.float64),
+    ((7,), 0.02, 17, np.float32),
+    ((), 0.5, 18, np.float32),
+])
+def test_truncated_normal_matches_full_rescan_reference(shape, std, seed, dtype):
+    got = truncated_normal(shape, std, np.random.default_rng(seed), dtype)
+    want = _truncated_normal_full_rescan(shape, std, np.random.default_rng(seed), dtype)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gather_rows_out_of_range():
     with pytest.raises(IndexError):
         gather_rows(ones((3, 2)), np.array([0, 3]))
