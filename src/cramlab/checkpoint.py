@@ -56,7 +56,8 @@ def save_checkpoint(path: str, arrays: dict[str, np.ndarray], config: dict | Non
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Read back (arrays, config). Arrays come out float32 C-contiguous."""
+    """Read back (arrays, config). Arrays come out float32 C-contiguous,
+    as writable views into the one copy of the blob that is read."""
     with open(path, encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _HEADER:
@@ -81,10 +82,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         else:
             raise ContractError(f"{path}: unrecognized manifest line {ln!r}")
     with open(blob_path(path), "rb") as fh:
-        raw = fh.read()
-    if stamp is not None and stamp != (len(raw), zlib.crc32(raw)):
+        nbytes = os.fstat(fh.fileno()).st_size
+        blob = np.fromfile(fh, dtype="<f4", count=nbytes // 4)
+    if stamp is not None and stamp != (nbytes, zlib.crc32(blob)):
         raise ContractError(f"{path}: blob does not match its manifest (torn or corrupt save)")
-    blob = np.frombuffer(raw, dtype="<f4", count=len(raw) // 4)
     arrays: dict[str, np.ndarray] = {}
     for name, shape, offset in entries:
         if offset % 4:
@@ -93,5 +94,5 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         count = int(np.prod(shape))
         if start + count > blob.size:
             raise ContractError(f"{path}: blob too short for tensor {name}")
-        arrays[name] = blob[start:start + count].reshape(shape).copy()
+        arrays[name] = blob[start:start + count].reshape(shape)
     return arrays, config

@@ -17,9 +17,8 @@ from . import checkpoint as ckpt
 from .errors import ConfigurationError, ContractError
 from .serde import dataclass_to_strs, dataclass_update_from_strs
 from .tensor import (
-    Tensor, add, concat_last, dropout, gather_rows, gelu, layer_norm,
-    matmul, matmul_t, mul, permute, reshape, scale, slice_last, softmax,
-    truncated_normal,
+    Tensor, add, dropout, gather_rows, gelu, glu_gelu, layer_norm, matmul,
+    matmul_t, mul, permute, reshape, rotary, scale, softmax, truncated_normal,
 )
 
 FFN_KINDS = ("glu_gelu", "gelu")
@@ -349,8 +348,8 @@ def attention(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: 
 
     q, k, v = proj("q"), proj("k"), proj("v")
     if rot is not None:
-        q = _rotate(q, rot)
-        k = _rotate(k, rot)
+        q = rotary(q, *rot)
+        k = rotary(k, *rot)
     scores = scale(matmul(q, permute(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     if key_bias is not None:
         scores = add(scores, Tensor(np.asarray(key_bias, dtype=x.dtype)))
@@ -363,17 +362,6 @@ def attention(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: 
     return reshape(out, (B, S, d))
 
 
-def _rotate(t: Tensor, rot: tuple[np.ndarray, np.ndarray]) -> Tensor:
-    """Rotary rotation: t*cos + rotate_half(t)*sin over the head dim."""
-    cos, sin = rot
-    dh = t.shape[-1]
-    half = dh // 2
-    a = slice_last(t, 0, half)
-    b = slice_last(t, half, dh)
-    rotated = concat_last(scale(b, -1.0), a)
-    return add(mul(t, Tensor(cos.astype(t.dtype))), mul(rotated, Tensor(sin.astype(t.dtype))))
-
-
 def ffn(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: int = 0) -> Tensor:
     """Feedforward block: gated (value * gelu(gate)) or plain gelu."""
     B, S, d = x.shape
@@ -381,13 +369,7 @@ def ffn(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: int = 
     h = matmul(reshape(x, (B * S, d)), p[f"l{layer}_w1"])
     if config.linear_bias:
         h = add(h, p[f"l{layer}_b1"])
-    if config.ffn_kind == "glu_gelu":
-        half = config.ffn_dim // 2
-        value = slice_last(h, 0, half)
-        gate = slice_last(h, half, config.ffn_dim)
-        h = mul(value, gelu(gate))
-    else:
-        h = gelu(h)
+    h = glu_gelu(h) if config.ffn_kind == "glu_gelu" else gelu(h)
     out = matmul(h, p[f"l{layer}_w2"])
     if config.linear_bias:
         out = add(out, p[f"l{layer}_b2"])

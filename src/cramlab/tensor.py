@@ -358,32 +358,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _make("gather_rows", a.data[idx], (a,), bwd)
 
 
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    def bwd(out):
-        def fn():
-            g = np.zeros_like(a.data)
-            g[..., start:stop] = out.grad
-            a.accumulate_grad(g)
-        return fn
-
-    return _make("slice_last", np.ascontiguousarray(a.data[..., start:stop]), (a,), bwd)
-
-
-def concat_last(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes("concat_last", a, b)
-    na = a.shape[-1]
-
-    def bwd(out):
-        def fn():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad[..., :na])
-            if b.requires_grad:
-                b.accumulate_grad(out.grad[..., na:])
-        return fn
-
-    return _make("concat_last", np.concatenate([a.data, b.data], axis=-1), (a, b), bwd)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to mean 0 / population variance 1, then
     apply elementwise gain and bias."""
@@ -428,23 +402,67 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make("softmax", y, (x,), bwd)
 
 
+def _gelu_grad(x: np.ndarray, phi_cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * d gelu(x)/dx, given phi_cdf = Phi(x) from the forward pass."""
+    pdf = x * x
+    pdf *= -0.5
+    np.exp(pdf, out=pdf)
+    pdf /= np.asarray(_SQRT_2PI, dtype=x.dtype)
+    pdf *= x
+    pdf += phi_cdf
+    pdf *= g
+    return pdf
+
+
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact Gaussian CDF (erf form)."""
     phi_cdf = ndtr(x.data).astype(x.dtype, copy=False)
 
     def bwd(out):
         def fn():
-            pdf = x.data * x.data
-            pdf *= -0.5
-            np.exp(pdf, out=pdf)
-            pdf /= np.asarray(_SQRT_2PI, dtype=x.dtype)
-            pdf *= x.data
-            pdf += phi_cdf
-            pdf *= out.grad
-            x.accumulate_grad(pdf)
+            x.accumulate_grad(_gelu_grad(x.data, phi_cdf, out.grad))
         return fn
 
     return _make("gelu", x.data * phi_cdf, (x,), bwd)
+
+
+def glu_gelu(h: Tensor) -> Tensor:
+    """Gated linear unit value * gelu(gate) over the two halves of the last axis."""
+    value, gate = np.split(h.data, 2, axis=-1)
+    phi_cdf = ndtr(gate).astype(h.dtype, copy=False)
+    act = gate * phi_cdf
+
+    def bwd(out):
+        def fn():
+            g = out.grad
+            h.accumulate_grad(np.concatenate(
+                [g * act, _gelu_grad(gate, phi_cdf, g * value)], axis=-1))
+        return fn
+
+    return _make("glu_gelu", value * act, (h,), bwd)
+
+
+def _rotate_half(a: np.ndarray) -> np.ndarray:
+    first, second = np.split(a, 2, axis=-1)
+    return np.concatenate([-second, first], axis=-1)
+
+
+def rotary(t: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotary position rotation t*cos + rotate_half(t)*sin over the last axis.
+
+    cos and sin are constant tables broadcast against t; rotate_half
+    maps the halves (t1, t2) to (-t2, t1).
+    """
+    cos = np.asarray(cos, dtype=t.dtype)
+    sin = np.asarray(sin, dtype=t.dtype)
+
+    def bwd(out):
+        def fn():
+            g = out.grad
+            t.accumulate_grad(g * cos - _rotate_half(g * sin))
+        return fn
+
+    return _make("rotary", t.data * cos + _rotate_half(t.data) * sin, (t,), bwd)
 
 
 def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
@@ -482,19 +500,6 @@ def tsum(x: Tensor) -> Tensor:
         return fn
 
     return _make("sum", np.asarray(x.data.sum(dtype=x.dtype), dtype=x.dtype), (x,), bwd)
-
-
-def tmean(x: Tensor) -> Tensor:
-    n = x.data.size
-
-    def bwd(out):
-        def fn():
-            x.accumulate_grad(
-                np.broadcast_to(out.grad / np.asarray(n, dtype=x.dtype), x.shape).copy()
-            )
-        return fn
-
-    return _make("mean", np.asarray(x.data.mean(dtype=x.dtype), dtype=x.dtype), (x,), bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

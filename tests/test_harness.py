@@ -12,7 +12,9 @@ import os
 import numpy as np
 import pytest
 
+import composed_ops
 from conftest import make_lexicon, make_sentences
+from cramlab import checkpoint as ckpt
 from cramlab import cli
 from cramlab.config import (
     PRESETS, RunConfig, apply_overrides, config_diff, parse_run_config,
@@ -304,6 +306,32 @@ def test_run_checkpoint_is_loadable(finished_run):
     cfg, art, result = finished_run
     model = Model.load(art.checkpoint_path)
     assert model.config.hidden_dim == 32
+
+
+def test_fused_ops_train_bit_for_bit_like_composed_reference(prepared, tmp_path,
+                                                             monkeypatch):
+    # A 4-step crammed run with rotary positions goes through glu_gelu
+    # and rotary in every block; swapping in the generic-op compositions
+    # must not change a single bit of the curve or the parameters.
+    cfg = base_cfg()
+    cfg.model.embedding_kind = "rotary"
+    cfg.train.budget_steps = 4
+    cfg.report.curve_interval = 1
+
+    def run(name):
+        art, result = run_pretrain(cfg, str(tmp_path / name), data=prepared)
+        assert not result.aborted, result.abort_reason
+        with open(art.curve_path, encoding="utf-8") as fh:
+            curve = fh.read()
+        with open(ckpt.blob_path(art.checkpoint_path), "rb") as fh:
+            return curve, fh.read()
+
+    fused = run("fused")
+    monkeypatch.setattr("cramlab.model.glu_gelu", composed_ops.glu_gelu)
+    monkeypatch.setattr("cramlab.model.rotary", composed_ops.rotary)
+    composed = run("composed")
+    assert fused[0].count("\n") == 6  # header, steps 0-4
+    assert composed == fused
 
 
 def test_stale_dataset_vocab_is_rejected(prepared, tmp_path):

@@ -3,6 +3,7 @@ tables, attention/FFN against direct numpy references, persistence."""
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cramlab.model import (
     Model, ModelConfig, attention, build, ffn, param_count, param_layout,
     rotary_tables, sinusoidal_table,
 )
-from cramlab.tensor import Tensor
+from cramlab.tensor import Tensor, finite_diff_check, mul, tsum
 
 
 def small_config(**kw) -> ModelConfig:
@@ -203,6 +204,58 @@ def test_key_mask_blocks_padded_keys():
     assert not np.allclose(base, model.encode(ids2).data, atol=1e-6)
 
 
+# -- gradient oracles through the blocks (double precision) ----------------------
+
+ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")
+FFN_WEIGHTS = ("w1", "b1", "w2", "b2")
+
+
+def _block_oracle(block, weights, **kw):
+    """Worst finite-difference error of sum(block(x) * k) with respect to
+    x and to every layer-0 weight the block reads, at d 8, H 2, S 4.
+
+    Central differences through two stacked matmuls and a curved
+    activation leave up to about 2e-6 of relative error on the smallest
+    gradients, so callers bound it at 1e-5; a wrong backward is off by
+    order one."""
+    cfg = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
+                      vocab_size=16, seq_len=4, **kw)
+    model = build(cfg, seed=40, dtype=np.float64)
+    rng = np.random.default_rng(41)
+    # Well above the 0.02 init, so softmax, gelu and the rotation are
+    # exercised away from their near-linear regime.
+    for p in model.params.values():
+        p.data[...] = rng.normal(scale=0.5, size=p.shape)
+    x = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+    k = Tensor(rng.normal(size=(2, 4, 8)))
+    wrt = [model.params[f"l0_{w}"] for w in weights if f"l0_{w}" in model.params]
+    return finite_diff_check(lambda: tsum(mul(block(x, model, cfg), k)), [x, *wrt])
+
+
+def _attention(x, model, cfg):
+    rot = rotary_tables(cfg.seq_len, cfg.head_dim(), np.float64)
+    return attention(x, model.params, cfg, 0,
+                     rot=rot if cfg.embedding_kind == "rotary" else None)
+
+
+def _ffn(x, model, cfg):
+    return ffn(x, model.params, cfg, 0)
+
+
+@pytest.mark.parametrize("kw", [dict(embedding_kind="rotary"),
+                                dict(qkv_bias=True, linear_bias=True)],
+                         ids=["rotary", "biases"])
+def test_fd_attention_block(kw):
+    assert _block_oracle(_attention, ATTENTION_WEIGHTS, **kw) < 1e-5
+
+
+@pytest.mark.parametrize("kw", [dict(ffn_kind="glu_gelu"), dict(ffn_kind="gelu"),
+                                dict(ffn_kind="glu_gelu", linear_bias=True)],
+                         ids=["glu_gelu", "gelu", "glu_gelu-biases"])
+def test_fd_ffn_block(kw):
+    assert _block_oracle(_ffn, FFN_WEIGHTS, **kw) < 1e-5
+
+
 # -- toggle equivalences ----------------------------------------------------------
 
 def test_pre_and_post_norm_agree_when_norms_are_identity(monkeypatch):
@@ -376,6 +429,44 @@ def test_checkpoint_detects_flipped_blob_byte(tmp_path):
         fh.seek(1001)
         fh.write(bytes([byte[0] ^ 0x10]))
     with pytest.raises(ContractError, match="does not match its manifest"):
+        Model.load(path)
+
+
+def test_checkpoint_load_holds_one_copy_of_the_blob(tmp_path):
+    rng = np.random.default_rng(34)
+    arrays = {f"w{i}": rng.standard_normal((256, 1024)).astype(np.float32)
+              for i in range(4)}
+    path = str(tmp_path / "ck")
+    ckpt.save_checkpoint(path, arrays)
+    nbytes = os.path.getsize(ckpt.blob_path(path))
+    tracemalloc.start()
+    try:
+        back, _ = ckpt.load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * nbytes, (peak, nbytes)
+    for name, a in arrays.items():
+        got = back[name]
+        assert got.tobytes() == a.tobytes()
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.flags.writeable and got.flags.aligned
+    back["w1"][...] = 0.0
+    assert back["w0"].tobytes() == arrays["w0"].tobytes()
+    assert back["w2"].tobytes() == arrays["w2"].tobytes()
+
+
+def test_checkpoint_short_blob_without_blob_line_is_refused(tmp_path):
+    model = build(small_config(), seed=35)
+    path = str(tmp_path / "ck")
+    model.save(path)
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(ln for ln in lines if not ln.startswith("blob ")) + "\n")
+    blob = ckpt.blob_path(path)
+    os.truncate(blob, os.path.getsize(blob) - 8)
+    with pytest.raises(ContractError, match="blob too short for tensor"):
         Model.load(path)
 
 

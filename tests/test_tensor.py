@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import composed_ops
 from cramlab.errors import ContractError
+from cramlab.model import rotary_tables
 from cramlab.tensor import (
-    Tape, Tensor, add, backward, concat_last, cross_entropy_from_logits,
-    dropout, finite_diff_check, gather_rows, gelu, layer_norm, matmul,
-    matmul_t, mul, permute, reshape, scale, set_finite_checks, slice_last,
-    softmax, tmean, truncated_normal, tsum,
+    Tape, Tensor, add, backward, cross_entropy_from_logits, dropout,
+    finite_diff_check, gather_rows, gelu, glu_gelu, layer_norm, matmul,
+    matmul_t, mul, permute, reshape, rotary, scale, set_finite_checks,
+    softmax, truncated_normal, tsum,
 )
 
 F64 = np.float64
@@ -228,7 +230,7 @@ def test_fd_elementwise_ops():
     y = Tensor(rng.normal(size=4), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     _fd(lambda: tsum(mul(add(x, y), w)), [x, y, w], 1e-6)
-    _fd(lambda: tmean(scale(x, -1.7)), [x], 1e-6)
+    _fd(lambda: tsum(scale(x, -1.7)), [x], 1e-6)
     _fd(lambda: tsum(gelu(x)), [x], 1e-6)
 
 
@@ -268,12 +270,48 @@ def test_fd_gather_with_duplicate_rows():
     _fd(lambda: tsum(mul(gather_rows(x, idx), k)), [x], 1e-6)
 
 
-def test_fd_slice_concat():
+@pytest.mark.parametrize("shape", [(3, 8), (2, 2, 3, 6)])
+def test_fd_glu_gelu(shape):
     rng = np.random.default_rng(9)
-    x = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
-    k = Tensor(rng.normal(size=(2, 8)))
-    _fd(lambda: tsum(mul(concat_last(slice_last(x, 4, 8),
-                                     slice_last(x, 0, 4)), k)), [x], 1e-6)
+    h = Tensor(rng.normal(size=shape), requires_grad=True)
+    k = Tensor(rng.normal(size=shape[:-1] + (shape[-1] // 2,)))
+    _fd(lambda: tsum(mul(glu_gelu(h), k)), [h], 1e-6)
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (2, 2, 3, 6)])
+def test_fd_rotary(shape):
+    rng = np.random.default_rng(10)
+    t = Tensor(rng.normal(size=shape), requires_grad=True)
+    k = Tensor(rng.normal(size=shape))
+    cos, sin = rotary_tables(shape[-2], shape[-1], F64)
+    _fd(lambda: tsum(mul(rotary(t, cos, sin), k)), [t], 1e-6)
+
+
+def _forward_and_input_grad(op, x, *consts):
+    """float32 forward output, d(sum(out * k))/dx for a fixed k, and the
+    number of tape records the op itself made."""
+    t = Tensor(x.copy(), requires_grad=True)
+    with Tape() as tape:
+        out = op(t, *consts)
+        records = len(tape)
+        k = np.random.default_rng(11).normal(size=out.shape).astype(np.float32)
+        tape.backward(tsum(mul(out, Tensor(k))))
+    return out.data, t.grad, records
+
+
+@pytest.mark.parametrize("shape", [(64, 32), (2, 4, 16, 8)])
+def test_fused_ops_match_composed_reference_bitwise(shape):
+    rng = np.random.default_rng(12)
+    x = (rng.normal(size=shape) * 3.0).astype(np.float32)
+    cos, sin = rotary_tables(shape[-2], shape[-1], np.float32)
+    for fused, composed, consts in ((glu_gelu, composed_ops.glu_gelu, ()),
+                                    (rotary, composed_ops.rotary, (cos, sin))):
+        out, grad, records = _forward_and_input_grad(fused, x, *consts)
+        ref_out, ref_grad, ref_records = _forward_and_input_grad(composed, x, *consts)
+        assert out.dtype == grad.dtype == np.float32
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(grad, ref_grad)
+        assert records == 1 and ref_records > 1
 
 
 def test_fd_normalization_ops():
