@@ -1,18 +1,20 @@
-"""FLOP and wallclock accounting for compute budgets.
+"""FLOP, wallclock and memory accounting for compute budgets.
 
 Two views of compute are reported side by side: the device-peak budget
 (peak TFLOP/s times wallclock, the exaFLOP column of the reproduction
 table) and the achieved model estimate 6 * params * tokens (forward 2N
-plus backward 4N per token).
+plus backward 4N per token). memory_estimate bounds the bytes a
+pretraining run needs, so a run that cannot fit fails before it starts.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .model import ModelConfig, param_count
+from .model import ModelConfig, param_count, param_layout
 
 BUDGET_KINDS = ("steps", "seconds")
 
@@ -65,6 +67,104 @@ def utilization(flops_used: float, elapsed_seconds: float, device: DeviceSpec) -
         raise ConfigurationError("elapsed time must be positive")
     peak = device.count * device.peak_tflops * 1e12 * elapsed_seconds
     return flops_used / peak
+
+
+def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
+    """float32 values one sequence adds to a training micro-batch's peak.
+
+    Counts the buffers each op keeps for backward at the end of the
+    forward pass (the tape frees them as backward proceeds), plus the
+    loss head's and the top block's backward temporaries. Checked
+    against tracemalloc peaks of whole runs in tests/test_budget.py.
+    """
+    S, d, f, H, V = (config.seq_len, config.hidden_dim, config.ffn_dim,
+                     config.num_heads, config.vocab_size)
+    # Per block: norms keep x-hat and output, q/k/v a product and a
+    # permuted copy, k a transposed copy, then context, its permuted
+    # copy, the output projection and two residual sums; each bias is
+    # one more output.
+    per_sd = 17 + 2 * (config.embedding_kind == "rotary") + 3 * config.qkv_bias \
+        + 2 * config.linear_bias
+    # The FFN input projection, plus Phi and the output of the activation
+    # (half width for the gated unit, which keeps gelu(gate) too).
+    per_sf = (2.5 if config.ffn_kind == "glu_gelu" else 3.0) + config.linear_bias
+    # Raw, scaled and softmaxed attention scores.
+    per_ss = 3 * H * S
+    blocks = config.num_layers * S * (per_sd * d + per_sf * f + per_ss)
+    embed_sd = 1 + (config.embedding_kind != "rotary") + 2 * config.embedding_norm \
+        + 2 * config.final_norm
+    masked = math.ceil(mask_rate * S)
+    rows = masked if config.sparse_prediction else S
+    head = rows * d * (config.sparse_prediction + (5 + config.linear_bias) * config.nonlinear_head)
+    if config.sparse_prediction:
+        # Logits, then the loss's shifted copy and exponentials.
+        head += 3 * masked * V
+    else:
+        # Dense logits and their gradient, plus the masked rows' copy
+        # and exponentials.
+        head += 2 * S * V + 2 * masked * V
+    # The backward pass of the top block runs while its inputs still
+    # live: a few gradient buffers of FFN and attention-score width.
+    backward = 2 * S * f + 2 * H * S * S
+    return math.ceil(blocks + S * d * embed_sd + head + backward)
+
+
+def memory_estimate(config: ModelConfig, micro_batch: int, mask_rate: float) -> int:
+    """Peak bytes a float32 pretraining run at this shape adds to the process.
+
+    Five parameter-sized copies live for the whole run: the parameters,
+    their gradients, Adam's m and v, and the last-good snapshot. On top
+    of them comes the largest of: one micro-batch's activations plus the
+    decoder's (V, d) gradient product, which backward makes while they
+    still live; Adam's three temporaries the size of the largest
+    parameter; and the new snapshot taken while the previous one is
+    still held.
+    """
+    if micro_batch < 1:
+        raise ConfigurationError("micro_batch must be positive")
+    n = param_count(config)
+    largest = max(math.prod(shape) for shape, _ in param_layout(config).values())
+    peak = max(micro_batch * _activation_floats(config, mask_rate) + largest, 3 * largest, n)
+    return 4 * (5 * n + peak)
+
+
+def available_memory() -> int | None:
+    """Bytes this process can still allocate: MemAvailable, or the
+    cgroup memory limit when that is lower; None when neither is known."""
+    known = []
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    known.append(int(line.split()[1]) * 1024)
+    except OSError:
+        pass
+    for path in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
+        try:
+            with open(path, encoding="ascii") as fh:
+                text = fh.read().strip()
+        except OSError:
+            continue
+        if text.isdigit():
+            known.append(int(text))
+    return min(known) if known else None
+
+
+def check_memory(config: ModelConfig, micro_batch: int, mask_rate: float) -> None:
+    """Raise ConfigurationError when the run cannot fit in available memory,
+    naming the largest micro-batch that would."""
+    free = available_memory()
+    need = memory_estimate(config, micro_batch, mask_rate)
+    if free is None or need <= free:
+        return
+    fits = 0
+    while memory_estimate(config, fits + 1, mask_rate) <= free:
+        fits += 1
+    hint = (f"the largest micro-batch that fits is {fits}" if fits
+            else "no micro-batch fits at this model shape")
+    raise ConfigurationError(
+        f"train.micro_batch {micro_batch} needs about {need / 2**20:.0f} MiB but only "
+        f"{free / 2**20:.0f} MiB is available; {hint}")
 
 
 def default_devices_path() -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import load_devices, model_flops_estimate, utilization
+from .budget import check_memory, load_devices, model_flops_estimate, utilization
 from .config import (
     RunConfig, apply_overrides, config_diff, load_run_config,
     parse_run_config, render_run_config, render_sections,
@@ -142,6 +142,7 @@ def run_pretrain(
     """Prepare (or reuse) data, pretrain, and write the run directory."""
     cfg.validate()
     budget = cfg.train.budget()
+    check_memory(cfg.model, cfg.train.micro_batch, cfg.train.mask_rate)
     if data is None:
         src = input_path or cfg.tokenizer.input
         if not src:

@@ -296,9 +296,7 @@ class Model:
             h = gelu(h)
             h = self._ln(h, "head_norm")
         dec = self.params["tok_emb"] if cfg.tie_embeddings else self.params["decoder"]
-        out = matmul_t(h, dec)
-        if cfg.decoder_bias:
-            out = add(out, self.params["decoder_bias"])
+        out = matmul_t(h, dec, self.params["decoder_bias"] if cfg.decoder_bias else None)
         if positions is not None and not cfg.sparse_prediction:
             # Dense prediction decodes every position; the loss still
             # only sees the masked rows.

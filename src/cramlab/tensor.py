@@ -3,7 +3,8 @@
 Just enough of an array-autograd layer to express a small transformer
 encoder and its training step on top of numpy. Operations executed while
 a Tape is active record backward closures onto it; Tape.backward replays
-them in reverse exactly once.
+them in reverse exactly once, freeing each op's saved buffers and output
+gradient as it goes, so only leaf tensors hold .grad afterwards.
 
 Training runs in float32. Verification oracles (finite_diff_check and
 the tests built on it) run the same code at float64; ops never mix
@@ -78,14 +79,15 @@ class Tensor:
         self.grad = None
         self._grad_owned = False
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
         # The first contribution is kept by reference; backward ops hand in
         # buffers they will not touch again, so copying here would only add
         # an allocation per edge. A second contribution forces a fresh sum
-        # because the stored buffer may be shared (e.g. a reshape view).
+        # because the stored buffer may be shared (e.g. a reshape view),
+        # unless the caller passed owned=True for a buffer nothing else holds.
         if self.grad is None:
             self.grad = g
-            self._grad_owned = False
+            self._grad_owned = owned
         elif self._grad_owned:
             self.grad += g
         else:
@@ -142,7 +144,12 @@ class Tape:
         self._records.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss)=1 and replay records newest-first."""
+        """Seed d(loss)/d(loss)=1 and replay records newest-first.
+
+        Each record is dropped once replayed, and so is its output's
+        gradient: after backward only leaf tensors (parameters and
+        inputs, which no op produced) hold .grad.
+        """
         if self._consumed:
             raise ContractError("tape already consumed by a previous backward")
         if loss.data.size != 1:
@@ -150,12 +157,16 @@ class Tape:
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
         loss._grad_owned = True
-        for out, fn in reversed(self._records):
+        # Records are in creation order, so when an output's record comes
+        # up every consumer of it has already added its gradient. Popping
+        # frees the closure's saved activations, and the output's gradient
+        # is dropped as soon as the closure has passed it on.
+        records = self._records
+        while records:
+            out, fn = records.pop()
             if out.grad is not None:
                 fn()
-        # Drop the graph now; closures pin every intermediate buffer and
-        # the record list is the only thing keeping the cycle alive.
-        self._records.clear()
+                out.zero_grad()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -289,17 +300,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make("matmul", a.data @ b.data, (a, b), bwd)
 
 
-def matmul_t(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T for 2-D operands, without materializing the transpose.
+def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b.T (+ bias) for 2-D operands, without materializing the transpose.
 
     The decoder shares storage with the (V, d) embedding table, so the
-    tied head is a matmul against its transpose.
+    tied head is a matmul against its transpose. The optional bias is
+    added in place into the fresh product, so the head holds one logits
+    buffer instead of two.
     """
-    _check_dtypes("matmul_t", a, b)
+    inputs = (a, b) if bias is None else (a, b, bias)
+    _check_dtypes("matmul_t", *inputs)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ContractError("matmul_t expects 2-D operands")
     if a.shape[1] != b.shape[1]:
         raise ContractError(f"matmul_t inner dims {a.shape} @ {b.shape}^T")
+    data = a.data @ b.data.T
+    if bias is not None:
+        data += bias.data
 
     def bwd(out):
         def fn():
@@ -307,10 +324,12 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
             if a.requires_grad:
                 a.accumulate_grad(g @ b.data)
             if b.requires_grad:
-                b.accumulate_grad(g.T @ a.data)
+                b.accumulate_grad(g.T @ a.data, owned=True)
+            if bias is not None and bias.requires_grad:
+                bias.accumulate_grad(_unbroadcast(g, bias.shape))
         return fn
 
-    return _make("matmul_t", a.data @ b.data.T, (a, b), bwd)
+    return _make("matmul_t", data, inputs, bwd)
 
 
 def reshape(a: Tensor, *shape) -> Tensor:
@@ -350,9 +369,20 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
     def bwd(out):
         def fn():
-            g = np.zeros_like(a.data)
-            np.add.at(g, idx, out.grad)
-            a.accumulate_grad(g)
+            g = out.grad.reshape(-1, a.shape[1])
+            if a._grad_owned:
+                # a.grad is a buffer nothing else holds (the tied decoder's
+                # gradient): sum each looked-up row's contributions in
+                # lookup order, as the dense scatter would, and add only
+                # those rows into it.
+                uniq, inv = np.unique(idx.ravel(), return_inverse=True)
+                rows = np.zeros((uniq.size, a.shape[1]), a.dtype)
+                np.add.at(rows, inv, g)
+                a.grad[uniq] += rows
+            else:
+                dense = np.zeros_like(a.data)
+                np.add.at(dense, idx.ravel(), g)
+                a.accumulate_grad(dense, owned=True)
         return fn
 
     return _make("gather_rows", a.data[idx], (a,), bwd)
@@ -484,7 +514,9 @@ def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
 
     def bwd(out):
         def fn():
-            probs = e / z
+            # The closure runs once per tape, so e can become the gradient.
+            probs = e
+            probs /= z
             probs[rows, labels] -= 1.0
             probs *= out.grad / np.asarray(p, dtype=logits.dtype)
             logits.accumulate_grad(probs)

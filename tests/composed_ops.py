@@ -3,12 +3,13 @@
 `slice_last` and `concat_last` are the generic last-axis ops the model
 used before `glu_gelu` and `rotary` were fused; they live on here only
 to build the references the fused ops are checked against, bit for bit
-in float32. `glu_gelu` and `rotary` share the fused ops' signatures so
-tests can monkeypatch them into `cramlab.model`.
+in float32. `glu_gelu`, `rotary` and `matmul_t` share the fused ops'
+signatures so tests can monkeypatch them into `cramlab.model`.
 """
 
 import numpy as np
 
+from cramlab import tensor
 from cramlab.tensor import Tensor, _check_dtypes, _make, add, gelu, mul, scale
 
 
@@ -52,3 +53,9 @@ def rotary(t: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     b = slice_last(t, half, dh)
     rotated = concat_last(scale(b, -1.0), a)
     return add(mul(t, Tensor(cos.astype(t.dtype))), mul(rotated, Tensor(sin.astype(t.dtype))))
+
+
+def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b.T as its own op, then the bias as a separate add."""
+    out = tensor.matmul_t(a, b)
+    return out if bias is None else add(out, bias)

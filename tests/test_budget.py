@@ -1,19 +1,28 @@
-"""Budget accounting tests: the exaFLOP table arithmetic and the 6*N*D
-estimator."""
+"""Budget accounting tests: the exaFLOP table arithmetic, the 6*N*D
+estimator and the memory estimate."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cramlab import budget
 from cramlab.budget import (
     Budget,
     DeviceSpec,
     load_devices,
+    memory_estimate,
     model_flops_estimate,
     total_exaflops,
     utilization,
 )
+from cramlab.config import PRESETS, RunConfig, apply_overrides
+from cramlab.corpus import PackedDataset
 from cramlab.errors import ConfigurationError
-from cramlab.model import ModelConfig, param_count
+from cramlab.harness import run_pretrain
+from cramlab.model import ModelConfig, build, param_count
+from cramlab.tokenizer import SPECIAL_TOKENS
+from cramlab.trainer import pretrain
 
 
 def test_device_table_ships_published_peaks():
@@ -128,3 +137,93 @@ def test_load_devices_rejects_malformed_line(tmp_path):
     path.write_text("gpu 12 extra\n", encoding="ascii")
     with pytest.raises(ConfigurationError):
         load_devices(str(path))
+
+
+# -- memory estimate ----------------------------------------------------------
+
+GiB = 2 ** 30
+
+
+def _train_config(preset: str, **model) -> RunConfig:
+    cfg = RunConfig()
+    apply_overrides(cfg, PRESETS[preset])
+    shape = dict(num_layers=2, hidden_dim=64, num_heads=2, ffn_dim=256,
+                 vocab_size=2048, seq_len=64)
+    shape.update(model)
+    for key, value in shape.items():
+        setattr(cfg.model, key, value)
+    cfg.tokenizer.vocab_size, cfg.pipeline.seq_len = cfg.model.vocab_size, cfg.model.seq_len
+    cfg.train.micro_batch, cfg.train.final_batch = 8, 16
+    cfg.train.budget_steps = 2
+    cfg.validate()
+    return cfg
+
+
+@pytest.mark.parametrize("preset, model", [
+    ("crammed", {}),
+    ("crammed", {"embedding_kind": "rotary"}),
+    ("minimal_arch", {}),
+    ("original_arch", {}),
+])
+def test_memory_estimate_bounds_traced_training_peak(preset, model):
+    # Two steps of two accumulated micro-batches each take every
+    # allocation a run makes: activations, gradients, Adam state,
+    # snapshots. The estimate must cover the traced peak without
+    # overstating it much, or it would refuse runs that fit.
+    cfg = _train_config(preset, **model)
+    m = cfg.model
+    rng = np.random.default_rng(5)
+    seqs = rng.integers(len(SPECIAL_TOKENS), m.vocab_size, (64, m.seq_len)).astype(np.int32)
+    ds = PackedDataset(seqs, m.seq_len, m.vocab_size,
+                       np.bincount(seqs.ravel(), minlength=m.vocab_size).astype(np.int64))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pretrain(build(m, seed=0), ds, schedule=cfg.train.schedule(), ramp=cfg.train.ramp(),
+                 optimizer=cfg.train.optimizer(), masking=cfg.train.masking(),
+                 budget=cfg.train.budget(), curve_interval=1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    estimate = memory_estimate(m, cfg.train.micro_batch, cfg.train.mask_rate)
+    assert peak <= estimate <= 1.3 * peak
+
+
+def test_memory_estimate_grows_with_micro_batch():
+    cfg = RunConfig().model
+    small, large = memory_estimate(cfg, 8, 0.15), memory_estimate(cfg, 16, 0.15)
+    assert 4 * 5 * param_count(cfg) < small < large
+    with pytest.raises(ConfigurationError):
+        memory_estimate(cfg, 0, 0.15)
+
+
+def test_default_paper_config_is_refused_at_8_gib(monkeypatch, tmp_path):
+    monkeypatch.setattr(budget, "available_memory", lambda: 8 * GiB)
+    cfg = RunConfig()  # crammed at BERT-base shape, micro-batch 128
+    cfg.train.budget_hours = 24.0
+    fits = max(b for b in range(1, 129) if memory_estimate(cfg.model, b, 0.15) <= 8 * GiB)
+    assert 8 <= fits < 128
+    run_dir = tmp_path / "run"
+    with pytest.raises(ConfigurationError, match=f"largest micro-batch that fits is {fits}$"):
+        run_pretrain(cfg, str(run_dir), input_path=str(tmp_path / "missing.txt"))
+    assert not run_dir.exists()  # refused before any work
+
+
+@pytest.mark.parametrize("preset, shape, micro_batch", [
+    ("crammed", dict(num_layers=4, hidden_dim=256, num_heads=4, ffn_dim=1024,
+                     vocab_size=8192, seq_len=128), 16),
+    ("original_arch", dict(num_layers=2, hidden_dim=512, num_heads=8, ffn_dim=2048,
+                           vocab_size=32768, seq_len=128), 8),
+])
+def test_benchmark_configs_fit_in_8_gib(monkeypatch, preset, shape, micro_batch):
+    monkeypatch.setattr(budget, "available_memory", lambda: 8 * GiB)
+    cfg = _train_config(preset, **shape)
+    budget.check_memory(cfg.model, micro_batch, cfg.train.mask_rate)
+
+
+def test_memory_check_names_when_nothing_fits(monkeypatch):
+    monkeypatch.setattr(budget, "available_memory", lambda: 2 ** 20)
+    with pytest.raises(ConfigurationError, match="no micro-batch fits"):
+        budget.check_memory(RunConfig().model, 1, 0.15)
+    monkeypatch.setattr(budget, "available_memory", lambda: None)
+    budget.check_memory(RunConfig().model, 128, 0.15)  # unknown: no check

@@ -308,6 +308,15 @@ def test_run_checkpoint_is_loadable(finished_run):
     assert model.config.hidden_dim == 32
 
 
+def _curve_and_blob(cfg, run_dir, prepared):
+    art, result = run_pretrain(cfg, run_dir, data=prepared)
+    assert not result.aborted, result.abort_reason
+    with open(art.curve_path, encoding="utf-8") as fh:
+        curve = fh.read()
+    with open(ckpt.blob_path(art.checkpoint_path), "rb") as fh:
+        return curve, fh.read()
+
+
 def test_fused_ops_train_bit_for_bit_like_composed_reference(prepared, tmp_path,
                                                              monkeypatch):
     # A 4-step crammed run with rotary positions goes through glu_gelu
@@ -318,18 +327,28 @@ def test_fused_ops_train_bit_for_bit_like_composed_reference(prepared, tmp_path,
     cfg.train.budget_steps = 4
     cfg.report.curve_interval = 1
 
-    def run(name):
-        art, result = run_pretrain(cfg, str(tmp_path / name), data=prepared)
-        assert not result.aborted, result.abort_reason
-        with open(art.curve_path, encoding="utf-8") as fh:
-            curve = fh.read()
-        with open(ckpt.blob_path(art.checkpoint_path), "rb") as fh:
-            return curve, fh.read()
-
-    fused = run("fused")
+    fused = _curve_and_blob(cfg, str(tmp_path / "fused"), prepared)
     monkeypatch.setattr("cramlab.model.glu_gelu", composed_ops.glu_gelu)
     monkeypatch.setattr("cramlab.model.rotary", composed_ops.rotary)
-    composed = run("composed")
+    composed = _curve_and_blob(cfg, str(tmp_path / "composed"), prepared)
+    assert fused[0].count("\n") == 6  # header, steps 0-4
+    assert composed == fused
+
+
+def test_decoder_bias_in_matmul_t_trains_bit_for_bit_like_separate_add(prepared, tmp_path,
+                                                                      monkeypatch):
+    # original_arch decodes every position through the tied table plus a
+    # decoder bias; adding the bias inside matmul_t must give the same
+    # curve and parameters as a separate add op.
+    cfg = base_cfg()
+    apply_overrides(cfg, PRESETS["original_arch"])
+    cfg.train.budget_steps = 4
+    cfg.report.curve_interval = 1
+    assert cfg.model.decoder_bias and cfg.model.tie_embeddings
+
+    fused = _curve_and_blob(cfg, str(tmp_path / "fused"), prepared)
+    monkeypatch.setattr("cramlab.model.matmul_t", composed_ops.matmul_t)
+    composed = _curve_and_blob(cfg, str(tmp_path / "composed"), prepared)
     assert fused[0].count("\n") == 6  # header, steps 0-4
     assert composed == fused
 

@@ -1,13 +1,15 @@
 """Tensor core: frozen numeric examples, gradient oracles, tape rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import composed_ops
+from cramlab.config import PRESETS, RunConfig, apply_overrides
 from cramlab.errors import ContractError
-from cramlab.model import rotary_tables
+from cramlab.model import build, rotary_tables
 from cramlab.tensor import (
     Tape, Tensor, add, backward, cross_entropy_from_logits, dropout,
     finite_diff_check, gather_rows, gelu, glu_gelu, layer_norm, matmul,
@@ -213,6 +215,70 @@ def test_operator_sugar_matches_functions():
     assert loss.item() == 0.0
 
 
+# -- backward frees as it goes ------------------------------------------------
+
+def _tiny_model(preset, num_layers=2, hidden_dim=16, vocab_size=64, seq_len=8):
+    cfg = RunConfig()
+    apply_overrides(cfg, PRESETS[preset])
+    m = cfg.model
+    m.num_layers, m.hidden_dim, m.num_heads, m.ffn_dim = num_layers, hidden_dim, 2, 2 * hidden_dim
+    m.vocab_size, m.seq_len = vocab_size, seq_len
+    return build(m, seed=0)
+
+
+def _record_loss(model, batch):
+    ids = np.random.default_rng(13).integers(0, model.config.vocab_size,
+                                             (batch, model.config.seq_len))
+    positions = np.arange(0, ids.size, 3)
+    tape = Tape()
+    with tape:
+        logits = model.logits(ids, masked_positions=positions)
+        loss = cross_entropy_from_logits(logits, ids.ravel()[positions])
+    return tape, loss
+
+
+@pytest.mark.parametrize("preset", ["crammed", "original_arch"])
+def test_backward_keeps_only_leaf_grads(preset):
+    model = _tiny_model(preset)
+    tape, loss = _record_loss(model, 4)
+    outputs = [out for out, _ in tape._records]
+    tape.backward(loss)
+    assert len(tape) == 0
+    assert all(out.grad is None for out in outputs)
+    grads = {name: p.grad for name, p in model.params.items()}
+
+    # Reference: replay every record and keep every buffer alive.
+    model.zero_grads()
+    tape, loss = _record_loss(model, 4)
+    loss.grad, loss._grad_owned = np.ones_like(loss.data), True
+    for out, fn in reversed(tape._records):
+        if out.grad is not None:
+            fn()
+    assert sum(out.grad is not None for out, _ in tape._records) > 1
+    for name, p in model.params.items():
+        assert grads[name] is not None and np.array_equal(grads[name], p.grad), name
+
+
+def test_backward_peak_stays_near_one_logits_buffer():
+    # original_arch decodes every position, so backward needs one dense
+    # (B*S, V) logits gradient. Keeping every op output's gradient until
+    # the end would hold about seven of them at this shape.
+    batch, seq_len, vocab = 8, 16, 512
+    model = _tiny_model("original_arch", num_layers=3, hidden_dim=32,
+                        vocab_size=vocab, seq_len=seq_len)
+    tracemalloc.start()
+    try:
+        tape, loss = _record_loss(model, batch)
+        end_of_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense_logits = batch * seq_len * vocab * 4
+    assert peak - end_of_forward < 2 * dense_logits
+
+
 # -- finite-difference oracles (double precision) ----------------------------
 
 def _fd(f, params, tol):
@@ -241,8 +307,25 @@ def test_fd_matmul_family():
     c = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
     k = Tensor(rng.normal(size=(4, 3)))
     kt = Tensor(rng.normal(size=(4, 6)))
+    bias = Tensor(rng.normal(size=6), requires_grad=True)
     _fd(lambda: tsum(mul(matmul(a, b), k)), [a, b], 1e-6)
     _fd(lambda: tsum(mul(matmul_t(a, c), kt)), [a, c], 1e-6)
+    _fd(lambda: tsum(mul(matmul_t(a, c, bias), kt)), [a, c, bias], 1e-6)
+
+
+def test_tied_table_gradient_matches_dense_scatter():
+    # The lookup's gradient is added row by row into the decoder's fresh
+    # gradient buffer; it must equal the dense scatter summed onto it.
+    rng = np.random.default_rng(14)
+    table = Tensor(rng.normal(size=(50, 8)).astype(np.float32), requires_grad=True)
+    idx = rng.integers(0, 20, 64)  # repeats, and rows 20-49 never looked up
+    k = rng.normal(size=(64, 50)).astype(np.float32)
+    with Tape() as tape:
+        h = gather_rows(table, idx)
+        tape.backward(tsum(mul(matmul_t(h, table), Tensor(k))))
+    dense = np.zeros_like(table.data)
+    np.add.at(dense, idx, k @ table.data)
+    assert np.array_equal(table.grad, k.T @ h.data + dense)
 
 
 def test_fd_batched_matmul():
