@@ -116,15 +116,14 @@ def memory_estimate(config: ModelConfig, micro_batch: int, mask_rate: float) -> 
     their gradients, Adam's m and v, and the last-good snapshot. On top
     of them comes the largest of: one micro-batch's activations plus the
     decoder's (V, d) gradient product, which backward makes while they
-    still live; Adam's three temporaries the size of the largest
-    parameter; and the new snapshot taken while the previous one is
-    still held.
+    still live; and Adam's three temporaries the size of the largest
+    parameter.
     """
     if micro_batch < 1:
         raise ConfigurationError("micro_batch must be positive")
     n = param_count(config)
     largest = max(math.prod(shape) for shape, _ in param_layout(config).values())
-    peak = max(micro_batch * _activation_floats(config, mask_rate) + largest, 3 * largest, n)
+    peak = max(micro_batch * _activation_floats(config, mask_rate) + largest, 3 * largest)
     return 4 * (5 * n + peak)
 
 

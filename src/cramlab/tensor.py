@@ -6,6 +6,12 @@ a Tape is active record backward closures onto it; Tape.backward replays
 them in reverse exactly once, freeing each op's saved buffers and output
 gradient as it goes, so only leaf tensors hold .grad afterwards.
 
+One rule governs gradient buffers: a backward closure hands
+accumulate_grad a writable buffer that no live tensor's .grad overlaps.
+accumulate_grad keeps the first contribution by reference and adds
+later ones into it in place, so accumulating micro-batches allocates
+no new parameter-sized buffer.
+
 Training runs in float32. Verification oracles (finite_diff_check and
 the tests built on it) run the same code at float64; ops never mix
 dtypes silently.
@@ -54,7 +60,7 @@ class Tensor:
     the one sanctioned exception.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_tape", "_grad_owned")
+    __slots__ = ("data", "grad", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data)
@@ -64,8 +70,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
-        self._tape: Tape | None = None
-        self._grad_owned = False
 
     @property
     def shape(self) -> tuple:
@@ -77,22 +81,13 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-        self._grad_owned = False
 
-    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
-        # The first contribution is kept by reference; backward ops hand in
-        # buffers they will not touch again, so copying here would only add
-        # an allocation per edge. A second contribution forces a fresh sum
-        # because the stored buffer may be shared (e.g. a reshape view),
-        # unless the caller passed owned=True for a buffer nothing else holds.
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        # g is writable and overlaps no other live .grad (the module rule).
         if self.grad is None:
             self.grad = g
-            self._grad_owned = owned
-        elif self._grad_owned:
-            self.grad += g
         else:
-            self.grad = self.grad + g
-            self._grad_owned = True
+            self.grad += g
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -103,21 +98,8 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{tag})"
 
-    # Operator sugar; free functions below are the primary surface.
-    def __add__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other, self.dtype), -1.0))
-
-    def sum(self):
-        return tsum(self)
 
 
 class Tape:
@@ -156,7 +138,6 @@ class Tape:
             raise ContractError("backward requires a scalar loss")
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        loss._grad_owned = True
         # Records are in creation order, so when an output's record comes
         # up every consumer of it has already added its gradient. Popping
         # frees the closure's saved activations, and the output's gradient
@@ -177,14 +158,6 @@ _tape_stack: list[Tape] = []
 
 def _active_tape() -> Tape | None:
     return _tape_stack[-1] if _tape_stack else None
-
-
-def backward(loss: Tensor) -> None:
-    """Populate .grad of every requires_grad tensor reachable from loss."""
-    tape = loss._tape or _active_tape()
-    if tape is None:
-        raise ContractError("backward called with no recording tape")
-    tape.backward(loss)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -208,7 +181,6 @@ def _make(op: str, data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> T
     needs = any(t.requires_grad for t in inputs)
     if tape is not None and needs:
         out.requires_grad = True
-        out._tape = tape
         tape.record(out, backward_fn(out))
     return out
 
@@ -238,8 +210,8 @@ def add(a: Tensor, b) -> Tensor:
             if b.requires_grad:
                 gb = _unbroadcast(out.grad, b.shape)
                 if gb is ga:
-                    # Both sides got out.grad itself; hand the second one a
-                    # copy so two tensors never share a grad buffer.
+                    # Both sides got out.grad itself, and each will add
+                    # into its .grad in place: the second gets a copy.
                     gb = gb.copy()
                 b.accumulate_grad(gb)
         return fn
@@ -324,7 +296,7 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
             if a.requires_grad:
                 a.accumulate_grad(g @ b.data)
             if b.requires_grad:
-                b.accumulate_grad(g.T @ a.data, owned=True)
+                b.accumulate_grad(g.T @ a.data)
             if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(_unbroadcast(g, bias.shape))
         return fn
@@ -370,19 +342,18 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     def bwd(out):
         def fn():
             g = out.grad.reshape(-1, a.shape[1])
-            if a._grad_owned:
-                # a.grad is a buffer nothing else holds (the tied decoder's
-                # gradient): sum each looked-up row's contributions in
-                # lookup order, as the dense scatter would, and add only
-                # those rows into it.
+            if a.grad is None:
+                dense = np.zeros_like(a.data)
+                np.add.at(dense, idx.ravel(), g)
+                a.accumulate_grad(dense)
+            else:
+                # Sum each looked-up row's contributions in lookup order,
+                # as the dense scatter would, and add only those rows
+                # into the existing gradient (e.g. the tied decoder's).
                 uniq, inv = np.unique(idx.ravel(), return_inverse=True)
                 rows = np.zeros((uniq.size, a.shape[1]), a.dtype)
                 np.add.at(rows, inv, g)
                 a.grad[uniq] += rows
-            else:
-                dense = np.zeros_like(a.data)
-                np.add.at(dense, idx.ravel(), g)
-                a.accumulate_grad(dense, owned=True)
         return fn
 
     return _make("gather_rows", a.data[idx], (a,), bwd)

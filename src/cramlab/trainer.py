@@ -463,7 +463,8 @@ def pretrain(
             step += 1
             if step % curve_interval == 0:
                 curve.append(CurvePoint(step, tokens, lr, step_loss, curve_seconds()))
-                last_good = model.snapshot()
+                for name, p in model.params.items():
+                    np.copyto(last_good[name], p.data)
                 last_good_state = (step, tokens, samples)
             last_loss = step_loss
             last_lr = lr

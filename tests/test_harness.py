@@ -7,7 +7,9 @@ module workdir exercises the content-keyed data cache the way real
 experiments would.
 """
 
+import importlib
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -642,3 +644,15 @@ def test_cli_report_svg_of_aborted_run(prepared, tmp_path, capsys):
     svg = str(tmp_path / "boom.svg")
     assert cli.main(["report", "--run-dir", art.run_dir, "--svg", svg]) == 1
     assert "no point after step 0 to chart" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["timing", "inputs", "workloads", "layers"])
+def test_benchmark_modules_import(module, monkeypatch):
+    # The benchmark imports cramlab names directly; dropping one of them
+    # must fail here, not only when the benchmark runs.
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "cramlab_bench")
+    monkeypatch.syspath_prepend(bench)
+    for name in ("timing", "inputs", "workloads", "layers"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    importlib.import_module(module)

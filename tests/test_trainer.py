@@ -3,6 +3,7 @@ ramp, Adam, the pretraining loop contract, and finetuning."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -469,6 +470,25 @@ def test_pretrain_is_deterministic_bit_for_bit(tmp_path):
         blobs.append((tmp_path / f"m{run}.ckpt").read_bytes())
     assert texts[0] == texts[1]
     assert blobs[0] == blobs[1]
+
+
+def test_curve_point_snapshot_reuses_its_arrays():
+    # Parameters outweigh one micro-batch's activations and Adam's
+    # temporaries here, so a second snapshot taken while the first is
+    # held would raise the peak by most of a parameter set.
+    data = toy_dataset(n_rows=64, seq_len=8)
+    peaks = []
+    for interval in (1, 100):
+        model = tiny_model(seed=10, num_layers=4, hidden_dim=64, ffn_dim=256, seq_len=8)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_small(model, data, total_steps=4, interval=interval, micro=2)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    param_bytes = sum(p.data.nbytes for p in model.params.values())
+    assert peaks[0] - peaks[1] < param_bytes / 4
 
 
 def test_pretrain_aborts_and_restores_on_divergence():
