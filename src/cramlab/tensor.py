@@ -29,10 +29,12 @@ from .errors import ContractError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Non-finite op outputs raise FloatingPointError immediately instead of
-# propagating NaN into the optimizer. The trainer relies on this to
-# abort divergent runs; oracles may disable it around intentional
-# overflow probes.
+# Non-finite op outputs raise FloatingPointError immediately, naming the
+# op, instead of propagating NaN. The check is on by default for direct
+# use and finetuning. Pretraining turns it off for its steps, which
+# check the loss and gradient norm once per step instead, and turns it
+# back on to replay a failed step and name the op; oracles may disable
+# it around intentional overflow probes.
 _finite_checks = True
 
 
@@ -344,7 +346,13 @@ def gather_rows(a: Tensor, idx) -> Tensor:
             g = out.grad.reshape(-1, a.shape[1])
             if a.grad is None:
                 dense = np.zeros_like(a.data)
-                np.add.at(dense, idx.ravel(), g)
+                flat = idx.ravel()
+                if np.all(flat[1:] > flat[:-1]):
+                    # Unique rows (e.g. sorted masked positions): a plain
+                    # fancy-index add; 0.0 + g keeps add.at's bits.
+                    dense[flat] += g
+                else:
+                    np.add.at(dense, flat, g)
                 a.accumulate_grad(dense)
             else:
                 # Sum each looked-up row's contributions in lookup order,

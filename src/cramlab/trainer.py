@@ -8,8 +8,12 @@ revisited. All randomness flows through one seeded generator, so a
 fixed (seed, config, data) triple reproduces runs bit for bit in
 step-budget mode.
 
-Divergence handling: any non-finite loss or gradient aborts the run and
-restores parameters from the snapshot taken at the last curve point.
+Divergence handling: the pretraining steps run with the per-op
+finiteness guard off. A non-finite step loss or gradient norm, both
+checked before the optimizer update, aborts the run; the failed step's
+micro-batch forwards are then replayed with the guard on, so the abort
+reason names the op that first produced a non-finite value, and
+parameters are restored from the snapshot taken at the last curve point.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import ConfigurationError, ContractError
 from .model import Model
 from .tensor import (
     Tape, Tensor, add, cross_entropy_from_logits, dropout, gather_rows,
-    matmul, reshape, truncated_normal,
+    matmul, reshape, set_finite_checks, truncated_normal,
 )
 from .tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, WordPieceModel
 
@@ -408,19 +412,36 @@ def pretrain(
     def curve_seconds() -> float:
         return elapsed() if wallclock_mode else 0.0
 
-    def eval_first_batch_loss() -> float:
-        rows = seqs[:ramp.micro_batch]
-        inputs, positions, labels = mask_batch(rows, masking, eval_rng, vocab_size)
+    def masked_loss(rows: np.ndarray, gen: np.random.Generator) -> Tensor:
+        inputs, positions, labels = mask_batch(rows, masking, gen, vocab_size)
         logits = model.logits(inputs, masked_positions=positions)
-        return float(cross_entropy_from_logits(logits, labels).item())
+        return cross_entropy_from_logits(logits, labels)
+
+    def failing_op(step_cursor: int, rng_state: dict) -> str | None:
+        """Replay the failed step's micro-batch forwards (same rows, same
+        masking draws, the step's starting parameters) with the op guard
+        on. Returns the guard's message naming the first op with a
+        non-finite output, or None when every op output is finite."""
+        rng.bit_generator.state = rng_state
+        set_finite_checks(True)
+        try:
+            for row in range(step_cursor, cursor, ramp.micro_batch):
+                masked_loss(seqs[row:row + ramp.micro_batch], rng)
+        except FloatingPointError as exc:
+            return str(exc)
+        return None
 
     if budget.amount > 0:
-        curve.append(CurvePoint(0, 0, 0.0, eval_first_batch_loss(), curve_seconds()))
+        step0_loss = masked_loss(seqs[:ramp.micro_batch], eval_rng).item()
+        curve.append(CurvePoint(0, 0, 0.0, step0_loss, curve_seconds()))
     last_good = model.snapshot()
     last_good_state = (0, 0, 0)
 
-    # Overflow in a diverging step is reported through the finiteness
-    # guard as FloatingPointError; numpy's own warnings just add noise.
+    # Steps run with the per-op guard off: the step-loss check and
+    # clip_gradients' norm catch a non-finite value once per step, and
+    # failing_op names its op only after a detection. numpy's own
+    # overflow warnings would just add noise.
+    checks_state = set_finite_checks(False)
     err_state = np.seterr(over="ignore", invalid="ignore", divide="ignore")
     try:
         while True:
@@ -440,16 +461,14 @@ def pretrain(
             if cursor + acc * ramp.micro_batch > seqs.shape[0]:
                 break  # single epoch: not enough rows for a full step
             model.zero_grads()
+            step_cursor, step_rng_state = cursor, rng.bit_generator.state
             step_loss = 0.0
             for _ in range(acc):
                 rows = seqs[cursor:cursor + ramp.micro_batch]
                 cursor += ramp.micro_batch
-                inputs, positions, labels = mask_batch(rows, masking, rng, vocab_size)
                 with Tape() as tape:
-                    logits = model.logits(inputs, masked_positions=positions)
-                    loss = cross_entropy_from_logits(logits, labels)
-                    scaled = loss * (1.0 / acc)
-                    tape.backward(scaled)
+                    loss = masked_loss(rows, rng)
+                    tape.backward(loss * (1.0 / acc))
                 step_loss += loss.item() / acc
                 tokens += rows.size
             if not math.isfinite(step_loss):
@@ -469,15 +488,19 @@ def pretrain(
             last_loss = step_loss
             last_lr = lr
     except FloatingPointError as exc:
+        # Both checks run before adam_step, so the parameters still hold
+        # the failed step's starting values for the replay.
+        reason = failing_op(step_cursor, step_rng_state) or str(exc)
         model.restore(last_good)
         aborted = True
-        abort_reason = str(exc)
+        abort_reason = f"{reason} at step {step + 1}"
         step, tokens, samples = last_good_state
     else:
         if step > 0 and step % curve_interval != 0:
             curve.append(CurvePoint(step, tokens, last_lr, last_loss, curve_seconds()))
     finally:
         np.seterr(**err_state)
+        set_finite_checks(checks_state)
 
     if checkpoint_path is not None:
         model.save(checkpoint_path)

@@ -355,6 +355,27 @@ def test_decoder_bias_in_matmul_t_trains_bit_for_bit_like_separate_add(prepared,
     assert composed == fused
 
 
+@pytest.mark.parametrize("preset", ["crammed", "original_arch"])
+def test_guard_off_steps_train_bit_for_bit_like_guarded_steps(prepared, tmp_path,
+                                                              monkeypatch, preset):
+    # pretrain runs its steps with the per-op finiteness guard off; the
+    # guard only reads op outputs, so a run with it kept on throughout
+    # must give the same curve and parameters.
+    cfg = base_cfg()
+    apply_overrides(cfg, PRESETS[preset])
+    cfg.train.budget_steps = 4
+    cfg.report.curve_interval = 1
+
+    unguarded = _curve_and_blob(cfg, str(tmp_path / "unguarded"), prepared)
+    toggles = []
+    monkeypatch.setattr("cramlab.trainer.set_finite_checks",
+                        lambda enabled: toggles.append(enabled) or True)
+    guarded = _curve_and_blob(cfg, str(tmp_path / "guarded"), prepared)
+    assert toggles == [False, True]  # off for the steps, then restored
+    assert unguarded[0].count("\n") == 6  # header, steps 0-4
+    assert guarded == unguarded
+
+
 def test_stale_dataset_vocab_is_rejected(prepared, tmp_path):
     cfg = base_cfg()
     cfg.tokenizer.vocab_size = 1024

@@ -356,6 +356,27 @@ def test_tied_table_gradient_matches_dense_scatter():
     assert np.array_equal(table.grad, k.T @ h.data + dense)
 
 
+@pytest.mark.parametrize("idx", [
+    np.array([0, 3, 4, 9, 17, 29]),              # strictly increasing
+    np.array([[2, 5, 5], [0, 29, 2]]),           # repeated, unsorted, 2-D
+    np.array([7]),
+    np.array([], dtype=np.int64),
+], ids=["unique", "repeated", "single", "empty"])
+def test_gather_rows_scatter_matches_add_at_bytes(idx):
+    # A table's first gradient is the dense scatter of the upstream rows;
+    # its bytes, signed zeros included, must equal np.add.at's.
+    rng = np.random.default_rng(16)
+    table = Tensor(rng.normal(size=(30, 6)).astype(np.float32), requires_grad=True)
+    k = rng.normal(size=(idx.size, 6)).astype(np.float32)
+    k[:, 0] = -0.0
+    with Tape() as tape:
+        out = gather_rows(table, idx)
+        tape.backward(tsum(mul(reshape(out, (idx.size, 6)), Tensor(k))))
+    ref = np.zeros_like(table.data)
+    np.add.at(ref, idx.ravel(), k)
+    assert table.grad.tobytes() == ref.tobytes()
+
+
 def _dot(t, k):
     return tsum(mul(t, k))
 

@@ -8,10 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cramlab import tensor
 from cramlab.budget import Budget
 from cramlab.corpus import PackedDataset
 from cramlab.errors import ConfigurationError, ContractError
-from cramlab.model import ModelConfig, build
+from cramlab.model import Model, ModelConfig, build
 from cramlab.tensor import Tape, Tensor, add, mul, set_finite_checks
 from cramlab.tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID
 from cramlab.trainer import (
@@ -491,41 +492,69 @@ def test_curve_point_snapshot_reuses_its_arrays():
     assert peaks[0] - peaks[1] < param_bytes / 4
 
 
-def test_pretrain_aborts_and_restores_on_divergence():
+def run_diverging(interval=5):
     model = tiny_model(seed=6)
-    data = toy_dataset(n_rows=800)
     res = pretrain(
-        model, data,
+        model, toy_dataset(n_rows=800),
         schedule=ScheduleConfig(kind="constant", peak_lr=1e4, total_steps=40),
         ramp=BatchRampConfig(micro_batch=8, final_batch=8),
         optimizer=OptimizerConfig(weight_decay=0.5),
         masking=MaskingConfig(),
         budget=Budget(kind="steps", amount=40),
         seed=13,
-        curve_interval=5,
+        curve_interval=interval,
     )
+    return model, res
+
+
+def test_pretrain_aborts_and_restores_on_divergence():
+    model, res = run_diverging()
     assert res.aborted
     assert "non-finite" in res.abort_reason
     assert res.steps == res.curve.points[-1].step
     for p in model.params.values():
         assert np.all(np.isfinite(p.data))
+    # The guarded replay names the op; with a curve point after every
+    # step the run keeps every step before the failing one.
+    failing = run_diverging(interval=1)[1].steps + 1
+    assert "produced by" in res.abort_reason
+    assert res.abort_reason.endswith(f" at step {failing}")
+
+
+def test_pretrain_steps_run_without_op_guard(monkeypatch):
+    # The step-0 evaluation runs under the caller's guard setting, every
+    # step forward without the guard; pretrain restores the caller's
+    # setting whether the run finishes or aborts.
+    seen = []
+    logits = Model.logits
+
+    def recording_logits(self, *args, **kwargs):
+        seen.append(tensor._finite_checks)
+        return logits(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "logits", recording_logits)
+    for setting in (True, False):
+        previous = set_finite_checks(setting)
+        try:
+            seen.clear()
+            res = run_small(tiny_model(seed=1), toy_dataset(n_rows=200), total_steps=6)
+            assert not res.aborted
+            assert seen == [setting] + [False] * 6
+            assert tensor._finite_checks is setting
+            seen.clear()
+            _, res = run_diverging()
+            assert res.aborted
+            # eval, the failing step, then the guarded replay of that step
+            assert seen[0] is setting and seen[-1] is True
+            assert tensor._finite_checks is setting
+        finally:
+            set_finite_checks(previous)
 
 
 def test_pretrain_aborts_on_divergence_without_op_guard():
     previous = set_finite_checks(False)
     try:
-        model = tiny_model(seed=6)
-        data = toy_dataset(n_rows=800)
-        res = pretrain(
-            model, data,
-            schedule=ScheduleConfig(kind="constant", peak_lr=1e4, total_steps=40),
-            ramp=BatchRampConfig(micro_batch=8, final_batch=8),
-            optimizer=OptimizerConfig(weight_decay=0.5),
-            masking=MaskingConfig(),
-            budget=Budget(kind="steps", amount=40),
-            seed=13,
-            curve_interval=5,
-        )
+        model, res = run_diverging()
     finally:
         set_finite_checks(previous)
     # the step-loss and gradient-norm checks alone catch the divergence
