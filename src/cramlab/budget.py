@@ -80,16 +80,14 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
     S, d, f, H, V = (config.seq_len, config.hidden_dim, config.ffn_dim,
                      config.num_heads, config.vocab_size)
     # Per block: norms keep x-hat and output, q/k/v a product and a
-    # permuted copy, k a transposed copy, then context, its permuted
-    # copy, the output projection and two residual sums; each bias is
-    # one more output.
-    per_sd = 17 + 2 * (config.embedding_kind == "rotary") + 3 * config.qkv_bias \
-        + 2 * config.linear_bias
+    # per-head copy (k transposed), then the context, the output
+    # projection and two residual sums; each bias is one more output.
+    per_sd = 15 + 3 * config.qkv_bias + 2 * config.linear_bias
     # The FFN input projection, plus Phi and the output of the activation
     # (half width for the gated unit, which keeps gelu(gate) too).
     per_sf = (2.5 if config.ffn_kind == "glu_gelu" else 3.0) + config.linear_bias
-    # Raw, scaled and softmaxed attention scores.
-    per_ss = 3 * H * S
+    # The attention probabilities.
+    per_ss = H * S
     blocks = config.num_layers * S * (per_sd * d + per_sf * f + per_ss)
     embed_sd = 1 + (config.embedding_kind != "rotary") + 2 * config.embedding_norm \
         + 2 * config.final_norm

@@ -17,8 +17,8 @@ from . import checkpoint as ckpt
 from .errors import ConfigurationError, ContractError
 from .serde import dataclass_to_strs, dataclass_update_from_strs
 from .tensor import (
-    Tensor, add, dropout, gather_rows, gelu, glu_gelu, layer_norm, matmul,
-    matmul_t, mul, permute, reshape, rotary, scale, softmax, truncated_normal,
+    Tensor, add, attend, dropout, gather_rows, gelu, glu_gelu, layer_norm, matmul,
+    matmul_t, mul, reshape, truncated_normal,
 )
 
 FFN_KINDS = ("glu_gelu", "gelu")
@@ -174,7 +174,8 @@ class Model:
         self.config = config
         self.params = params
         self.dtype = dtype
-        self._rot_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self.rot = (rotary_tables(config.seq_len, config.head_dim(), dtype)
+                    if config.embedding_kind == "rotary" else None)
 
     # -- parameter bookkeeping -------------------------------------------
     def zero_grads(self) -> None:
@@ -201,12 +202,6 @@ class Model:
             self.params[f"{stem}_bias"],
             self.config.layer_norm_eps,
         )
-
-    def _rot(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._rot_cache is None:
-            cos, sin = rotary_tables(self.config.seq_len, self.config.head_dim(), self.dtype)
-            self._rot_cache = (cos[None, None], sin[None, None])
-        return self._rot_cache
 
     def encode(
         self,
@@ -256,7 +251,7 @@ class Model:
         cfg = self.config
         if cfg.norm_placement == "pre":
             a = attention(self._ln(x, f"l{i}_attn_norm"), self.params, cfg, i,
-                          key_bias=key_bias, rot=self._rot() if cfg.embedding_kind == "rotary" else None)
+                          key_bias=key_bias, rot=self.rot)
             if rate:
                 a = dropout(a, rate, rng)
             x = add(x, a)
@@ -264,8 +259,7 @@ class Model:
             if rate:
                 f = dropout(f, rate, rng)
             return add(x, f)
-        a = attention(x, self.params, cfg, i, key_bias=key_bias,
-                      rot=self._rot() if cfg.embedding_kind == "rotary" else None)
+        a = attention(x, self.params, cfg, i, key_bias=key_bias, rot=self.rot)
         if rate:
             a = dropout(a, rate, rng)
         x = self._ln(add(x, a), f"l{i}_attn_norm")
@@ -334,7 +328,6 @@ def attention(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: 
               rot: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Bidirectional multi-head scaled dot-product attention."""
     B, S, d = x.shape
-    H, dh = config.num_heads, config.head_dim()
     p = params
     xf = reshape(x, (B * S, d))
 
@@ -342,18 +335,9 @@ def attention(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: 
         out = matmul(xf, p[f"l{layer}_w{which}"])
         if config.qkv_bias:
             out = add(out, p[f"l{layer}_b{which}"])
-        return permute(reshape(out, (B, S, H, dh)), (0, 2, 1, 3))
+        return out
 
-    q, k, v = proj("q"), proj("k"), proj("v")
-    if rot is not None:
-        q = rotary(q, *rot)
-        k = rotary(k, *rot)
-    scores = scale(matmul(q, permute(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    if key_bias is not None:
-        scores = add(scores, Tensor(np.asarray(key_bias, dtype=x.dtype)))
-    probs = softmax(scores, axis=-1)
-    ctx = matmul(probs, v)
-    ctx = reshape(permute(ctx, (0, 2, 1, 3)), (B * S, d))
+    ctx = attend(proj("q"), proj("k"), proj("v"), S, config.num_heads, key_bias, rot)
     out = matmul(ctx, p[f"l{layer}_wo"])
     if config.linear_bias:
         out = add(out, p[f"l{layer}_bo"])

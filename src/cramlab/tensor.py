@@ -237,17 +237,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _make("mul", a.data * b.data, (a, b), bwd)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def bwd(out):
-        def fn():
-            a.accumulate_grad(out.grad * np.asarray(s, dtype=a.dtype))
-        return fn
-
-    return _make("scale", a.data * np.asarray(s, dtype=a.dtype), (a,), bwd)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; 2-D, or batched with identical leading dims."""
     _check_dtypes("matmul", a, b)
@@ -316,18 +305,6 @@ def reshape(a: Tensor, *shape) -> Tensor:
         return fn
 
     return _make("reshape", a.data.reshape(shape), (a,), bwd)
-
-
-def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def bwd(out):
-        def fn():
-            a.accumulate_grad(out.grad.transpose(inverse))
-        return fn
-
-    return _make("permute", np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -456,22 +433,69 @@ def _rotate_half(a: np.ndarray) -> np.ndarray:
     return np.concatenate([-second, first], axis=-1)
 
 
-def rotary(t: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary position rotation t*cos + rotate_half(t)*sin over the last axis.
+def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
+           key_bias: np.ndarray | None = None,
+           rot: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(dh) + key_bias) v over (B*S, d) projections.
 
-    cos and sin are constant tables broadcast against t; rotate_half
-    maps the halves (t1, t2) to (-t2, t1).
+    rot, a pair of (cos, sin) tables broadcast against the contiguous
+    (B, H, S, dh) heads, first rotates q and k by position:
+    t*cos + rotate_half(t)*sin, where rotate_half maps the halves
+    (t1, t2) to (-t2, t1). key_bias broadcasts against the (B, H, S, S)
+    scores, which are scaled, biased and normalized in place; backward
+    keeps only the probabilities and the per-head q, k^T and v.
     """
-    cos = np.asarray(cos, dtype=t.dtype)
-    sin = np.asarray(sin, dtype=t.dtype)
+    _check_dtypes("attend", q, k, v)
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ContractError("attend expects equal 2-D (B*S, d) operands")
+    rows, d = q.shape
+    if rows % seq_len or d % heads:
+        raise ContractError(f"attend cannot split {q.shape} into seq_len {seq_len}, {heads} heads")
+    B, S, H, dh = rows // seq_len, seq_len, heads, d // heads
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    if rot is not None:
+        cos, sin = (np.asarray(t, dtype=q.dtype) for t in rot)
+
+    def heads_of(t: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(t.reshape(B, S, H, dh).transpose(0, 2, 1, 3))
+
+    def rotate(h: np.ndarray) -> np.ndarray:
+        return h if rot is None else h * cos + _rotate_half(h) * sin
+
+    def unrotate(g: np.ndarray) -> np.ndarray:
+        return g if rot is None else g * cos - _rotate_half(g * sin)
+
+    def merge(h: np.ndarray) -> np.ndarray:
+        return h.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    qh, vh = rotate(heads_of(q.data)), heads_of(v.data)
+    kt = np.ascontiguousarray(rotate(heads_of(k.data)).transpose(0, 1, 3, 2))
+    probs = qh @ kt
+    probs *= scale
+    if key_bias is not None:
+        probs += np.asarray(key_bias, dtype=q.dtype)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
 
     def bwd(out):
         def fn():
-            g = out.grad
-            t.accumulate_grad(g * cos - _rotate_half(g * sin))
+            g = out.grad.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+            if v.requires_grad:
+                v.accumulate_grad(merge(np.swapaxes(probs, -1, -2) @ g))
+            # Softmax backward, then the score scale, in place.
+            gs = g @ np.swapaxes(vh, -1, -2)
+            gs -= (gs * probs).sum(axis=-1, keepdims=True)
+            gs *= probs
+            gs *= scale
+            if q.requires_grad:
+                q.accumulate_grad(merge(unrotate(gs @ np.swapaxes(kt, -1, -2))))
+            if k.requires_grad:
+                gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2)
+                k.accumulate_grad(merge(unrotate(gk)))
         return fn
 
-    return _make("rotary", t.data * cos + _rotate_half(t.data) * sin, (t,), bwd)
+    return _make("attend", merge(probs @ vh), (q, k, v), bwd)
 
 
 def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:

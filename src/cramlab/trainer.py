@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -382,18 +382,10 @@ def pretrain(
     wallclock_mode = budget.kind == "seconds"
     curve = LossCurve()
     state = AdamState()
-    sched = ScheduleConfig(
-        kind=schedule.kind,
-        peak_lr=schedule.peak_lr,
-        peak_fraction=schedule.peak_fraction,
-        total_steps=schedule.total_steps,
-    )
-
-    if wallclock_mode:
-        # Provisional horizon; refined after the calibration window.
-        sched.total_steps = max(1, int(budget.amount * 10))
-    else:
-        sched.total_steps = int(budget.amount)
+    # In wallclock mode the horizon is provisional, refined after the
+    # calibration window.
+    sched = replace(schedule, total_steps=max(1, int(budget.amount * 10)) if wallclock_mode
+                    else int(budget.amount))
 
     start = time.monotonic()
     next_reestimate = 30.0

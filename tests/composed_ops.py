@@ -1,16 +1,23 @@
 """Reference versions of the fused ops, composed from generic tape ops.
 
-`slice_last` and `concat_last` are the generic last-axis ops the model
-used before `glu_gelu` and `rotary` were fused; they live on here only
-to build the references the fused ops are checked against, bit for bit
-in float32. `glu_gelu`, `rotary` and `matmul_t` share the fused ops'
-signatures so tests can monkeypatch them into `cramlab.model`.
+`slice_last`, `concat_last`, `permute` and `scale` are the generic ops
+the model used before `glu_gelu` and `attend` were fused; they live on
+here only to build the references the fused ops are checked against,
+bit for bit in float32. `rotary` is the position rotation `attend`
+applies to q and k, composed the same way. `glu_gelu`, `attend` and
+`matmul_t` share the fused ops' signatures so tests can monkeypatch them
+into `cramlab.model`.
 """
+
+import math
+from typing import Sequence
 
 import numpy as np
 
 from cramlab import tensor
-from cramlab.tensor import Tensor, _check_dtypes, _make, add, gelu, mul, scale
+from cramlab.tensor import (
+    Tensor, _check_dtypes, _make, add, gelu, matmul, mul, reshape, softmax,
+)
 
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
@@ -39,6 +46,29 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
     return _make("concat_last", np.concatenate([a.data, b.data], axis=-1), (a, b), bwd)
 
 
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+
+    def bwd(out):
+        def fn():
+            a.accumulate_grad(out.grad.transpose(inverse))
+        return fn
+
+    return _make("permute", np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
+
+
+def scale(a: Tensor, s: float) -> Tensor:
+    s = float(s)
+
+    def bwd(out):
+        def fn():
+            a.accumulate_grad(out.grad * np.asarray(s, dtype=a.dtype))
+        return fn
+
+    return _make("scale", a.data * np.asarray(s, dtype=a.dtype), (a,), bwd)
+
+
 def glu_gelu(h: Tensor) -> Tensor:
     """value * gelu(gate) as two slices, a gelu and a mul."""
     half = h.shape[-1] // 2
@@ -53,6 +83,27 @@ def rotary(t: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     b = slice_last(t, half, dh)
     rotated = concat_last(scale(b, -1.0), a)
     return add(mul(t, Tensor(cos.astype(t.dtype))), mul(rotated, Tensor(sin.astype(t.dtype))))
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
+           key_bias: np.ndarray | None = None,
+           rot: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+    """Per-head permuted copies, rotary, q @ permuted k, scale, bias add,
+    softmax, the context product and a permute back."""
+    rows, d = q.shape
+    B, S, H, dh = rows // seq_len, seq_len, heads, d // heads
+
+    def heads_of(t: Tensor) -> Tensor:
+        return permute(reshape(t, (B, S, H, dh)), (0, 2, 1, 3))
+
+    qh, kh, vh = heads_of(q), heads_of(k), heads_of(v)
+    if rot is not None:
+        qh, kh = rotary(qh, *rot), rotary(kh, *rot)
+    scores = scale(matmul(qh, permute(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    if key_bias is not None:
+        scores = add(scores, Tensor(np.asarray(key_bias, dtype=q.dtype)))
+    ctx = matmul(softmax(scores, axis=-1), vh)
+    return reshape(permute(ctx, (0, 2, 1, 3)), (rows, d))
 
 
 def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -322,18 +322,29 @@ def _curve_and_blob(cfg, run_dir, prepared):
 def test_fused_ops_train_bit_for_bit_like_composed_reference(prepared, tmp_path,
                                                              monkeypatch):
     # A 4-step crammed run with rotary positions goes through glu_gelu
-    # and rotary in every block; swapping in the generic-op compositions
-    # must not change a single bit of the curve or the parameters.
-    cfg = base_cfg()
-    cfg.model.embedding_kind = "rotary"
-    cfg.train.budget_steps = 4
-    cfg.report.curve_interval = 1
+    # and rotary attend in every block, and an original_arch run through
+    # attend on biased q/k/v projections; swapping in the generic-op
+    # compositions must not change a single bit of the curves or the
+    # parameters.
+    rotary = base_cfg()
+    rotary.model.embedding_kind = "rotary"
+    original = base_cfg()
+    apply_overrides(original, PRESETS["original_arch"])
+    assert original.model.qkv_bias and original.model.linear_bias
+    cfgs = {"rotary": rotary, "original_arch": original}
+    for cfg in cfgs.values():
+        cfg.train.budget_steps = 4
+        cfg.report.curve_interval = 1
 
-    fused = _curve_and_blob(cfg, str(tmp_path / "fused"), prepared)
+    def runs(tag):
+        return {name: _curve_and_blob(cfg, str(tmp_path / f"{tag}-{name}"), prepared)
+                for name, cfg in cfgs.items()}
+
+    fused = runs("fused")
     monkeypatch.setattr("cramlab.model.glu_gelu", composed_ops.glu_gelu)
-    monkeypatch.setattr("cramlab.model.rotary", composed_ops.rotary)
-    composed = _curve_and_blob(cfg, str(tmp_path / "composed"), prepared)
-    assert fused[0].count("\n") == 6  # header, steps 0-4
+    monkeypatch.setattr("cramlab.model.attend", composed_ops.attend)
+    composed = runs("composed")
+    assert all(curve.count("\n") == 6 for curve, _ in fused.values())  # header, steps 0-4
     assert composed == fused
 
 

@@ -11,10 +11,9 @@ from cramlab.config import PRESETS, RunConfig, apply_overrides
 from cramlab.errors import ContractError
 from cramlab.model import build, rotary_tables
 from cramlab.tensor import (
-    Tape, Tensor, add, cross_entropy_from_logits, dropout,
+    Tape, Tensor, add, attend, cross_entropy_from_logits, dropout,
     finite_diff_check, gather_rows, gelu, glu_gelu, layer_norm, matmul,
-    matmul_t, mul, permute, reshape, rotary, scale, set_finite_checks,
-    softmax, truncated_normal, tsum,
+    matmul_t, mul, reshape, set_finite_checks, softmax, truncated_normal, tsum,
 )
 
 F64 = np.float64
@@ -324,7 +323,7 @@ def test_fd_elementwise_ops():
     y = Tensor(rng.normal(size=4), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     _fd(lambda: tsum(mul(add(x, y), w)), [x, y, w], 1e-6)
-    _fd(lambda: tsum(scale(x, -1.7)), [x], 1e-6)
+    _fd(lambda: tsum(composed_ops.scale(x, -1.7)), [x], 1e-6)
     _fd(lambda: tsum(gelu(x)), [x], 1e-6)
 
 
@@ -412,7 +411,12 @@ def _fan_out_cases():
 
     def permute_add():
         x, z, k1, k2 = leaf(2, 3, 4), leaf(4, 2, 3), const(4, 2, 3), const(4, 2, 3)
+        permute = composed_ops.permute
         return [x, z], lambda: add(_dot(z, k1), _dot(add(permute(x, (2, 0, 1)), z), k2))
+
+    def attend_shared():
+        x, w, k1, k2 = leaf(4, 4), leaf(4, 4), const(4, 4), const(4, 4)
+        return [x, w], lambda: add(_dot(x, k1), _dot(attend(x, x, matmul(x, w), 2, 2), k2))
 
     def tied_table():
         table, bias, pos = leaf(10, 4), leaf(10), leaf(6, 4)
@@ -432,7 +436,8 @@ def _fan_out_cases():
         return [a, b], f
 
     return {case.__name__: case() for case in (
-        add_self, residual, reshape_add, permute_add, tied_table, concat_last_views)}
+        add_self, residual, reshape_add, permute_add, attend_shared, tied_table,
+        concat_last_views)}
 
 
 @pytest.mark.parametrize("case", list(_fan_out_cases()))
@@ -463,7 +468,7 @@ def test_fd_shape_ops():
     k1 = Tensor(rng.normal(size=(6, 4)))
     k2 = Tensor(rng.normal(size=(4, 2, 3)))
     _fd(lambda: tsum(mul(reshape(x, (6, 4)), k1)), [x], 1e-6)
-    _fd(lambda: tsum(mul(permute(x, (2, 0, 1)), k2)), [x], 1e-6)
+    _fd(lambda: tsum(mul(composed_ops.permute(x, (2, 0, 1)), k2)), [x], 1e-6)
 
 
 def test_fd_gather_with_duplicate_rows():
@@ -484,19 +489,64 @@ def test_fd_glu_gelu(shape):
 
 @pytest.mark.parametrize("shape", [(3, 8), (2, 2, 3, 6)])
 def test_fd_rotary(shape):
+    # composed_ops.rotary is the reference for attend's rotation.
     rng = np.random.default_rng(10)
     t = Tensor(rng.normal(size=shape), requires_grad=True)
     k = Tensor(rng.normal(size=shape))
     cos, sin = rotary_tables(shape[-2], shape[-1], F64)
-    _fd(lambda: tsum(mul(rotary(t, cos, sin), k)), [t], 1e-6)
+    _fd(lambda: tsum(mul(composed_ops.rotary(t, cos, sin), k)), [t], 1e-6)
 
 
-def _forward_and_input_grad(op, x, *consts):
+ATTEND_CASES = [(rot, bias) for rot in (False, True) for bias in (False, True)]
+ATTEND_IDS = [f"{'rot' if rot else 'norot'}-{'bias' if bias else 'nobias'}"
+              for rot, bias in ATTEND_CASES]
+
+
+def _attend_inputs(dtype, rot, bias, B=2, S=4, H=2, dh=4, spread=1.0):
+    """(B*S, d) q, k, v leaves, the extra attend arguments, and a fixed
+    projection k of the output; the key bias masks one key of the last
+    sequence the way Model.encode does and shifts the others."""
+    rng = np.random.default_rng(17)
+    q, k, v = (Tensor((rng.normal(size=(B * S, H * dh)) * spread).astype(dtype),
+                      requires_grad=True) for _ in range(3))
+    key_bias = None
+    if bias:
+        key_bias = rng.normal(size=(B, 1, 1, S)).astype(dtype)
+        key_bias[-1, ..., -1] = -1e9
+    tables = rotary_tables(S, dh, dtype) if rot else None
+    out_k = Tensor(rng.normal(size=(B * S, H * dh)).astype(dtype))
+    return [q, k, v], (S, H, key_bias, tables), out_k
+
+
+@pytest.mark.parametrize("rot, bias", ATTEND_CASES, ids=ATTEND_IDS)
+def test_fd_attend(rot, bias):
+    qkv, args, k = _attend_inputs(F64, rot, bias)
+    _fd(lambda: tsum(mul(attend(*qkv, *args), k)), qkv, 1e-6)
+
+
+@pytest.mark.parametrize("rot, bias", ATTEND_CASES, ids=ATTEND_IDS)
+def test_attend_matches_composed_reference_bitwise(rot, bias):
+    results = []
+    for op in (attend, composed_ops.attend):
+        qkv, args, k = _attend_inputs(np.float32, rot, bias, B=3, S=16, H=4, dh=8, spread=3.0)
+        with Tape() as tape:
+            out = op(*qkv, *args)
+            records = len(tape)
+            tape.backward(tsum(mul(out, k)))
+        assert out.dtype == np.float32 and all(t.grad.dtype == np.float32 for t in qkv)
+        results.append((out.data, [t.grad for t in qkv], records))
+    (out, grads, records), (ref_out, ref_grads, ref_records) = results
+    assert np.array_equal(out, ref_out)
+    assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+    assert records == 1 and ref_records > 1
+
+
+def _forward_and_input_grad(op, x):
     """float32 forward output, d(sum(out * k))/dx for a fixed k, and the
     number of tape records the op itself made."""
     t = Tensor(x.copy(), requires_grad=True)
     with Tape() as tape:
-        out = op(t, *consts)
+        out = op(t)
         records = len(tape)
         k = np.random.default_rng(11).normal(size=out.shape).astype(np.float32)
         tape.backward(tsum(mul(out, Tensor(k))))
@@ -507,15 +557,12 @@ def _forward_and_input_grad(op, x, *consts):
 def test_fused_ops_match_composed_reference_bitwise(shape):
     rng = np.random.default_rng(12)
     x = (rng.normal(size=shape) * 3.0).astype(np.float32)
-    cos, sin = rotary_tables(shape[-2], shape[-1], np.float32)
-    for fused, composed, consts in ((glu_gelu, composed_ops.glu_gelu, ()),
-                                    (rotary, composed_ops.rotary, (cos, sin))):
-        out, grad, records = _forward_and_input_grad(fused, x, *consts)
-        ref_out, ref_grad, ref_records = _forward_and_input_grad(composed, x, *consts)
-        assert out.dtype == grad.dtype == np.float32
-        assert np.array_equal(out, ref_out)
-        assert np.array_equal(grad, ref_grad)
-        assert records == 1 and ref_records > 1
+    out, grad, records = _forward_and_input_grad(glu_gelu, x)
+    ref_out, ref_grad, ref_records = _forward_and_input_grad(composed_ops.glu_gelu, x)
+    assert out.dtype == grad.dtype == np.float32
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(grad, ref_grad)
+    assert records == 1 and ref_records > 1
 
 
 def test_fd_normalization_ops():
