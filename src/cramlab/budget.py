@@ -62,11 +62,9 @@ def model_flops_estimate(config: ModelConfig | int, tokens: int) -> float:
 
 def utilization(flops_used: float, elapsed_seconds: float, device: DeviceSpec) -> float:
     """Achieved model FLOPs as a fraction of the device-peak budget."""
-    device.validate()
     if elapsed_seconds <= 0:
         raise ConfigurationError("elapsed time must be positive")
-    peak = device.count * device.peak_tflops * 1e12 * elapsed_seconds
-    return flops_used / peak
+    return flops_used / (total_exaflops(device, elapsed_seconds / 3600.0) * 1e18)
 
 
 def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
@@ -79,10 +77,13 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
     """
     S, d, f, H, V = (config.seq_len, config.hidden_dim, config.ffn_dim,
                      config.num_heads, config.vocab_size)
+    # Each dropout keeps its mask and its output: one after the
+    # embedding, two per block.
+    drop_sd = 2 * (config.dropout_rate > 0)
     # Per block: norms keep x-hat and output, q/k/v a product and a
     # per-head copy (k transposed), then the context, the output
     # projection and two residual sums; each bias is one more output.
-    per_sd = 15 + 3 * config.qkv_bias + 2 * config.linear_bias
+    per_sd = 15 + 3 * config.qkv_bias + 2 * config.linear_bias + 2 * drop_sd
     # The FFN input projection, plus Phi and the output of the activation
     # (half width for the gated unit, which keeps gelu(gate) too).
     per_sf = (2.5 if config.ffn_kind == "glu_gelu" else 3.0) + config.linear_bias
@@ -90,7 +91,7 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
     per_ss = H * S
     blocks = config.num_layers * S * (per_sd * d + per_sf * f + per_ss)
     embed_sd = 1 + (config.embedding_kind != "rotary") + 2 * config.embedding_norm \
-        + 2 * config.final_norm
+        + 2 * config.final_norm + drop_sd
     masked = math.ceil(mask_rate * S)
     rows = masked if config.sparse_prediction else S
     head = rows * d * (config.sparse_prediction + (5 + config.linear_bias) * config.nonlinear_head)

@@ -3,6 +3,26 @@
 Verbs: tokenize-train, prepare, pretrain, finetune, ablate,
 fit-scaling, report. Exit codes: 0 success, 1 configuration error,
 2 runtime failure, 3 analysis error.
+
+Settings reach a verb one way. tokenize-train, prepare, pretrain and
+ablate read a run configuration (config.py): `--config FILE`, or the
+defaults, with each repeatable `--set section.key=value` applied on
+top in order. No flag re-declares a config field; the others name
+paths or, for ablate, the rows and the task:
+- tokenize-train reads tokenizer.vocab_size and
+  tokenizer.max_chars_per_word;
+- prepare reads pipeline.* and encodes with
+  tokenizer.max_chars_per_word;
+- pretrain reads every section; `--input` fills tokenizer.input, and a
+  budget or seed is set with `--set train.budget_steps=N` (the two
+  budget keys are exclusive, so one from a config file may need
+  `--set train.budget_hours=none`) or `--set train.seed=N`;
+- ablate layers each preset on the configuration, and `--task` scores
+  each row with that row's tokenizer.max_chars_per_word.
+finetune has no run configuration: its flags default to
+FinetuneProtocol, and it encodes with the default
+tokenizer.max_chars_per_word. report reads the finished run's
+config.txt; `--device` overrides its stored report.device.
 """
 
 from __future__ import annotations
@@ -12,16 +32,15 @@ import os
 import statistics
 import sys
 
-from .config import PRESETS, RunConfig, apply_overrides, load_run_config
-from .corpus import PipelineConfig, curate, save_dataset
+from .config import PRESETS, RunConfig, TokenizerSection, load_run_config, split_assignment
+from .corpus import curate, save_dataset
 from .errors import AnalysisError, ConfigurationError, ContractError
 from .harness import (
-    emit_report, read_entries, run_ablation, run_pretrain, write_svg,
+    emit_report, finetune_seeds, read_entries, run_ablation, run_pretrain, write_svg,
 )
-from .model import Model
 from .scaling import estimate_shift, fit_power_law
 from .tokenizer import Vocab, WordPieceModel, train_wordpiece
-from .trainer import FinetuneProtocol, LossCurve, finetune, load_task
+from .trainer import FinetuneProtocol, LossCurve
 
 
 def _chart_series(curve: LossCurve, path: str):
@@ -34,34 +53,27 @@ def _chart_series(curve: LossCurve, path: str):
     return tokens[keep], losses[keep]
 
 
-def _parse_optional_float(text: str) -> float | None:
-    return None if text.lower() in ("none", "off") else float(text)
-
-
-def _parse_optional_int(text: str) -> int | None:
-    return None if text.lower() in ("none", "off") else int(text)
+def _load_config(args) -> RunConfig:
+    cfg = load_run_config(args.config) if args.config else RunConfig()
+    for item in args.set:
+        cfg.set(*split_assignment(item, "--set"))
+    return cfg
 
 
 def cmd_tokenize_train(args) -> int:
-    entries = read_entries(args.input)
-    wp = train_wordpiece(entries, vocab_size=args.vocab_size,
-                         max_chars_per_word=args.max_chars)
+    tok = _load_config(args).tokenizer
+    wp = train_wordpiece(read_entries(args.input), vocab_size=tok.vocab_size,
+                         max_chars_per_word=tok.max_chars_per_word)
     wp.vocab.save(args.out)
     print(f"trained vocabulary of {len(wp.vocab)} tokens -> {args.out}")
     return 0
 
 
 def cmd_prepare(args) -> int:
+    cfg = _load_config(args)
     entries = read_entries(args.input)
-    wp = WordPieceModel(Vocab.load(args.vocab))
-    cfg = PipelineConfig(
-        t=_parse_optional_float(args.t),
-        dedup_min_len=_parse_optional_int(args.dedup),
-        sort=args.sort,
-        shuffle_seed=args.seed,
-        seq_len=args.seq_len,
-    )
-    ds, report = curate(entries, wp, cfg)
+    wp = WordPieceModel(Vocab.load(args.vocab), cfg.tokenizer.max_chars_per_word)
+    ds, report = curate(entries, wp, cfg.pipeline)
     save_dataset(args.out, ds)
     text = report.to_text() + "\n"
     if args.report:
@@ -72,30 +84,10 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def _load_config(args) -> RunConfig:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for item in args.set or []:
-        key, eq, value = item.partition("=")
-        if not eq:
-            raise ConfigurationError(f"--set expects key=value, got {item!r}")
-        overrides[key.strip()] = value.strip()
-    apply_overrides(cfg, overrides)
-    return cfg
-
-
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     if args.input:
         cfg.tokenizer.input = args.input
-    if args.budget_steps is not None:
-        cfg.train.budget_steps = args.budget_steps
-        cfg.train.budget_hours = None
-    if args.budget_hours is not None:
-        cfg.train.budget_hours = args.budget_hours
-        cfg.train.budget_steps = None
-    if args.seed is not None:
-        cfg.train.seed = args.seed
     art, result = run_pretrain(cfg, args.out, input_path=cfg.tokenizer.input,
                                workdir=args.workdir)
     print(f"run directory: {art.run_dir}")
@@ -110,28 +102,21 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    examples = load_task(args.task)
-    eval_examples = load_task(args.eval) if args.eval else None
-    wp = WordPieceModel(Vocab.load(args.vocab))
     protocol = FinetuneProtocol(epochs=args.epochs, batch_size=args.batch_size,
                                 lr=args.lr)
-    accs, mccs = [], []
-    for seed in range(args.seeds):
-        model = Model.load(args.checkpoint)
-        metrics = finetune(model, wp, examples, protocol, seed=seed,
-                           eval_examples=eval_examples,
-                           compute_matthews=args.matthews)
-        accs.append(metrics.accuracy)
+    runs = finetune_seeds(args.checkpoint, args.vocab, args.task, protocol, args.seeds,
+                          max_chars_per_word=TokenizerSection.max_chars_per_word,
+                          eval_path=args.eval, compute_matthews=args.matthews)
+    for seed, metrics in enumerate(runs):
         line = f"seed {seed}: accuracy {metrics.accuracy:.4f}"
         if args.matthews:
-            mccs.append(metrics.matthews)
             line += f"  matthews {metrics.matthews:.4f}"
         print(line)
     print(f"median accuracy over {args.seeds} seed(s): "
-          f"{statistics.median(accs):.4f}")
-    if mccs:
+          f"{statistics.median(m.accuracy for m in runs):.4f}")
+    if args.matthews:
         print(f"median matthews over {args.seeds} seed(s): "
-              f"{statistics.median(mccs):.4f}")
+              f"{statistics.median(m.matthews for m in runs):.4f}")
     return 0
 
 
@@ -158,10 +143,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_fit_scaling(args) -> int:
     curves = [(path, LossCurve.from_csv(path)) for path in args.curve]
-    fits = []
     for path, curve in curves:
         fit = fit_power_law(curve, burn_in=args.burn_in)
-        fits.append(fit)
         print(f"{path}: loss = {fit.c:.4f} + {fit.a:.4f} * tokens^-{fit.b:.4f}"
               f"  (log residual {fit.residual:.6f})")
     if len(curves) == 2:
@@ -190,6 +173,12 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _add_config_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="run configuration file")
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                   help="override a config key, e.g. train.seed=3 (repeatable)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cramlab",
@@ -198,36 +187,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("tokenize-train", help="train a WordPiece vocabulary")
+    _add_config_args(p)
     p.add_argument("--input", required=True, help="corpus file or directory")
-    p.add_argument("--vocab-size", type=int, default=32768)
-    p.add_argument("--max-chars", type=int, default=100)
     p.add_argument("--out", required=True, help="vocabulary output path")
     p.set_defaults(func=cmd_tokenize_train)
 
     p = sub.add_parser("prepare", help="curate a corpus into a packed dataset")
+    _add_config_args(p)
     p.add_argument("--input", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--t", default="0.3",
-                   help="compression filter threshold, or 'none'")
-    p.add_argument("--dedup", default="none",
-                   help="exact-substring window length, or 'none'")
-    sort = p.add_mutually_exclusive_group()
-    sort.add_argument("--sort", dest="sort", action="store_true", default=True)
-    sort.add_argument("--no-sort", dest="sort", action="store_false")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seq-len", type=int, default=128)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="also write the stats text here")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("pretrain", help="run budgeted pretraining")
-    p.add_argument("--config", help="run configuration file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override a config key (repeatable)")
+    _add_config_args(p)
     p.add_argument("--input", help="corpus file or directory")
-    p.add_argument("--budget-steps", type=int)
-    p.add_argument("--budget-hours", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--workdir", default="work",
                    help="shared cache for prepared data")
     p.add_argument("--out", default="run", help="run directory")
@@ -239,16 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, help="training TSV")
     p.add_argument("--eval", help="evaluation TSV (defaults to training set)")
     p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=4e-5)
+    p.add_argument("--epochs", type=int, default=FinetuneProtocol.epochs)
+    p.add_argument("--batch-size", type=int, default=FinetuneProtocol.batch_size)
+    p.add_argument("--lr", type=float, default=FinetuneProtocol.lr)
     p.add_argument("--matthews", action="store_true",
                    help="also report Matthews correlation")
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("ablate", help="run an ablation table of presets")
-    p.add_argument("--config", help="base run configuration")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    _add_config_args(p)
     p.add_argument("--input", required=True)
     p.add_argument("--workdir", default="work")
     p.add_argument("--presets", default=",".join(PRESETS),

@@ -8,14 +8,13 @@ and the minimal-modification variants) plus a vocabulary sweep.
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass, field, fields
 
 from .budget import Budget
 from .corpus import PipelineConfig
 from .errors import ConfigurationError
 from .model import ModelConfig
-from .serde import dataclass_to_strs, parse_scalar, render_scalar
+from .serde import dataclass_to_strs, dataclass_update_from_strs
 from .trainer import (
     BatchRampConfig, MaskingConfig, OptimizerConfig, ScheduleConfig,
 )
@@ -104,13 +103,9 @@ class RunConfig:
     def set(self, dotted_key: str, value: str) -> None:
         section_name, _, key = dotted_key.partition(".")
         section = self.sections().get(section_name)
-        if section is None or not key:
+        if section is None or key not in {f.name for f in fields(section)}:
             raise ConfigurationError(f"unknown config key {dotted_key!r}")
-        hints = typing.get_type_hints(type(section))
-        names = {f.name for f in fields(section)}
-        if key not in names:
-            raise ConfigurationError(f"unknown config key {dotted_key!r}")
-        setattr(section, key, parse_scalar(hints[key], value))
+        dataclass_update_from_strs(section, {key: value})
 
     def validate(self) -> None:
         self.pipeline.validate()
@@ -141,13 +136,18 @@ def parse_run_config(text: str) -> RunConfig:
 def apply_config_text(cfg: RunConfig, text: str) -> RunConfig:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ConfigurationError(f"line {lineno}: expected key = value")
-        cfg.set(key.strip(), value.strip())
+        if line:
+            cfg.set(*split_assignment(line, f"line {lineno}"))
     return cfg
+
+
+def split_assignment(text: str, where: str) -> tuple[str, str]:
+    """`key = value` -> (key, value), both stripped; where prefixes the
+    error when the `=` is missing."""
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise ConfigurationError(f"{where}: expected key = value, got {text!r}")
+    return key.strip(), value.strip()
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import check_memory, load_devices, model_flops_estimate, utilization
+from .budget import (
+    check_memory, load_devices, model_flops_estimate, total_exaflops, utilization,
+)
 from .config import (
     RunConfig, apply_overrides, config_diff, load_run_config,
     parse_run_config, render_run_config, render_sections,
@@ -30,7 +32,8 @@ from .model import Model, build
 from .scaling import fit_power_law
 from .tokenizer import Vocab, WordPieceModel, train_wordpiece
 from .trainer import (
-    FinetuneProtocol, LossCurve, PretrainResult, finetune, load_task, pretrain,
+    FinetuneMetrics, FinetuneProtocol, LossCurve, PretrainResult, finetune, load_task,
+    pretrain,
 )
 
 CONFIG_NAME = "config.txt"
@@ -234,9 +237,11 @@ def run_ablation(
             status="failed" if res.aborted else "ok",
         )
         if task_path is not None and not res.aborted:
-            row.task_metric = _median_task_metric(
-                art.checkpoint_path, _vocab_for_run(cfg, input_path, workdir),
-                task_path, seeds=task_seeds)
+            runs = finetune_seeds(
+                art.checkpoint_path, prepare(cfg, input_path, workdir).vocab_path,
+                task_path, FinetuneProtocol(), task_seeds,
+                max_chars_per_word=cfg.tokenizer.max_chars_per_word)
+            row.task_metric = float(statistics.median(m.accuracy for m in runs))
         results.append(row)
     return results, render_ablation_table(results, with_task=task_path is not None)
 
@@ -245,20 +250,25 @@ def _slug(name: str) -> str:
     return "".join(c if c.isalnum() else "-" for c in name.lower()).strip("-")
 
 
-def _vocab_for_run(cfg: RunConfig, input_path: str, workdir: str) -> str:
-    return prepare(cfg, input_path, workdir).vocab_path
-
-
-def _median_task_metric(checkpoint_path: str, vocab_path: str,
-                        task_path: str, seeds: int) -> float:
+def finetune_seeds(
+    checkpoint_path: str,
+    vocab_path: str,
+    task_path: str,
+    protocol: FinetuneProtocol,
+    seeds: int,
+    *,
+    max_chars_per_word: int,
+    eval_path: str | None = None,
+    compute_matthews: bool = False,
+) -> list[FinetuneMetrics]:
+    """Finetune a fresh load of the checkpoint once for each seed in
+    range(seeds); eval_path defaults to the training task."""
     examples = load_task(task_path)
-    wp = WordPieceModel(Vocab.load(vocab_path))
-    scores = []
-    for seed in range(seeds):
-        model = Model.load(checkpoint_path)
-        metrics = finetune(model, wp, examples, FinetuneProtocol(), seed=seed)
-        scores.append(metrics.accuracy)
-    return float(statistics.median(scores))
+    eval_examples = load_task(eval_path) if eval_path else None
+    wp = WordPieceModel(Vocab.load(vocab_path), max_chars_per_word)
+    return [finetune(Model.load(checkpoint_path), wp, examples, protocol, seed=seed,
+                     eval_examples=eval_examples, compute_matthews=compute_matthews)
+            for seed in range(seeds)]
 
 
 def render_ablation_table(rows: list[AblationRow], with_task: bool = False) -> str:
@@ -350,9 +360,12 @@ def emit_report(run_dir: str, device_name: str | None = None,
     if device is not None:
         lines.append(f"device = {device.name} ({device.peak_tflops} TFLOP/s peak)")
         if len(curve) and curve.points[-1].seconds > 0:
-            u = utilization(flops, curve.points[-1].seconds, device)
-            lines.append(f"utilization = {u:.4f}")
+            seconds = curve.points[-1].seconds
+            lines.append("device budget exaflops = "
+                         f"{total_exaflops(device, seconds / 3600.0):.6f}")
+            lines.append(f"utilization = {utilization(flops, seconds, device):.4f}")
         else:
+            lines.append("device budget exaflops = n/a (step budget)")
             lines.append("utilization = n/a (step budget)")
     else:
         lines.append(f"device = {device_name} (unknown, no peak rate)")

@@ -159,13 +159,6 @@ class WordPieceModel:
                 words.append(tok)
         return " ".join(words)
 
-    def save(self, path: str) -> None:
-        self.vocab.save(path)
-
-    @classmethod
-    def load(cls, path: str, max_chars_per_word: int = 100) -> "WordPieceModel":
-        return cls(Vocab.load(path), max_chars_per_word)
-
 
 def _word_symbols(word: str) -> list[str]:
     return [word[0]] + [CONTINUATION_PREFIX + c for c in word[1:]]

@@ -4,9 +4,10 @@ Pretraining: masked-token objective, bias-corrected Adam with decoupled
 weight decay, global-norm clipping, a one-cycle learning rate tied to
 the budget, and a linear micro-batch accumulation ramp. The loop is
 single-epoch: sequences are consumed in dataset order and never
-revisited. All randomness flows through one seeded generator, so a
-fixed (seed, config, data) triple reproduces runs bit for bit in
-step-budget mode.
+revisited. Training micro-batches apply model.dropout_rate; the step-0
+evaluation runs without dropout. All randomness flows through one
+seeded generator, so a fixed (seed, config, data) triple reproduces
+runs bit for bit in step-budget mode.
 
 Divergence handling: the pretraining steps run with the per-op
 finiteness guard off. A non-finite step loss or gradient norm, both
@@ -391,6 +392,7 @@ def pretrain(
     next_reestimate = 30.0
     seqs = dataset.sequences
     vocab_size = dataset.vocab_size
+    train_rate = model.config.dropout_rate
     cursor = 0
     step = 0
     tokens = 0
@@ -404,21 +406,24 @@ def pretrain(
     def curve_seconds() -> float:
         return elapsed() if wallclock_mode else 0.0
 
-    def masked_loss(rows: np.ndarray, gen: np.random.Generator) -> Tensor:
+    def masked_loss(rows: np.ndarray, gen: np.random.Generator,
+                    dropout_rate: float = 0.0) -> Tensor:
+        # gen draws the masking, then the dropout masks.
         inputs, positions, labels = mask_batch(rows, masking, gen, vocab_size)
-        logits = model.logits(inputs, masked_positions=positions)
+        logits = model.logits(inputs, masked_positions=positions,
+                              dropout_rate=dropout_rate, rng=gen)
         return cross_entropy_from_logits(logits, labels)
 
     def failing_op(step_cursor: int, rng_state: dict) -> str | None:
         """Replay the failed step's micro-batch forwards (same rows, same
-        masking draws, the step's starting parameters) with the op guard
-        on. Returns the guard's message naming the first op with a
-        non-finite output, or None when every op output is finite."""
+        masking and dropout draws, the step's starting parameters) with
+        the op guard on. Returns the guard's message naming the first op
+        with a non-finite output, or None when every op output is finite."""
         rng.bit_generator.state = rng_state
         set_finite_checks(True)
         try:
             for row in range(step_cursor, cursor, ramp.micro_batch):
-                masked_loss(seqs[row:row + ramp.micro_batch], rng)
+                masked_loss(seqs[row:row + ramp.micro_batch], rng, train_rate)
         except FloatingPointError as exc:
             return str(exc)
         return None
@@ -459,7 +464,7 @@ def pretrain(
                 rows = seqs[cursor:cursor + ramp.micro_batch]
                 cursor += ramp.micro_batch
                 with Tape() as tape:
-                    loss = masked_loss(rows, rng)
+                    loss = masked_loss(rows, rng, train_rate)
                     tape.backward(loss * (1.0 / acc))
                 step_loss += loss.item() / acc
                 tokens += rows.size

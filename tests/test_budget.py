@@ -164,6 +164,7 @@ def _train_config(preset: str, **model) -> RunConfig:
     ("crammed", {"embedding_kind": "rotary"}),
     ("minimal_arch", {}),
     ("original_arch", {}),
+    ("original_train", {}),
 ])
 def test_memory_estimate_bounds_traced_training_peak(preset, model):
     # Two steps of two accumulated micro-batches each take every

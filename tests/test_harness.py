@@ -7,8 +7,10 @@ module workdir exercises the content-keyed data cache the way real
 experiments would.
 """
 
+import dataclasses
 import importlib
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -387,6 +389,28 @@ def test_guard_off_steps_train_bit_for_bit_like_guarded_steps(prepared, tmp_path
     assert guarded == unguarded
 
 
+def test_pretrain_trains_with_model_dropout_rate(prepared, tmp_path, monkeypatch):
+    # The original_train preset sets model.dropout_rate = 0.1. Training
+    # micro-batches must apply it and the step-0 evaluation must not;
+    # at 0.0 a run must train bit for bit like a forward that is given
+    # no dropout arguments at all.
+    def run(rate, tag):
+        cfg = base_cfg()
+        cfg.model.dropout_rate = rate
+        cfg.train.budget_steps = 4
+        cfg.report.curve_interval = 1
+        return _curve_and_blob(cfg, str(tmp_path / tag), prepared)
+
+    plain, dropped = run(0.0, "plain"), run(0.1, "dropped")
+    assert dropped[0].splitlines()[:2] == plain[0].splitlines()[:2]  # header, step 0
+    assert dropped[0] != plain[0] and dropped[1] != plain[1]
+
+    logits = Model.logits
+    monkeypatch.setattr(Model, "logits", lambda self, ids, masked_positions=None, **_:
+                        logits(self, ids, masked_positions=masked_positions))
+    assert run(0.0, "no-dropout-args") == plain
+
+
 def test_stale_dataset_vocab_is_rejected(prepared, tmp_path):
     cfg = base_cfg()
     cfg.tokenizer.vocab_size = 1024
@@ -424,6 +448,24 @@ def test_report_has_all_sections(finished_run):
     assert "elapsed seconds = n/a (step budget)" in text
     # 3 curve points cannot support a power-law fit
     assert "power law: not fitted" in text
+
+
+def test_report_prints_device_budget_for_wallclock_runs(finished_run, tmp_path):
+    # The device budget is count x peak x wallclock, the exaFLOP column
+    # of the paper's table; a step-budget run has no wallclock to use.
+    _, art, _ = finished_run
+    text = emit_report(art.run_dir)
+    assert "device budget exaflops = n/a (step budget)" in text
+    timed = tmp_path / "timed"
+    shutil.copytree(art.run_dir, timed)
+    curve = LossCurve.from_csv(art.curve_path)
+    for i, point in enumerate(curve.points):
+        point.seconds = 1800.0 * i
+    curve.to_csv(str(timed / "curve.csv"))
+    text = emit_report(str(timed), device_name="v100")
+    hours = 0.5 * (len(curve) - 1)
+    assert f"device budget exaflops = {125e12 * hours * 3600 / 1e18:.6f}" in text
+    assert "utilization = 0." in text
 
 
 def test_report_diff_section(finished_run, second_run):
@@ -539,19 +581,50 @@ def synthetic_csv(path: str, scale: float = 1.0) -> None:
     LossCurve(pts).to_csv(path)
 
 
+def _unk_rate(out: str) -> float:
+    line = next(ln for ln in out.splitlines() if ln.startswith("unk rate"))
+    return float(line.split()[-1])
+
+
 def test_cli_tokenize_train_and_prepare(corpus_path, tmp_path, capsys):
     vocab = str(tmp_path / "v.txt")
     assert cli.main(["tokenize-train", "--input", corpus_path,
-                     "--vocab-size", "512", "--out", vocab]) == 0
+                     "--set", "tokenizer.vocab_size=512", "--out", vocab]) == 0
     assert "512 tokens" in capsys.readouterr().out
     data = str(tmp_path / "d.bin")
     rc = cli.main(["prepare", "--input", corpus_path, "--vocab", vocab,
-                   "--seq-len", "32", "--out", data,
+                   "--set", "pipeline.seq_len=32", "--out", data,
                    "--report", str(tmp_path / "stats.txt")])
     assert rc == 0
     assert os.path.exists(data)
-    assert "sequences" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "sequences" in out
     assert os.path.exists(str(tmp_path / "stats.txt"))
+
+    # prepare encodes with tokenizer.max_chars_per_word: at 3 every
+    # longer word becomes <unk>
+    cfg_path = str(tmp_path / "short.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write("pipeline.seq_len = 32\n")
+    rc = cli.main(["prepare", "--config", cfg_path, "--input", corpus_path,
+                   "--vocab", vocab, "--set", "tokenizer.max_chars_per_word=3",
+                   "--out", str(tmp_path / "short.bin")])
+    assert rc == 0
+    assert _unk_rate(capsys.readouterr().out) > _unk_rate(out)
+
+
+def test_cli_flags_name_no_config_field():
+    # Settings reach a verb only through --config and --set. The
+    # exceptions are paths: --input (tokenizer.input) and report's
+    # --device, which overrides a finished run's stored report.device.
+    fields = {f.name for section in RunConfig().sections().values()
+              for f in dataclasses.fields(section)}
+    verbs = next(a for a in cli.build_parser()._actions if a.dest == "verb").choices
+    clashes = [f"{verb} {action.dest}" for verb, sub in verbs.items()
+               for action in sub._actions
+               if action.dest in fields and action.dest != "input"
+               and (verb, action.dest) != ("report", "device")]
+    assert clashes == []
 
 
 def test_cli_pretrain_and_report(corpus_path, workdir, tmp_path, capsys):
@@ -561,7 +634,7 @@ def test_cli_pretrain_and_report(corpus_path, workdir, tmp_path, capsys):
     out = str(tmp_path / "run-cli")
     rc = cli.main(["pretrain", "--config", cfg_path, "--input", corpus_path,
                    "--workdir", workdir, "--out", out,
-                   "--budget-steps", "4", "--set", "report.curve_interval=2"])
+                   "--set", "train.budget_steps=4", "--set", "report.curve_interval=2"])
     assert rc == 0
     assert "final loss" in capsys.readouterr().out
     curve = LossCurve.from_csv(os.path.join(out, "curve.csv"))

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cramlab import model as model_module
 from cramlab import tensor
 from cramlab.budget import Budget
 from cramlab.corpus import PackedDataset
@@ -492,8 +493,8 @@ def test_curve_point_snapshot_reuses_its_arrays():
     assert peaks[0] - peaks[1] < param_bytes / 4
 
 
-def run_diverging(interval=5):
-    model = tiny_model(seed=6)
+def run_diverging(interval=5, **model_overrides):
+    model = tiny_model(seed=6, **model_overrides)
     res = pretrain(
         model, toy_dataset(n_rows=800),
         schedule=ScheduleConfig(kind="constant", peak_lr=1e4, total_steps=40),
@@ -562,6 +563,25 @@ def test_pretrain_aborts_on_divergence_without_op_guard():
     assert "non-finite" in res.abort_reason
     for p in model.params.values():
         assert np.all(np.isfinite(p.data))
+
+
+def test_divergence_replay_draws_the_failed_step_dropout_masks(monkeypatch):
+    # With dropout on, the guarded replay must draw the masks the failed
+    # step drew, so it runs the forward that failed.
+    draws = []
+    dropout = model_module.dropout
+
+    def recording_dropout(x, rate, rng):
+        draws.append((tensor._finite_checks, rng.bit_generator.state))
+        return dropout(x, rate, rng)
+
+    monkeypatch.setattr(model_module, "dropout", recording_dropout)
+    _, res = run_diverging(dropout_rate=0.1)
+    assert res.aborted and "produced by" in res.abort_reason
+    steps = [state for guarded, state in draws if not guarded]
+    replay = [state for guarded, state in draws if guarded]
+    assert len(steps) % 5 == 0  # the embedding and two per block
+    assert replay and replay == steps[len(steps) - 5:][:len(replay)]
 
 
 def test_pretrain_rejects_dataset_smaller_than_micro_batch():
