@@ -113,17 +113,14 @@ def memory_estimate(config: ModelConfig, micro_batch: int, mask_rate: float) -> 
 
     Five parameter-sized copies live for the whole run: the parameters,
     their gradients, Adam's m and v, and the last-good snapshot. On top
-    of them comes the largest of: one micro-batch's activations plus the
-    decoder's (V, d) gradient product, which backward makes while they
-    still live; and Adam's three temporaries the size of the largest
-    parameter.
+    of them come one micro-batch's activations plus the decoder's (V, d)
+    gradient product, which backward makes while they still live.
     """
     if micro_batch < 1:
         raise ConfigurationError("micro_batch must be positive")
     n = param_count(config)
     largest = max(math.prod(shape) for shape, _ in param_layout(config).values())
-    peak = max(micro_batch * _activation_floats(config, mask_rate) + largest, 3 * largest)
-    return 4 * (5 * n + peak)
+    return 4 * (5 * n + micro_batch * _activation_floats(config, mask_rate) + largest)
 
 
 def available_memory() -> int | None:

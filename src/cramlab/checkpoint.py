@@ -29,28 +29,34 @@ def blob_path(path: str) -> str:
 
 
 def save_checkpoint(path: str, arrays: dict[str, np.ndarray], config: dict | None = None) -> None:
-    """Write arrays (insertion order preserved) and optional config keys."""
+    """Write arrays (insertion order preserved) and optional config keys.
+
+    Each array's buffer goes straight into the temporary blob, with the
+    blob's crc32 accumulated over it, so the save copies no array that
+    is already contiguous little-endian float32. The manifest, which
+    needs the crc, is written next; the blob is renamed into place
+    before the manifest, which commits the save.
+    """
+    for name in arrays:
+        if " " in name or not name:
+            raise ContractError(f"invalid tensor name {name!r}")
     lines = [_HEADER]
     for key in sorted(config or {}):
         lines.append(f"config {key} = {(config or {})[key]}")
-    offset = 0
-    chunks = []
-    for name, arr in arrays.items():
-        if " " in name or not name:
-            raise ContractError(f"invalid tensor name {name!r}")
-        a = np.ascontiguousarray(arr, dtype="<f4")
-        shape = "x".join(str(d) for d in a.shape) or "1"
-        lines.append(f"tensor {name} {shape} {offset}")
-        chunks.append(a.tobytes())
-        offset += len(chunks[-1])
-    blob = b"".join(chunks)
-    lines.append(f"blob {len(blob)} {zlib.crc32(blob)}")
+    offset = crc = 0
     tmp_manifest = path + ".tmp"
     tmp_blob = blob_path(path) + ".tmp"
+    with open(tmp_blob, "wb") as fh:
+        for name, arr in arrays.items():
+            a = np.ascontiguousarray(arr, dtype="<f4")
+            shape = "x".join(str(d) for d in a.shape) or "1"
+            lines.append(f"tensor {name} {shape} {offset}")
+            crc = zlib.crc32(a, crc)
+            fh.write(a)
+            offset += a.nbytes
+    lines.append(f"blob {offset} {crc}")
     with open(tmp_manifest, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(tmp_blob, "wb") as fh:
-        fh.write(blob)
     os.replace(tmp_blob, blob_path(path))
     os.replace(tmp_manifest, path)
 

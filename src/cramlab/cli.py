@@ -20,9 +20,10 @@ paths or, for ablate, the rows and the task:
 - ablate layers each preset on the configuration, and `--task` scores
   each row with that row's tokenizer.max_chars_per_word.
 finetune has no run configuration: its flags default to
-FinetuneProtocol, and it encodes with the default
-tokenizer.max_chars_per_word. report reads the finished run's
-config.txt; `--device` overrides its stored report.device.
+FinetuneProtocol, and it encodes with the run's
+tokenizer.max_chars_per_word, read from config.txt beside the
+checkpoint (the default when there is none). report reads the finished
+run's config.txt; `--device` overrides its stored report.device.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ import os
 import statistics
 import sys
 
-from .config import PRESETS, RunConfig, TokenizerSection, load_run_config, split_assignment
+from .config import PRESETS, RunConfig, load_run_config, split_assignment
 from .corpus import curate, save_dataset
 from .errors import AnalysisError, ConfigurationError, ContractError
 from .harness import (
-    emit_report, finetune_seeds, read_entries, run_ablation, run_pretrain, write_svg,
+    CONFIG_NAME, emit_report, finetune_seeds, read_entries, run_ablation, run_pretrain, write_svg,
 )
 from .scaling import estimate_shift, fit_power_law
 from .tokenizer import Vocab, WordPieceModel, train_wordpiece
@@ -104,8 +105,10 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     protocol = FinetuneProtocol(epochs=args.epochs, batch_size=args.batch_size,
                                 lr=args.lr)
+    run_config = os.path.join(os.path.dirname(args.checkpoint), CONFIG_NAME)
+    tok = (load_run_config(run_config) if os.path.exists(run_config) else RunConfig()).tokenizer
     runs = finetune_seeds(args.checkpoint, args.vocab, args.task, protocol, args.seeds,
-                          max_chars_per_word=TokenizerSection.max_chars_per_word,
+                          max_chars_per_word=tok.max_chars_per_word,
                           eval_path=args.eval, compute_matthews=args.matthews)
     for seed, metrics in enumerate(runs):
         line = f"seed {seed}: accuracy {metrics.accuracy:.4f}"

@@ -29,6 +29,12 @@ from .errors import ContractError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# Elements per block when a pass walks a parameter-sized flat array
+# (initialization here, the Adam update in trainer.py): a few float32
+# buffers of this length stay in the per-core cache, where a temporary
+# the size of the whole parameter would stream through main memory.
+STREAM_BLOCK = 1 << 15
+
 # Non-finite op outputs raise FloatingPointError immediately, naming the
 # op, instead of propagating NaN. The check is on by default for direct
 # use and finetuning. Pretraining turns it off for its steps, which
@@ -555,16 +561,28 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def truncated_normal(shape, std: float, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) resampled until every draw lies within two sigma."""
-    out = rng.normal(0.0, std, size=shape)
+    """Normal(0, std) resampled until every draw lies within two sigma.
+
+    The first draws come STREAM_BLOCK at a time, each block cast into
+    the output as it is drawn, and the redraws follow all of them. That
+    consumes the generator exactly as one full-size float64 draw cast at
+    the end would, and gives the same values and final generator state,
+    without that draw's float64 temporary.
+    """
+    out = np.empty(shape, dtype)
     flat = out.reshape(-1)
+    bad = [np.empty(0, np.intp)]
+    for lo in range(0, flat.size, STREAM_BLOCK):
+        draw = rng.normal(0.0, std, size=min(STREAM_BLOCK, flat.size - lo))
+        flat[lo:lo + draw.size] = draw
+        bad.append(lo + np.flatnonzero(np.abs(draw) > 2.0 * std))
+    bad = np.concatenate(bad)
     # Only positions redrawn in the last round can still be out of range.
-    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
     while bad.size:
         redraw = rng.normal(0.0, std, size=bad.size)
         flat[bad] = redraw
         bad = bad[np.abs(redraw) > 2.0 * std]
-    return out.astype(dtype)
+    return out
 
 
 def finite_diff_check(

@@ -29,7 +29,7 @@ from .budget import Budget
 from .errors import ConfigurationError, ContractError
 from .model import Model
 from .tensor import (
-    Tape, Tensor, add, cross_entropy_from_logits, dropout, gather_rows,
+    STREAM_BLOCK, Tape, Tensor, add, cross_entropy_from_logits, dropout, gather_rows,
     matmul, reshape, set_finite_checks, truncated_normal,
 )
 from .tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, WordPieceModel
@@ -288,6 +288,14 @@ def adam_step(
 
     Decay multiplies parameters by (1 - lr*wd) before the moment-based
     update; decay_exempt(name) skips it (layer norms, positional scale).
+
+    Each parameter is walked in blocks of STREAM_BLOCK elements through
+    two block-sized scratch buffers, so the step makes no temporary the
+    size of a parameter and each block stays in cache between its ufunc
+    calls. Every element sees the same float32 ufuncs in the same order
+    as the expression form `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g`,
+    `p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)`, so the result is bit for
+    bit that form's.
     """
     cfg.validate()
     state.t += 1
@@ -297,18 +305,39 @@ def adam_step(
         g = p.grad
         if g is None:
             continue
+        if not p.data.flags.c_contiguous:
+            # The blocks are views of a flat reshape, which for any other
+            # layout would be a copy that the update never reaches.
+            raise ContractError(f"adam_step: parameter {name} is not C-contiguous")
         m = state.m.get(name)
         if m is None:
             m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        if cfg.weight_decay and not (decay_exempt and decay_exempt(name)):
-            p.data *= 1.0 - lr * cfg.weight_decay
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        decay = cfg.weight_decay and not (decay_exempt and decay_exempt(name))
+        pf, gf, mf, vf = (x.reshape(-1) for x in (p.data, g, m, v))
+        scratch_a = np.empty(min(pf.size, STREAM_BLOCK), pf.dtype)
+        scratch_b = np.empty_like(scratch_a)
+        for lo in range(0, pf.size, STREAM_BLOCK):
+            hi = min(lo + STREAM_BLOCK, pf.size)
+            pb, gb, mb, vb = pf[lo:hi], gf[lo:hi], mf[lo:hi], vf[lo:hi]
+            a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
+            mb *= cfg.beta1
+            np.multiply(gb, 1.0 - cfg.beta1, out=a)
+            mb += a
+            vb *= cfg.beta2
+            np.multiply(gb, gb, out=a)
+            a *= 1.0 - cfg.beta2
+            vb += a
+            if decay:
+                pb *= 1.0 - lr * cfg.weight_decay
+            np.divide(mb, bc1, out=a)
+            a *= lr
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += cfg.eps
+            a /= b
+            pb -= a
 
 
 def clip_gradients(grads, clip_norm: float | None) -> float:

@@ -7,14 +7,21 @@ bit for bit in float32. `rotary` is the position rotation `attend`
 applies to q and k, composed the same way. `glu_gelu`, `attend` and
 `matmul_t` share the fused ops' signatures so tests can monkeypatch them
 into `cramlab.model`.
+
+`adam_step`, `truncated_normal` and `save_checkpoint` are the
+whole-array forms of the passes that now stream parameters through
+cache-sized blocks; the streamed versions are checked against them byte
+for byte.
 """
 
 import math
+import os
+import zlib
 from typing import Sequence
 
 import numpy as np
 
-from cramlab import tensor
+from cramlab import checkpoint, tensor
 from cramlab.tensor import (
     Tensor, _check_dtypes, _make, add, gelu, matmul, mul, reshape, softmax,
 )
@@ -110,3 +117,61 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b.T as its own op, then the bias as a separate add."""
     out = tensor.matmul_t(a, b)
     return out if bias is None else add(out, bias)
+
+
+def adam_step(params, state, lr, cfg, decay_exempt=None) -> None:
+    """Adam as whole-array expressions, each making parameter-sized temporaries."""
+    state.t += 1
+    bc1 = 1.0 - cfg.beta1 ** state.t
+    bc2 = 1.0 - cfg.beta2 ** state.t
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        if cfg.weight_decay and not (decay_exempt and decay_exempt(name)):
+            p.data *= 1.0 - lr * cfg.weight_decay
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+
+
+def truncated_normal(shape, std, rng, dtype=np.float32):
+    """One full-size float64 draw, redrawn in place, cast at the end."""
+    out = rng.normal(0.0, std, size=shape)
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        redraw = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redraw
+        bad = bad[np.abs(redraw) > 2.0 * std]
+    return out.astype(dtype)
+
+
+def save_checkpoint(path, arrays, config=None) -> None:
+    """The writer that copies every array with tobytes and joins the copies."""
+    lines = [checkpoint._HEADER]
+    for key in sorted(config or {}):
+        lines.append(f"config {key} = {(config or {})[key]}")
+    offset = 0
+    chunks = []
+    for name, arr in arrays.items():
+        a = np.ascontiguousarray(arr, dtype="<f4")
+        shape = "x".join(str(d) for d in a.shape) or "1"
+        lines.append(f"tensor {name} {shape} {offset}")
+        chunks.append(a.tobytes())
+        offset += len(chunks[-1])
+    blob = b"".join(chunks)
+    lines.append(f"blob {len(blob)} {zlib.crc32(blob)}")
+    with open(path + ".tmp", "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with open(checkpoint.blob_path(path) + ".tmp", "wb") as fh:
+        fh.write(blob)
+    os.replace(checkpoint.blob_path(path) + ".tmp", checkpoint.blob_path(path))
+    os.replace(path + ".tmp", path)

@@ -19,18 +19,18 @@ import pytest
 import composed_ops
 from conftest import make_lexicon, make_sentences
 from cramlab import checkpoint as ckpt
-from cramlab import cli
+from cramlab import cli, harness
 from cramlab.config import (
-    PRESETS, RunConfig, apply_overrides, config_diff, parse_run_config,
+    PRESETS, RunConfig, TokenizerSection, apply_overrides, config_diff, parse_run_config,
     render_run_config,
 )
 from cramlab.errors import AnalysisError, ConfigurationError
 from cramlab.harness import (
-    data_key, emit_report, prepare, read_entries, render_ablation_table,
+    data_key, emit_report, finetune_seeds, prepare, read_entries, render_ablation_table,
     run_ablation, run_pretrain, write_svg,
 )
 from cramlab.model import Model
-from cramlab.trainer import CurvePoint, LossCurve
+from cramlab.trainer import CurvePoint, FinetuneProtocol, LossCurve, encode_task_batch
 
 
 def base_cfg() -> RunConfig:
@@ -682,6 +682,38 @@ def test_cli_finetune(finished_run, prepared, task_path, capsys):
     out = capsys.readouterr().out
     assert "median accuracy" in out
     assert "matthews" in out
+
+
+def test_cli_finetune_encodes_with_the_runs_max_chars_per_word(
+        corpus_path, workdir, tmp_path, monkeypatch, capsys):
+    cfg = base_cfg()
+    cfg.tokenizer.max_chars_per_word = 5
+    cfg.train.budget_steps = 2
+    art, _ = run_pretrain(cfg, str(tmp_path / "run-short-words"), input_path=corpus_path,
+                          workdir=workdir)
+    vocab = prepare(cfg, corpus_path, workdir).vocab_path
+    lines = read_entries(corpus_path)[:2]
+    assert max(len(w) for line in lines for w in line.split()) > 5
+    task = tmp_path / "task.tsv"
+    task.write_text(f"{lines[0]}\t0\n{lines[1]}\t1\n", encoding="utf-8")
+    seen = []
+    real_finetune = harness.finetune
+
+    def spy(model, wp, examples, *args, **kwargs):
+        seen.append(encode_task_batch(wp, examples, model.config.seq_len))
+        return real_finetune(model, wp, examples, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "finetune", spy)
+    assert cli.main(["finetune", "--checkpoint", art.checkpoint_path, "--vocab", vocab,
+                     "--task", str(task), "--epochs", "1"]) == 0
+    capsys.readouterr()
+    for chars in (5, TokenizerSection.max_chars_per_word):
+        finetune_seeds(art.checkpoint_path, vocab, str(task), FinetuneProtocol(epochs=1), 1,
+                       max_chars_per_word=chars)
+    verb, run_value, default = seen
+    assert np.array_equal(verb, run_value)
+    # Words longer than 5 characters become <unk> only at the run's value.
+    assert not np.array_equal(verb, default)
 
 
 def test_cli_ablate(corpus_path, workdir, tmp_path, capsys):

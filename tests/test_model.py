@@ -4,10 +4,12 @@ tables, attention/FFN against direct numpy references, persistence."""
 import math
 import os
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
+import composed_ops
 from cramlab import checkpoint as ckpt
 from cramlab.config import PRESETS, RunConfig, apply_overrides
 from cramlab.errors import ConfigurationError, ContractError
@@ -454,6 +456,26 @@ def test_checkpoint_load_holds_one_copy_of_the_blob(tmp_path):
     back["w1"][...] = 0.0
     assert back["w0"].tobytes() == arrays["w0"].tobytes()
     assert back["w2"].tobytes() == arrays["w2"].tobytes()
+
+
+def test_checkpoint_writer_matches_joined_copy_writer(tmp_path):
+    model = build(small_config(), seed=36)
+    arrays = {k: v.data for k, v in model.params.items()}
+    # Arrays the writer must convert: float64, a transposed view, a scalar.
+    arrays.update(wide=np.linspace(-1.0, 1.0, 12).reshape(3, 4),
+                  turned=model.params["l1_wq"].data.T, scalar=np.float32(2.5))
+    got, want = str(tmp_path / "got"), str(tmp_path / "want")
+    ckpt.save_checkpoint(got, arrays, model.config.to_strs())
+    composed_ops.save_checkpoint(want, arrays, model.config.to_strs())
+    for a, b in ((got, want), (ckpt.blob_path(got), ckpt.blob_path(want))):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read(), a
+    with open(got, encoding="ascii") as fh:
+        blob_line = [ln.split() for ln in fh if ln.startswith("blob ")]
+    with open(ckpt.blob_path(got), "rb") as fh:
+        blob = fh.read()
+    assert blob_line == [["blob", str(len(blob)), str(zlib.crc32(blob))]]
+    assert not os.path.exists(got + ".tmp") and not os.path.exists(ckpt.blob_path(got) + ".tmp")
 
 
 def test_checkpoint_short_blob_without_blob_line_is_refused(tmp_path):

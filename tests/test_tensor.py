@@ -11,7 +11,7 @@ from cramlab.config import PRESETS, RunConfig, apply_overrides
 from cramlab.errors import ContractError
 from cramlab.model import build, rotary_tables
 from cramlab.tensor import (
-    Tape, Tensor, add, attend, cross_entropy_from_logits, dropout,
+    STREAM_BLOCK, Tape, Tensor, add, attend, cross_entropy_from_logits, dropout,
     finite_diff_check, gather_rows, gelu, glu_gelu, layer_norm, matmul,
     matmul_t, mul, reshape, set_finite_checks, softmax, truncated_normal, tsum,
 )
@@ -644,6 +644,21 @@ def test_truncated_normal_matches_full_rescan_reference(shape, std, seed, dtype)
     want = _truncated_normal_full_rescan(shape, std, np.random.default_rng(seed), dtype)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+# Each seed's last block draws a value outside two sigma, so a redraw
+# lands in the remainder (and in the single element of shape (1,)).
+@pytest.mark.parametrize("shape, seed", [
+    ((2, STREAM_BLOCK + 7), 4),  # two full blocks and a remainder of 14
+    ((1,), 3),
+])
+def test_truncated_normal_matches_one_shot_draw_and_generator_state(shape, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = truncated_normal(shape, 0.02, rng)
+    want = composed_ops.truncated_normal(shape, 0.02, ref_rng)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_gather_rows_out_of_range():

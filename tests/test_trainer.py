@@ -8,13 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import composed_ops
 from cramlab import model as model_module
 from cramlab import tensor
 from cramlab.budget import Budget
 from cramlab.corpus import PackedDataset
 from cramlab.errors import ConfigurationError, ContractError
 from cramlab.model import Model, ModelConfig, build
-from cramlab.tensor import Tape, Tensor, add, mul, set_finite_checks
+from cramlab.tensor import STREAM_BLOCK, Tape, Tensor, add, mul, set_finite_checks
 from cramlab.tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID
 from cramlab.trainer import (
     AdamState,
@@ -299,6 +300,45 @@ def test_adam_skips_params_without_grad():
     adam_step({"w": p}, state, 1e-2, OptimizerConfig())
     assert p.data[0] == 5.0
     assert "w" not in state.m
+
+
+def test_adam_step_equals_expression_form_bit_for_bit():
+    # "big" spans two full blocks and a remainder of 6; "norm_g" is decay
+    # exempt; "frozen" never has a gradient and "bias" misses one step.
+    rng = np.random.default_rng(42)
+    shapes = {"big": (2, STREAM_BLOCK + 3), "norm_g": (33,), "bias": (7,), "frozen": (4, 4)}
+    start = {name: rng.standard_normal(shape).astype(np.float32) for name, shape in shapes.items()}
+    sides = []
+    for step_fn in (adam_step, composed_ops.adam_step):
+        params = {name: Tensor(a.copy(), requires_grad=True) for name, a in start.items()}
+        sides.append((step_fn, params, AdamState()))
+    cfg = OptimizerConfig(weight_decay=0.01)
+    for step, lr in enumerate([1e-3, 3e-3, 2e-3, 5e-4]):
+        grads = {name: rng.standard_normal(shape).astype(np.float32)
+                 for name, shape in shapes.items()}
+        grads["frozen"] = None
+        if step == 2:
+            grads["bias"] = None
+        for step_fn, params, state in sides:
+            for name, p in params.items():
+                p.grad = None if grads[name] is None else grads[name].copy()
+            step_fn(params, state, lr, cfg, decay_exempt=lambda name: name == "norm_g")
+    (_, got, got_state), (_, want, want_state) = sides
+    assert got_state.t == want_state.t == 4
+    assert "frozen" not in got_state.m and list(got_state.m) == list(want_state.m)
+    for name in shapes:
+        assert got[name].data.tobytes() == want[name].data.tobytes(), name
+    for name in want_state.m:
+        assert got_state.m[name].tobytes() == want_state.m[name].tobytes(), name
+        assert got_state.v[name].tobytes() == want_state.v[name].tobytes(), name
+    assert got["frozen"].data.tobytes() == start["frozen"].tobytes()
+
+
+def test_adam_refuses_a_parameter_it_cannot_update_in_place():
+    p = Tensor(np.ones((3, 4), np.float32).T, requires_grad=True)
+    p.grad = np.ones((4, 3), np.float32)
+    with pytest.raises(ContractError, match="not C-contiguous"):
+        adam_step({"w": p}, AdamState(), 1e-3, OptimizerConfig())
 
 
 def test_adam_converges_on_quadratic_bowl():
