@@ -20,7 +20,7 @@ from .model import (
     Model, ModelConfig, attention, build, ffn, param_count, sinusoidal_table,
 )
 from .scaling import PowerLawFit, ShiftEstimate, estimate_shift, fit_power_law
-from .tensor import Tape, Tensor, finite_diff_check, set_finite_checks
+from .tensor import Tape, Tensor, set_finite_checks
 from .tokenizer import (
     SPECIAL_TOKENS, Vocab, WordPieceModel, normalize, pre_tokenize,
     train_wordpiece,

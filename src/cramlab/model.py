@@ -3,7 +3,9 @@
 Defaults describe the crammed variant: pre-norm residual blocks, gated
 linear unit FFN, scaled sinusoidal positions, no biases anywhere, tied
 embedding/decoder weights, layer norm after the embedding and at the
-end of the stack, and logits computed only at masked positions.
+end of the stack, and the head applied only at masked positions
+(sparse prediction). With sparse_prediction off, the head runs on every
+position and the decoder still computes logits only for the masked rows.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class ModelConfig:
     linear_bias: bool = False
     decoder_bias: bool = False
     nonlinear_head: bool = False
+    # False: the head runs on every position; only masked rows are decoded.
     sparse_prediction: bool = True
     final_norm: bool = True
     embedding_norm: bool = True
@@ -280,9 +283,9 @@ class Model:
         hidden = self.encode(ids, key_mask=key_mask, dropout_rate=dropout_rate, rng=rng)
         B, S, d = hidden.shape
         h = reshape(hidden, (B * S, d))
-        positions = None if masked_positions is None else np.asarray(masked_positions)
-        if positions is not None and cfg.sparse_prediction:
-            h = gather_rows(h, positions)
+        rows = None if masked_positions is None else np.asarray(masked_positions)
+        if rows is not None and cfg.sparse_prediction:
+            h, rows = gather_rows(h, rows), None
         if cfg.nonlinear_head:
             h = matmul(h, self.params["head_w"])
             if cfg.linear_bias:
@@ -290,12 +293,10 @@ class Model:
             h = gelu(h)
             h = self._ln(h, "head_norm")
         dec = self.params["tok_emb"] if cfg.tie_embeddings else self.params["decoder"]
-        out = matmul_t(h, dec, self.params["decoder_bias"] if cfg.decoder_bias else None)
-        if positions is not None and not cfg.sparse_prediction:
-            # Dense prediction decodes every position; the loss still
-            # only sees the masked rows.
-            out = gather_rows(out, positions)
-        return out
+        # Under dense prediction rows still holds the masked positions:
+        # the head ran on every position, but only those rows are decoded.
+        return matmul_t(h, dec, self.params["decoder_bias"] if cfg.decoder_bias else None,
+                        rows=rows)
 
     # -- persistence ------------------------------------------------------
     def save(self, path: str) -> None:

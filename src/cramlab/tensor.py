@@ -12,15 +12,14 @@ accumulate_grad keeps the first contribution by reference and adds
 later ones into it in place, so accumulating micro-batches allocates
 no new parameter-sized buffer.
 
-Training runs in float32. Verification oracles (finite_diff_check and
-the tests built on it) run the same code at float64; ops never mix
-dtypes silently.
+Training runs in float32. The finite-difference oracles in the tests run
+the same code at float64; ops never mix dtypes silently.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -269,13 +268,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make("matmul", a.data @ b.data, (a, b), bwd)
 
 
-def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None, rows=None) -> Tensor:
     """a @ b.T (+ bias) for 2-D operands, without materializing the transpose.
 
     The decoder shares storage with the (V, d) embedding table, so the
     tied head is a matmul against its transpose. The optional bias is
     added in place into the fresh product, so the head holds one logits
     buffer instead of two.
+
+    With `rows`, only those rows of `a` are decoded: out[i] = a[rows[i]]
+    @ b.T (+ bias), so dense prediction computes no logits the loss
+    would drop. a's gradient multiplies only those rows and scatters
+    them back like gather_rows does (repeats sum). b's and the bias's
+    gradients come from the output gradient zero-padded to a's height,
+    which rounds the tied table's gradient exactly as decoding every
+    row would.
     """
     inputs = (a, b) if bias is None else (a, b, bias)
     _check_dtypes("matmul_t", *inputs)
@@ -283,7 +290,12 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ContractError("matmul_t expects 2-D operands")
     if a.shape[1] != b.shape[1]:
         raise ContractError(f"matmul_t inner dims {a.shape} @ {b.shape}^T")
-    data = a.data @ b.data.T
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1:
+            raise ContractError("matmul_t rows must be 1-D")
+        _check_rows("matmul_t", rows, a.shape[0])
+    data = (a.data if rows is None else a.data[rows]) @ b.data.T
     if bias is not None:
         data += bias.data
 
@@ -291,7 +303,10 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         def fn():
             g = out.grad
             if a.requires_grad:
-                a.accumulate_grad(g @ b.data)
+                ga = g @ b.data
+                a.accumulate_grad(ga if rows is None else _scatter_rows(a.shape, rows, ga))
+            if rows is not None:
+                g = _scatter_rows((a.shape[0], b.shape[0]), rows, g)
             if b.requires_grad:
                 b.accumulate_grad(g.T @ a.data)
             if bias is not None and bias.requires_grad:
@@ -313,6 +328,24 @@ def reshape(a: Tensor, *shape) -> Tensor:
     return _make("reshape", a.data.reshape(shape), (a,), bwd)
 
 
+def _check_rows(op: str, idx: np.ndarray, n: int) -> None:
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"{op} index out of range")
+
+
+def _scatter_rows(shape: tuple, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Zeros of `shape` with g's rows summed into rows idx (ravelled)."""
+    dense = np.zeros(shape, g.dtype)
+    flat = idx.ravel()
+    if np.all(flat[1:] > flat[:-1]):
+        # Unique rows (e.g. sorted masked positions): a plain
+        # fancy-index add; 0.0 + g keeps add.at's bits.
+        dense[flat] += g
+    else:
+        np.add.at(dense, flat, g)
+    return dense
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows of a 2-D tensor: out[i] = a[idx[i]].
 
@@ -321,22 +354,13 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx)
     if a.data.ndim != 2:
         raise ContractError("gather_rows expects a 2-D tensor")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError("gather_rows index out of range")
+    _check_rows("gather_rows", idx, a.shape[0])
 
     def bwd(out):
         def fn():
             g = out.grad.reshape(-1, a.shape[1])
             if a.grad is None:
-                dense = np.zeros_like(a.data)
-                flat = idx.ravel()
-                if np.all(flat[1:] > flat[:-1]):
-                    # Unique rows (e.g. sorted masked positions): a plain
-                    # fancy-index add; 0.0 + g keeps add.at's bits.
-                    dense[flat] += g
-                else:
-                    np.add.at(dense, flat, g)
-                a.accumulate_grad(dense)
+                a.accumulate_grad(_scatter_rows(a.shape, idx, g))
             else:
                 # Sum each looked-up row's contributions in lookup order,
                 # as the dense scatter would, and add only those rows
@@ -583,42 +607,3 @@ def truncated_normal(shape, std: float, rng: np.random.Generator, dtype=np.float
         flat[bad] = redraw
         bad = bad[np.abs(redraw) > 2.0 * std]
     return out
-
-
-def finite_diff_check(
-    f: Callable[[], Tensor],
-    params: Iterable[Tensor],
-    h: float = 1e-4,
-    rel_floor: float = 1e-3,
-) -> float:
-    """Max relative error between backward() and central finite differences.
-
-    f rebuilds the scalar loss from the current .data of params and must
-    be deterministic. The relative error denominator is clamped at
-    rel_floor so finite-difference noise on near-zero gradients does not
-    dominate the report.
-    """
-    params = list(params)
-    with Tape() as tape:
-        loss = f()
-        tape.backward(loss)
-    analytic = [np.array(p.grad, copy=True) if p.grad is not None else np.zeros_like(p.data)
-                for p in params]
-    for p in params:
-        p.zero_grad()
-
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        a_flat = a.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            up = f().item()
-            flat[i] = keep - h
-            down = f().item()
-            flat[i] = keep
-            numeric = (up - down) / (2.0 * h)
-            denom = max(abs(a_flat[i]), abs(numeric), rel_floor)
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
-    return worst

@@ -12,18 +12,22 @@ into `cramlab.model`.
 whole-array forms of the passes that now stream parameters through
 cache-sized blocks; the streamed versions are checked against them byte
 for byte.
+
+`finite_diff_check` is the float64 gradient oracle the op and block
+tests are built on.
 """
 
 import math
 import os
 import zlib
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from cramlab import checkpoint, tensor
 from cramlab.tensor import (
-    Tensor, _check_dtypes, _make, add, gelu, matmul, mul, reshape, softmax,
+    Tape, Tensor, _check_dtypes, _make, add, gather_rows, gelu, matmul, mul, reshape,
+    softmax,
 )
 
 
@@ -113,8 +117,11 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
     return reshape(permute(ctx, (0, 2, 1, 3)), (rows, d))
 
 
-def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """a @ b.T as its own op, then the bias as a separate add."""
+def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None, rows=None) -> Tensor:
+    """The rows gathered first, a @ b.T as its own op, then the bias as a
+    separate add."""
+    if rows is not None:
+        a = gather_rows(a, rows)
     out = tensor.matmul_t(a, b)
     return out if bias is None else add(out, bias)
 
@@ -175,3 +182,42 @@ def save_checkpoint(path, arrays, config=None) -> None:
         fh.write(blob)
     os.replace(checkpoint.blob_path(path) + ".tmp", checkpoint.blob_path(path))
     os.replace(path + ".tmp", path)
+
+
+def finite_diff_check(
+    f: Callable[[], Tensor],
+    params: Iterable[Tensor],
+    h: float = 1e-4,
+    rel_floor: float = 1e-3,
+) -> float:
+    """Max relative error between backward() and central finite differences.
+
+    f rebuilds the scalar loss from the current .data of params and must
+    be deterministic. The relative error denominator is clamped at
+    rel_floor so finite-difference noise on near-zero gradients does not
+    dominate the report.
+    """
+    params = list(params)
+    with Tape() as tape:
+        loss = f()
+        tape.backward(loss)
+    analytic = [np.array(p.grad, copy=True) if p.grad is not None else np.zeros_like(p.data)
+                for p in params]
+    for p in params:
+        p.zero_grad()
+
+    worst = 0.0
+    for p, a in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        a_flat = a.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + h
+            up = f().item()
+            flat[i] = keep - h
+            down = f().item()
+            flat[i] = keep
+            numeric = (up - down) / (2.0 * h)
+            denom = max(abs(a_flat[i]), abs(numeric), rel_floor)
+            worst = max(worst, abs(a_flat[i] - numeric) / denom)
+    return worst

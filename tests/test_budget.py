@@ -165,6 +165,7 @@ def _train_config(preset: str, **model) -> RunConfig:
     ("minimal_arch", {}),
     ("original_arch", {}),
     ("original_train", {}),
+    ("original_arch", {"hidden_dim": 128, "vocab_size": 8192, "seq_len": 128}),
 ])
 def test_memory_estimate_bounds_traced_training_peak(preset, model):
     # Two steps of two accumulated micro-batches each take every

@@ -17,7 +17,7 @@ from cramlab.model import (
     Model, ModelConfig, attention, build, ffn, param_count, param_layout,
     rotary_tables, sinusoidal_table,
 )
-from cramlab.tensor import Tensor, finite_diff_check, mul, tsum
+from cramlab.tensor import Tensor, mul, tsum
 
 
 def small_config(**kw) -> ModelConfig:
@@ -231,7 +231,7 @@ def _block_oracle(block, weights, **kw):
     x = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
     k = Tensor(rng.normal(size=(2, 4, 8)))
     wrt = [model.params[f"l0_{w}"] for w in weights if f"l0_{w}" in model.params]
-    return finite_diff_check(lambda: tsum(mul(block(x, model, cfg), k)), [x, *wrt])
+    return composed_ops.finite_diff_check(lambda: tsum(mul(block(x, model, cfg), k)), [x, *wrt])
 
 
 def _attention(x, model, cfg):
