@@ -37,7 +37,8 @@ from .config import PRESETS, RunConfig, load_run_config, split_assignment
 from .corpus import curate, save_dataset
 from .errors import AnalysisError, ConfigurationError, ContractError
 from .harness import (
-    CONFIG_NAME, emit_report, finetune_seeds, read_entries, run_ablation, run_pretrain, write_svg,
+    CONFIG_NAME, CURVE_NAME, emit_report, finetune_seeds, read_entries, run_ablation,
+    run_pretrain, write_svg,
 )
 from .scaling import estimate_shift, fit_power_law
 from .tokenizer import Vocab, WordPieceModel, train_wordpiece
@@ -169,7 +170,7 @@ def cmd_report(args) -> int:
             fh.write(text)
     print(text, end="")
     if args.svg:
-        path = os.path.join(args.run_dir, "curve.csv")
+        path = os.path.join(args.run_dir, CURVE_NAME)
         curve = LossCurve.from_csv(path)
         write_svg(args.svg, {"loss": _chart_series(curve, path)})
         print(f"wrote chart -> {args.svg}")

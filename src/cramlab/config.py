@@ -8,7 +8,8 @@ and the minimal-modification variants) plus a vocabulary sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields, make_dataclass
+from typing import get_type_hints
 
 from .budget import Budget
 from .corpus import PipelineConfig
@@ -27,45 +28,42 @@ class TokenizerSection:
     max_chars_per_word: int = 100
 
 
+# A train.* key is the trainer config field's own name, except these
+# two; ScheduleConfig.total_steps is set from the budget at run time.
+_TRAIN_KEYS = {"kind": "schedule_kind", "rate": "mask_rate"}
+_TRAIN_PARTS = (ScheduleConfig, BatchRampConfig, OptimizerConfig, MaskingConfig)
+
+
+def _train_fields(part) -> list[tuple[Field, str]]:
+    return [(f, _TRAIN_KEYS.get(f.name, f.name)) for f in fields(part) if f.name != "total_steps"]
+
+
+_TrainFields = make_dataclass("_TrainFields", [
+    (key, get_type_hints(part)[f.name], f.default)
+    for part in _TRAIN_PARTS for f, key in _train_fields(part)])
+
+
 @dataclass
-class TrainSection:
-    schedule_kind: str = "one_cycle"
-    peak_lr: float = 1e-3
-    peak_fraction: float = 0.5
-    micro_batch: int = 128
-    final_batch: int = 4096
-    ramp_end_fraction: float = 0.6
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-12
-    weight_decay: float = 0.01
-    clip_norm: float | None = 0.5
-    mask_rate: float = 0.15
-    p_mask: float = 0.8
-    p_random: float = 0.1
-    p_keep: float = 0.1
+class TrainSection(_TrainFields):
+    """The fields of the _TRAIN_PARTS, as declared there, then the budget and the seed."""
     budget_steps: int | None = None
     budget_hours: float | None = None
     seed: int = 0
 
+    def _build(self, part, **runtime):
+        return part(**{f.name: getattr(self, key) for f, key in _train_fields(part)}, **runtime)
+
     def schedule(self, total_steps: int = 0) -> ScheduleConfig:
-        return ScheduleConfig(kind=self.schedule_kind, peak_lr=self.peak_lr,
-                              peak_fraction=self.peak_fraction,
-                              total_steps=total_steps)
+        return self._build(ScheduleConfig, total_steps=total_steps)
 
     def ramp(self) -> BatchRampConfig:
-        return BatchRampConfig(micro_batch=self.micro_batch,
-                               final_batch=self.final_batch,
-                               ramp_end_fraction=self.ramp_end_fraction)
+        return self._build(BatchRampConfig)
 
     def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-                               weight_decay=self.weight_decay,
-                               clip_norm=self.clip_norm)
+        return self._build(OptimizerConfig)
 
     def masking(self) -> MaskingConfig:
-        return MaskingConfig(rate=self.mask_rate, p_mask=self.p_mask,
-                             p_random=self.p_random, p_keep=self.p_keep)
+        return self._build(MaskingConfig)
 
     def budget(self) -> Budget:
         if (self.budget_steps is None) == (self.budget_hours is None):
@@ -92,13 +90,7 @@ class RunConfig:
     report: ReportSection = field(default_factory=ReportSection)
 
     def sections(self) -> dict[str, object]:
-        return {
-            "tokenizer": self.tokenizer,
-            "pipeline": self.pipeline,
-            "model": self.model,
-            "train": self.train,
-            "report": self.report,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set(self, dotted_key: str, value: str) -> None:
         section_name, _, key = dotted_key.partition(".")
@@ -110,9 +102,10 @@ class RunConfig:
     def validate(self) -> None:
         self.pipeline.validate()
         self.model.validate()
-        for section in (self.train.schedule(), self.train.ramp(),
-                        self.train.optimizer(), self.train.masking()):
-            section.validate()
+        for part in _TRAIN_PARTS:
+            self.train._build(part).validate()
+        if self.train.seed < 0:
+            raise ConfigurationError("train.seed must be nonnegative")
         if self.report.curve_interval < 1:
             raise ConfigurationError("report.curve_interval must be positive")
         if self.tokenizer.vocab_size != self.model.vocab_size:

@@ -65,6 +65,8 @@ class PipelineConfig:
             raise ConfigurationError("dedup_min_len must be at least 2")
         if self.seq_len < 2:
             raise ConfigurationError("seq_len must be at least 2")
+        if self.shuffle_seed < 0:
+            raise ConfigurationError("shuffle_seed must be nonnegative")
 
 
 @dataclass

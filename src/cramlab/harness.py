@@ -213,9 +213,11 @@ def run_ablation(
     """Run one pretraining per row, all sharing the base seed and
     budget. Rows that abort are marked failed; the rest still run.
 
-    Row overrides are applied and validated up front so a typo in the
-    last row cannot waste the earlier runs.
+    Row overrides and the seed count are validated up front so a typo
+    cannot waste the earlier runs.
     """
+    if task_path is not None:
+        _require_seeds(task_seeds)
     configs: list[tuple[str, RunConfig]] = []
     for name, overrides in rows:
         cfg = parse_run_config(render_run_config(base))
@@ -250,6 +252,11 @@ def _slug(name: str) -> str:
     return "".join(c if c.isalnum() else "-" for c in name.lower()).strip("-")
 
 
+def _require_seeds(seeds: int) -> None:
+    if seeds < 1:
+        raise ConfigurationError(f"need at least one finetune seed, got {seeds}")
+
+
 def finetune_seeds(
     checkpoint_path: str,
     vocab_path: str,
@@ -263,6 +270,7 @@ def finetune_seeds(
 ) -> list[FinetuneMetrics]:
     """Finetune a fresh load of the checkpoint once for each seed in
     range(seeds); eval_path defaults to the training task."""
+    _require_seeds(seeds)
     examples = load_task(task_path)
     eval_examples = load_task(eval_path) if eval_path else None
     wp = WordPieceModel(Vocab.load(vocab_path), max_chars_per_word)

@@ -243,26 +243,20 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 2-D, or batched with identical leading dims."""
+    """a @ b for 2-D operands."""
     _check_dtypes("matmul", a, b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ContractError("matmul requires at least 2-D operands")
-    if a.shape[-1] != b.shape[-2]:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ContractError("matmul expects 2-D operands")
+    if a.shape[1] != b.shape[0]:
         raise ContractError(f"matmul inner dims {a.shape} @ {b.shape}")
-    if a.data.ndim != b.data.ndim and b.data.ndim != 2:
-        raise ContractError("matmul batch ranks differ")
-    if a.data.ndim == b.data.ndim and a.shape[:-2] != b.shape[:-2]:
-        raise ContractError("matmul batch dims differ")
 
     def bwd(out):
         def fn():
             g = out.grad
             if a.requires_grad:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                a.accumulate_grad(_unbroadcast(ga, a.shape))
+                a.accumulate_grad(g @ b.data.T)
             if b.requires_grad:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                b.accumulate_grad(_unbroadcast(gb, b.shape))
+                b.accumulate_grad(a.data.T @ g)
         return fn
 
     return _make("matmul", a.data @ b.data, (a, b), bwd)

@@ -366,7 +366,6 @@ class PretrainResult:
     curve: LossCurve
     steps: int
     tokens: int
-    samples: int
     aborted: bool = False
     abort_reason: str | None = None
 
@@ -388,8 +387,8 @@ def pretrain(
     optimizer: OptimizerConfig,
     masking: MaskingConfig,
     budget: Budget,
-    seed: int = 0,
-    curve_interval: int = 50,
+    seed: int,
+    curve_interval: int,
     checkpoint_path: str | None = None,
 ) -> PretrainResult:
     """Run the pretraining loop until the budget or the data runs out.
@@ -425,7 +424,6 @@ def pretrain(
     cursor = 0
     step = 0
     tokens = 0
-    samples = 0
     aborted = False
     abort_reason = None
 
@@ -461,7 +459,7 @@ def pretrain(
         step0_loss = masked_loss(seqs[:ramp.micro_batch], eval_rng).item()
         curve.append(CurvePoint(0, 0, 0.0, step0_loss, curve_seconds()))
     last_good = model.snapshot()
-    last_good_state = (0, 0, 0)
+    last_good_state = (0, 0)
 
     # Steps run with the per-op guard off: the step-loss check and
     # clip_gradients' norm catch a non-finite value once per step, and
@@ -499,7 +497,6 @@ def pretrain(
                 tokens += rows.size
             if not math.isfinite(step_loss):
                 raise FloatingPointError("non-finite training loss")
-            samples += acc * ramp.micro_batch
             clip_gradients(
                 (p.grad for p in model.params.values()), optimizer.clip_norm
             )
@@ -510,7 +507,7 @@ def pretrain(
                 curve.append(CurvePoint(step, tokens, lr, step_loss, curve_seconds()))
                 for name, p in model.params.items():
                     np.copyto(last_good[name], p.data)
-                last_good_state = (step, tokens, samples)
+                last_good_state = (step, tokens)
             last_loss = step_loss
             last_lr = lr
     except FloatingPointError as exc:
@@ -520,7 +517,7 @@ def pretrain(
         model.restore(last_good)
         aborted = True
         abort_reason = f"{reason} at step {step + 1}"
-        step, tokens, samples = last_good_state
+        step, tokens = last_good_state
     else:
         if step > 0 and step % curve_interval != 0:
             curve.append(CurvePoint(step, tokens, last_lr, last_loss, curve_seconds()))
@@ -534,7 +531,6 @@ def pretrain(
         curve=curve,
         steps=step,
         tokens=tokens,
-        samples=samples,
         aborted=aborted,
         abort_reason=abort_reason,
     )

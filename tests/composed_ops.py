@@ -1,9 +1,9 @@
 """Reference versions of the fused ops, composed from generic tape ops.
 
-`slice_last`, `concat_last`, `permute` and `scale` are the generic ops
-the model used before `glu_gelu` and `attend` were fused; they live on
-here only to build the references the fused ops are checked against,
-bit for bit in float32. `rotary` is the position rotation `attend`
+`slice_last`, `concat_last`, `permute`, `scale` and the batched
+`matmul` are the generic ops the model used before `glu_gelu` and
+`attend` were fused; they live on here only to build the references the
+fused ops are checked against, bit for bit in float32. `rotary` is the position rotation `attend`
 applies to q and k, composed the same way. `glu_gelu`, `attend` and
 `matmul_t` share the fused ops' signatures so tests can monkeypatch them
 into `cramlab.model`.
@@ -25,8 +25,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from cramlab import checkpoint, tensor
+from cramlab.errors import ContractError
 from cramlab.tensor import (
-    Tape, Tensor, _check_dtypes, _make, add, gather_rows, gelu, matmul, mul, reshape,
+    Tape, Tensor, _check_dtypes, _make, _unbroadcast, add, gather_rows, gelu, mul, reshape,
     softmax,
 )
 
@@ -78,6 +79,32 @@ def scale(a: Tensor, s: float) -> Tensor:
         return fn
 
     return _make("scale", a.data * np.asarray(s, dtype=a.dtype), (a,), bwd)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product; 2-D, or batched with identical leading dims."""
+    _check_dtypes("matmul", a, b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ContractError("matmul requires at least 2-D operands")
+    if a.shape[-1] != b.shape[-2]:
+        raise ContractError(f"matmul inner dims {a.shape} @ {b.shape}")
+    if a.data.ndim != b.data.ndim and b.data.ndim != 2:
+        raise ContractError("matmul batch ranks differ")
+    if a.data.ndim == b.data.ndim and a.shape[:-2] != b.shape[:-2]:
+        raise ContractError("matmul batch dims differ")
+
+    def bwd(out):
+        def fn():
+            g = out.grad
+            if a.requires_grad:
+                ga = g @ np.swapaxes(b.data, -1, -2)
+                a.accumulate_grad(_unbroadcast(ga, a.shape))
+            if b.requires_grad:
+                gb = np.swapaxes(a.data, -1, -2) @ g
+                b.accumulate_grad(_unbroadcast(gb, b.shape))
+        return fn
+
+    return _make("matmul", a.data @ b.data, (a, b), bwd)
 
 
 def glu_gelu(h: Tensor) -> Tensor:

@@ -183,7 +183,7 @@ def test_memory_estimate_bounds_traced_training_peak(preset, model):
         start = tracemalloc.get_traced_memory()[0]
         pretrain(build(m, seed=0), ds, schedule=cfg.train.schedule(), ramp=cfg.train.ramp(),
                  optimizer=cfg.train.optimizer(), masking=cfg.train.masking(),
-                 budget=cfg.train.budget(), curve_interval=1)
+                 budget=cfg.train.budget(), seed=cfg.train.seed, curve_interval=1)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

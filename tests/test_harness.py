@@ -8,6 +8,7 @@ experiments would.
 """
 
 import dataclasses
+import hashlib
 import importlib
 import os
 import shutil
@@ -21,8 +22,8 @@ from conftest import make_lexicon, make_sentences
 from cramlab import checkpoint as ckpt
 from cramlab import cli, harness
 from cramlab.config import (
-    PRESETS, RunConfig, TokenizerSection, apply_overrides, config_diff, parse_run_config,
-    render_run_config,
+    PRESETS, RunConfig, TokenizerSection, TrainSection, apply_overrides, config_diff,
+    parse_run_config, render_run_config,
 )
 from cramlab.errors import AnalysisError, ConfigurationError
 from cramlab.harness import (
@@ -30,6 +31,7 @@ from cramlab.harness import (
     run_ablation, run_pretrain, write_svg,
 )
 from cramlab.model import Model
+from cramlab.serde import render_scalar
 from cramlab.trainer import CurvePoint, FinetuneProtocol, LossCurve, encode_task_batch
 
 
@@ -167,6 +169,49 @@ def test_render_parse_round_trip():
     again = parse_run_config(render_run_config(cfg))
     assert config_diff(cfg, again) == {}
     assert render_run_config(again) == render_run_config(cfg)
+
+
+def test_rendered_defaults_and_presets_keep_their_bytes():
+    # Older config.txt files and checkpoint manifests hold these bytes:
+    # every PRESETS entry rendered over the defaults, joined in dict order.
+    texts = [render_run_config(apply_overrides(RunConfig(), overrides))
+             for overrides in PRESETS.values()]
+    assert render_run_config(RunConfig()) == texts[list(PRESETS).index("crammed")]
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "1594ec6eb4e51b63bead535afad2e318416836b7c6bd30aa5f4652479d01df5e")
+
+
+def test_every_train_key_reaches_its_trainer_config_field():
+    # train.* key -> (TrainSection builder, trainer config field, a value
+    # other than the default)
+    routes = {
+        "schedule_kind": ("schedule", "kind", "cosine_decay"),
+        "peak_lr": ("schedule", "peak_lr", "0.002"),
+        "peak_fraction": ("schedule", "peak_fraction", "0.3"),
+        "micro_batch": ("ramp", "micro_batch", "16"),
+        "final_batch": ("ramp", "final_batch", "64"),
+        "ramp_end_fraction": ("ramp", "ramp_end_fraction", "0.25"),
+        "beta1": ("optimizer", "beta1", "0.8"),
+        "beta2": ("optimizer", "beta2", "0.999"),
+        "eps": ("optimizer", "eps", "1e-06"),
+        "weight_decay": ("optimizer", "weight_decay", "0.05"),
+        "clip_norm": ("optimizer", "clip_norm", "none"),
+        "mask_rate": ("masking", "rate", "0.2"),
+        "p_mask": ("masking", "p_mask", "0.7"),
+        "p_random": ("masking", "p_random", "0.2"),
+        "p_keep": ("masking", "p_keep", "0.05"),
+    }
+    assert set(routes) | {"budget_steps", "budget_hours", "seed"} == {
+        f.name for f in dataclasses.fields(TrainSection)}
+    for key, (builder, name, text) in routes.items():
+        cfg = RunConfig()
+        cfg.set(f"train.{key}", text)
+        built = getattr(cfg.train, builder)()
+        default = getattr(RunConfig().train, builder)()
+        assert render_scalar(getattr(built, name)) == text
+        assert render_scalar(getattr(default, name)) != text
+        assert built == dataclasses.replace(default, **{name: getattr(built, name)})
+    assert RunConfig().train.schedule(7).total_steps == 7
 
 
 def test_config_diff_names_changed_keys():
@@ -515,6 +560,8 @@ def test_ablation_validates_every_row_before_running(corpus_path, tmp_path):
         ({"train.micro_batch": "0"}, "micro_batch"),
         ({"train.beta1": "1.0"}, "betas"),
         ({"train.p_mask": "0.5"}, "p_mask"),
+        ({"train.seed": "-1"}, "train.seed"),
+        ({"pipeline.shuffle_seed": "-1"}, "shuffle_seed"),
     ]
     for overrides, message in bad_rows:
         rows = [("fine", {}), ("bad", overrides)]
@@ -682,6 +729,21 @@ def test_cli_finetune(finished_run, prepared, task_path, capsys):
     out = capsys.readouterr().out
     assert "median accuracy" in out
     assert "matthews" in out
+
+
+def test_cli_zero_finetune_seeds_is_a_configuration_error(
+        finished_run, prepared, corpus_path, task_path, tmp_path, capsys):
+    _, art, _ = finished_run
+    assert cli.main(["finetune", "--checkpoint", art.checkpoint_path,
+                     "--vocab", prepared.vocab_path, "--task", task_path,
+                     "--seeds", "0"]) == 1
+    assert "configuration error:" in capsys.readouterr().err
+    # ablate rejects it before pretraining any row
+    workdir = str(tmp_path / "ablate")
+    assert cli.main(["ablate", "--input", corpus_path, "--workdir", workdir,
+                     "--presets", "crammed", "--task", task_path, "--seeds", "0"]) == 1
+    assert "configuration error:" in capsys.readouterr().err
+    assert not os.path.exists(workdir)
 
 
 def test_cli_finetune_encodes_with_the_runs_max_chars_per_word(

@@ -74,6 +74,17 @@ def test_matmul_frozen_example():
     np.testing.assert_array_equal(matmul(a, b).data, [[3.0], [7.0]])
 
 
+def test_matmul_takes_2d_operands_only():
+    rng = np.random.default_rng(0)
+    a2, b2 = Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=(5, 3)))
+    a3, b3 = Tensor(rng.normal(size=(2, 4, 5))), Tensor(rng.normal(size=(2, 5, 3)))
+    for a, b in ((a3, b2), (a2, b3), (a3, b3)):
+        with pytest.raises(ContractError, match="2-D"):
+            matmul(a, b)
+    with pytest.raises(ContractError, match="inner dims"):
+        matmul(b2, b2)
+
+
 def test_matmul_grad_closed_form():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
@@ -520,7 +531,7 @@ def test_fd_batched_matmul():
     a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(2, 3, 5, 2)), requires_grad=True)
     k = Tensor(rng.normal(size=(2, 3, 4, 2)))
-    _fd(lambda: tsum(mul(matmul(a, b), k)), [a, b], 1e-6)
+    _fd(lambda: tsum(mul(composed_ops.matmul(a, b), k)), [a, b], 1e-6)
 
 
 def test_fd_shape_ops():

@@ -488,8 +488,7 @@ def test_pretrain_conserves_planned_samples():
     sched = ScheduleConfig(total_steps=12)
     ramp = BatchRampConfig(micro_batch=8, final_batch=32, ramp_end_fraction=0.5)
     res = run_small(model, data, total_steps=12, final=32)
-    assert res.samples == planned_samples(sched, ramp) == 312
-    assert res.tokens == 312 * 16
+    assert res.tokens == planned_samples(sched, ramp) * 16 == 312 * 16
 
 
 def test_pretrain_single_epoch_stops_when_data_runs_out():
@@ -498,7 +497,7 @@ def test_pretrain_single_epoch_stops_when_data_runs_out():
     res = run_small(model, data, total_steps=100, interval=3)
     assert res.steps == 5  # 40 rows / micro 8, never revisited
     assert res.curve.points[-1].step == 5
-    assert res.samples == 40
+    assert res.tokens == 40 * 16
 
 
 def test_pretrain_is_deterministic_bit_for_bit(tmp_path):
@@ -648,7 +647,7 @@ def test_pretrain_wallclock_mode_records_elapsed_seconds():
     elapsed = time.monotonic() - start
     assert res.steps > 0
     assert res.curve.points[-1].seconds > 0.0
-    assert elapsed >= 1.0 or res.samples == data.sequence_count
+    assert elapsed >= 1.0 or res.tokens == data.token_count
 
 
 # ---------------------------------------------------------------------------
