@@ -96,9 +96,8 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
     rows = masked if config.sparse_prediction else S
     head = rows * d * (config.sparse_prediction + (5 + config.linear_bias) * config.nonlinear_head)
     # Only masked rows are decoded: their logits, then the loss's shifted
-    # copy and exponentials. Dense prediction's decoder backward also
-    # zero-pads the logits gradient to every position for the table.
-    head += 3 * masked * V + (not config.sparse_prediction) * S * V
+    # copy and exponentials.
+    head += 3 * masked * V
     # The backward pass of the top block runs while its inputs still
     # live: a few gradient buffers of FFN and attention-score width.
     backward = 2 * S * f + 2 * H * S * S

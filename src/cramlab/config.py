@@ -8,6 +8,7 @@ and the minimal-modification variants) plus a vocabulary sweep.
 
 from __future__ import annotations
 
+import re
 from dataclasses import Field, dataclass, field, fields, make_dataclass
 from typing import get_type_hints
 
@@ -126,9 +127,14 @@ def parse_run_config(text: str) -> RunConfig:
     return cfg
 
 
+# A `#` at the start of a line or after whitespace starts a comment; one
+# inside a value (a path like corpus#1.txt) is kept.
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def apply_config_text(cfg: RunConfig, text: str) -> RunConfig:
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if line:
             cfg.set(*split_assignment(line, f"line {lineno}"))
     return cfg

@@ -43,6 +43,15 @@ STATS_NAME = "dataset-stats.txt"
 REPORT_NAME = "report.txt"
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Write text to a temporary file, then rename it over path, so a
+    killed process leaves the old file or the new one, never a torn one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def read_entries(path: str) -> list[str]:
     """Raw corpus entries: every non-blank line of the file, or of
     each *.txt file (sorted by name) when path is a directory."""
@@ -106,10 +115,7 @@ def prepare(cfg: RunConfig, input_path: str, workdir: str) -> PreparedData:
 
     wp.vocab.save(out.vocab_path)
     save_dataset(out.data_path, ds)
-    tmp = out.stats_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(report.to_text() + "\n")
-    os.replace(tmp, out.stats_path)
+    write_text_atomic(out.stats_path, report.to_text() + "\n")
     return out
 
 
@@ -165,12 +171,9 @@ def run_pretrain(
 
     os.makedirs(run_dir, exist_ok=True)
     art = _artifacts(run_dir)
-    with open(art.config_path, "w", encoding="utf-8") as fh:
-        fh.write(render_run_config(cfg))
+    write_text_atomic(art.config_path, render_run_config(cfg))
     with open(data.stats_path, encoding="utf-8") as fh:
-        stats_text = fh.read()
-    with open(art.stats_path, "w", encoding="utf-8") as fh:
-        fh.write(stats_text)
+        write_text_atomic(art.stats_path, fh.read())
 
     model = build(cfg.model, seed=cfg.train.seed)
     result = pretrain(
@@ -185,9 +188,8 @@ def run_pretrain(
         curve_interval=cfg.report.curve_interval,
         checkpoint_path=art.checkpoint_path,
     )
-    result.curve.to_csv(art.curve_path)
-    with open(art.report_path, "w", encoding="utf-8") as fh:
-        fh.write(emit_report(run_dir, device_name=cfg.report.device))
+    write_text_atomic(art.curve_path, result.curve.to_csv_text())
+    write_text_atomic(art.report_path, emit_report(run_dir, device_name=cfg.report.device))
     return art, result
 
 
@@ -462,7 +464,4 @@ def write_svg(path: str, series: dict[str, tuple[np.ndarray, np.ndarray]],
                      f'text-anchor="end" font-size="12" fill="{color}">'
                      f'{name}</text>')
     parts.append("</svg>")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-    os.replace(tmp, path)
+    write_text_atomic(path, "\n".join(parts) + "\n")

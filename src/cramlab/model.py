@@ -4,8 +4,9 @@ Defaults describe the crammed variant: pre-norm residual blocks, gated
 linear unit FFN, scaled sinusoidal positions, no biases anywhere, tied
 embedding/decoder weights, layer norm after the embedding and at the
 end of the stack, and the head applied only at masked positions
-(sparse prediction). With sparse_prediction off, the head runs on every
-position and the decoder still computes logits only for the masked rows.
+(sparse prediction). Either way the decoder computes logits only for
+the masked rows: sparse prediction gathers them before the head, dense
+prediction runs the head on every position and gathers them after it.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ class Model:
         hidden = self.encode(ids, key_mask=key_mask, dropout_rate=dropout_rate, rng=rng)
         B, S, d = hidden.shape
         h = reshape(hidden, (B * S, d))
-        rows = None if masked_positions is None else np.asarray(masked_positions)
+        rows = masked_positions
         if rows is not None and cfg.sparse_prediction:
             h, rows = gather_rows(h, rows), None
         if cfg.nonlinear_head:
@@ -292,11 +293,12 @@ class Model:
                 h = add(h, self.params["head_b"])
             h = gelu(h)
             h = self._ln(h, "head_norm")
+        if rows is not None:
+            # Dense prediction: the head ran on every position, but only
+            # the masked rows are decoded.
+            h = gather_rows(h, rows)
         dec = self.params["tok_emb"] if cfg.tie_embeddings else self.params["decoder"]
-        # Under dense prediction rows still holds the masked positions:
-        # the head ran on every position, but only those rows are decoded.
-        return matmul_t(h, dec, self.params["decoder_bias"] if cfg.decoder_bias else None,
-                        rows=rows)
+        return matmul_t(h, dec, self.params["decoder_bias"] if cfg.decoder_bias else None)
 
     # -- persistence ------------------------------------------------------
     def save(self, path: str) -> None:

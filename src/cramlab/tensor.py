@@ -2,9 +2,10 @@
 
 Just enough of an array-autograd layer to express a small transformer
 encoder and its training step on top of numpy. Operations executed while
-a Tape is active record backward closures onto it; Tape.backward replays
-them in reverse exactly once, freeing each op's saved buffers and output
-gradient as it goes, so only leaf tensors hold .grad afterwards.
+a Tape is active record one backward closure each onto it, a function
+of the op output's gradient; Tape.backward replays them in reverse
+exactly once, freeing each op's saved buffers and output gradient as it
+goes, so only leaf tensors hold .grad afterwards.
 
 One rule governs gradient buffers: a backward closure hands
 accumulate_grad a writable buffer that no live tensor's .grad overlaps.
@@ -117,7 +118,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[], None]]] = []
+        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -129,7 +130,7 @@ class Tape:
         if popped is not self:
             raise ContractError("tape stack corrupted")
 
-    def record(self, out: Tensor, backward_fn: Callable[[], None]) -> None:
+    def record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
         self._records.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
@@ -153,7 +154,7 @@ class Tape:
         while records:
             out, fn = records.pop()
             if out.grad is not None:
-                fn()
+                fn(out.grad)
                 out.zero_grad()
 
     def __len__(self) -> int:
@@ -181,14 +182,14 @@ def _check_dtypes(op: str, *ts: Tensor) -> None:
 
 
 def _make(op: str, data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
-    """Wrap an op result; record the backward closure if a tape is live."""
+    """Wrap an op result; record backward_fn(out.grad) if a tape is live."""
     _guard(data, op)
     out = Tensor(data)
     tape = _active_tape()
     needs = any(t.requires_grad for t in inputs)
     if tape is not None and needs:
         out.requires_grad = True
-        tape.record(out, backward_fn(out))
+        tape.record(out, backward_fn)
     return out
 
 
@@ -208,20 +209,18 @@ def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     _check_dtypes("add", a, b)
 
-    def bwd(out):
-        def fn():
-            ga = None
-            if a.requires_grad:
-                ga = _unbroadcast(out.grad, a.shape)
-                a.accumulate_grad(ga)
-            if b.requires_grad:
-                gb = _unbroadcast(out.grad, b.shape)
-                if gb is ga:
-                    # Both sides got out.grad itself, and each will add
-                    # into its .grad in place: the second gets a copy.
-                    gb = gb.copy()
-                b.accumulate_grad(gb)
-        return fn
+    def bwd(g):
+        ga = None
+        if a.requires_grad:
+            ga = _unbroadcast(g, a.shape)
+            a.accumulate_grad(ga)
+        if b.requires_grad:
+            gb = _unbroadcast(g, b.shape)
+            if gb is ga:
+                # Both sides got g itself, and each will add into its
+                # .grad in place: the second gets a copy.
+                gb = gb.copy()
+            b.accumulate_grad(gb)
 
     return _make("add", a.data + b.data, (a, b), bwd)
 
@@ -231,13 +230,11 @@ def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     _check_dtypes("mul", a, b)
 
-    def bwd(out):
-        def fn():
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(out.grad * b.data, a.shape))
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(out.grad * a.data, b.shape))
-        return fn
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
     return _make("mul", a.data * b.data, (a, b), bwd)
 
@@ -250,33 +247,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ContractError(f"matmul inner dims {a.shape} @ {b.shape}")
 
-    def bwd(out):
-        def fn():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate_grad(g @ b.data.T)
-            if b.requires_grad:
-                b.accumulate_grad(a.data.T @ g)
-        return fn
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate_grad(a.data.T @ g)
 
     return _make("matmul", a.data @ b.data, (a, b), bwd)
 
 
-def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None, rows=None) -> Tensor:
+def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b.T (+ bias) for 2-D operands, without materializing the transpose.
 
     The decoder shares storage with the (V, d) embedding table, so the
     tied head is a matmul against its transpose. The optional bias is
     added in place into the fresh product, so the head holds one logits
-    buffer instead of two.
-
-    With `rows`, only those rows of `a` are decoded: out[i] = a[rows[i]]
-    @ b.T (+ bias), so dense prediction computes no logits the loss
-    would drop. a's gradient multiplies only those rows and scatters
-    them back like gather_rows does (repeats sum). b's and the bias's
-    gradients come from the output gradient zero-padded to a's height,
-    which rounds the tied table's gradient exactly as decoding every
-    row would.
+    buffer instead of two. Callers that decode only some rows gather
+    them first (gather_rows), so no logits the loss would drop are
+    computed.
     """
     inputs = (a, b) if bias is None else (a, b, bias)
     _check_dtypes("matmul_t", *inputs)
@@ -284,28 +272,17 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None, rows=None) -> Ten
         raise ContractError("matmul_t expects 2-D operands")
     if a.shape[1] != b.shape[1]:
         raise ContractError(f"matmul_t inner dims {a.shape} @ {b.shape}^T")
-    if rows is not None:
-        rows = np.asarray(rows)
-        if rows.ndim != 1:
-            raise ContractError("matmul_t rows must be 1-D")
-        _check_rows("matmul_t", rows, a.shape[0])
-    data = (a.data if rows is None else a.data[rows]) @ b.data.T
+    data = a.data @ b.data.T
     if bias is not None:
         data += bias.data
 
-    def bwd(out):
-        def fn():
-            g = out.grad
-            if a.requires_grad:
-                ga = g @ b.data
-                a.accumulate_grad(ga if rows is None else _scatter_rows(a.shape, rows, ga))
-            if rows is not None:
-                g = _scatter_rows((a.shape[0], b.shape[0]), rows, g)
-            if b.requires_grad:
-                b.accumulate_grad(g.T @ a.data)
-            if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(_unbroadcast(g, bias.shape))
-        return fn
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(g @ b.data)
+        if b.requires_grad:
+            b.accumulate_grad(g.T @ a.data)
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.shape))
 
     return _make("matmul_t", data, inputs, bwd)
 
@@ -314,56 +291,44 @@ def reshape(a: Tensor, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
 
-    def bwd(out):
-        def fn():
-            a.accumulate_grad(out.grad.reshape(a.shape))
-        return fn
+    def bwd(g):
+        a.accumulate_grad(g.reshape(a.shape))
 
     return _make("reshape", a.data.reshape(shape), (a,), bwd)
-
-
-def _check_rows(op: str, idx: np.ndarray, n: int) -> None:
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"{op} index out of range")
-
-
-def _scatter_rows(shape: tuple, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Zeros of `shape` with g's rows summed into rows idx (ravelled)."""
-    dense = np.zeros(shape, g.dtype)
-    flat = idx.ravel()
-    if np.all(flat[1:] > flat[:-1]):
-        # Unique rows (e.g. sorted masked positions): a plain
-        # fancy-index add; 0.0 + g keeps add.at's bits.
-        dense[flat] += g
-    else:
-        np.add.at(dense, flat, g)
-    return dense
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows of a 2-D tensor: out[i] = a[idx[i]].
 
-    Serves both embedding lookup and sparse masked-position selection.
+    Serves embedding lookup and the masked-row selection before the
+    decoder. Repeated rows sum their gradients.
     """
     idx = np.asarray(idx)
     if a.data.ndim != 2:
         raise ContractError("gather_rows expects a 2-D tensor")
-    _check_rows("gather_rows", idx, a.shape[0])
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise IndexError("gather_rows index out of range")
 
-    def bwd(out):
-        def fn():
-            g = out.grad.reshape(-1, a.shape[1])
-            if a.grad is None:
-                a.accumulate_grad(_scatter_rows(a.shape, idx, g))
+    def bwd(g):
+        g = g.reshape(-1, a.shape[1])
+        flat = idx.ravel()
+        if a.grad is None:
+            dense = np.zeros(a.shape, g.dtype)
+            if np.all(flat[1:] > flat[:-1]):
+                # Unique rows (e.g. sorted masked positions): a plain
+                # fancy-index add; 0.0 + g keeps add.at's bits.
+                dense[flat] += g
             else:
-                # Sum each looked-up row's contributions in lookup order,
-                # as the dense scatter would, and add only those rows
-                # into the existing gradient (e.g. the tied decoder's).
-                uniq, inv = np.unique(idx.ravel(), return_inverse=True)
-                rows = np.zeros((uniq.size, a.shape[1]), a.dtype)
-                np.add.at(rows, inv, g)
-                a.grad[uniq] += rows
-        return fn
+                np.add.at(dense, flat, g)
+            a.accumulate_grad(dense)
+        else:
+            # Sum each looked-up row's contributions in lookup order,
+            # as the dense scatter would, and add only those rows
+            # into the existing gradient (e.g. the tied decoder's).
+            uniq, inv = np.unique(flat, return_inverse=True)
+            rows = np.zeros((uniq.size, a.shape[1]), a.dtype)
+            np.add.at(rows, inv, g)
+            a.grad[uniq] += rows
 
     return _make("gather_rows", a.data[idx], (a,), bwd)
 
@@ -380,19 +345,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
     xhat = centered * inv
 
-    def bwd(out):
-        def fn():
-            g = out.grad
-            if gain.requires_grad:
-                gain.accumulate_grad((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
-            if bias.requires_grad:
-                bias.accumulate_grad(g.reshape(-1, x.shape[-1]).sum(axis=0))
-            if x.requires_grad:
-                gxhat = g * gain.data
-                m1 = gxhat.mean(axis=-1, keepdims=True)
-                m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-                x.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
-        return fn
+    def bwd(g):
+        if gain.requires_grad:
+            gain.accumulate_grad((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
+        if bias.requires_grad:
+            bias.accumulate_grad(g.reshape(-1, x.shape[-1]).sum(axis=0))
+        if x.requires_grad:
+            gxhat = g * gain.data
+            m1 = gxhat.mean(axis=-1, keepdims=True)
+            m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+            x.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
 
     return _make("layer_norm", xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
@@ -402,12 +364,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     y = np.exp(shifted, out=shifted)
     y /= y.sum(axis=axis, keepdims=True)
 
-    def bwd(out):
-        def fn():
-            g = out.grad
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            x.accumulate_grad(y * (g - inner))
-        return fn
+    def bwd(g):
+        inner = (g * y).sum(axis=axis, keepdims=True)
+        x.accumulate_grad(y * (g - inner))
 
     return _make("softmax", y, (x,), bwd)
 
@@ -428,10 +387,8 @@ def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact Gaussian CDF (erf form)."""
     phi_cdf = ndtr(x.data).astype(x.dtype, copy=False)
 
-    def bwd(out):
-        def fn():
-            x.accumulate_grad(_gelu_grad(x.data, phi_cdf, out.grad))
-        return fn
+    def bwd(g):
+        x.accumulate_grad(_gelu_grad(x.data, phi_cdf, g))
 
     return _make("gelu", x.data * phi_cdf, (x,), bwd)
 
@@ -442,12 +399,9 @@ def glu_gelu(h: Tensor) -> Tensor:
     phi_cdf = ndtr(gate).astype(h.dtype, copy=False)
     act = gate * phi_cdf
 
-    def bwd(out):
-        def fn():
-            g = out.grad
-            h.accumulate_grad(np.concatenate(
-                [g * act, _gelu_grad(gate, phi_cdf, g * value)], axis=-1))
-        return fn
+    def bwd(g):
+        h.accumulate_grad(np.concatenate(
+            [g * act, _gelu_grad(gate, phi_cdf, g * value)], axis=-1))
 
     return _make("glu_gelu", value * act, (h,), bwd)
 
@@ -502,22 +456,20 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
 
-    def bwd(out):
-        def fn():
-            g = out.grad.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
-            if v.requires_grad:
-                v.accumulate_grad(merge(np.swapaxes(probs, -1, -2) @ g))
-            # Softmax backward, then the score scale, in place.
-            gs = g @ np.swapaxes(vh, -1, -2)
-            gs -= (gs * probs).sum(axis=-1, keepdims=True)
-            gs *= probs
-            gs *= scale
-            if q.requires_grad:
-                q.accumulate_grad(merge(unrotate(gs @ np.swapaxes(kt, -1, -2))))
-            if k.requires_grad:
-                gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2)
-                k.accumulate_grad(merge(unrotate(gk)))
-        return fn
+    def bwd(g):
+        g = g.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+        if v.requires_grad:
+            v.accumulate_grad(merge(np.swapaxes(probs, -1, -2) @ g))
+        # Softmax backward, then the score scale, in place.
+        gs = g @ np.swapaxes(vh, -1, -2)
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale
+        if q.requires_grad:
+            q.accumulate_grad(merge(unrotate(gs @ np.swapaxes(kt, -1, -2))))
+        if k.requires_grad:
+            gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2)
+            k.accumulate_grad(merge(unrotate(gk)))
 
     return _make("attend", merge(probs @ vh), (q, k, v), bwd)
 
@@ -539,24 +491,20 @@ def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
     log_picked = shifted[rows, labels] - np.log(z[:, 0])
     loss = -log_picked.mean(dtype=logits.dtype)
 
-    def bwd(out):
-        def fn():
-            # The closure runs once per tape, so e can become the gradient.
-            probs = e
-            probs /= z
-            probs[rows, labels] -= 1.0
-            probs *= out.grad / np.asarray(p, dtype=logits.dtype)
-            logits.accumulate_grad(probs)
-        return fn
+    def bwd(g):
+        # The closure runs once per tape, so e can become the gradient.
+        probs = e
+        probs /= z
+        probs[rows, labels] -= 1.0
+        probs *= g / np.asarray(p, dtype=logits.dtype)
+        logits.accumulate_grad(probs)
 
     return _make("cross_entropy", np.asarray(loss, dtype=logits.dtype), (logits,), bwd)
 
 
 def tsum(x: Tensor) -> Tensor:
-    def bwd(out):
-        def fn():
-            x.accumulate_grad(np.broadcast_to(out.grad, x.shape).copy())
-        return fn
+    def bwd(g):
+        x.accumulate_grad(np.broadcast_to(g, x.shape).copy())
 
     return _make("sum", np.asarray(x.data.sum(dtype=x.dtype), dtype=x.dtype), (x,), bwd)
 
@@ -570,10 +518,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     keep = (rng.random(x.shape) >= rate).astype(x.dtype)
     keep /= np.asarray(1.0 - rate, dtype=x.dtype)
 
-    def bwd(out):
-        def fn():
-            x.accumulate_grad(out.grad * keep)
-        return fn
+    def bwd(g):
+        x.accumulate_grad(g * keep)
 
     return _make("dropout", x.data * keep, (x,), bwd)
 

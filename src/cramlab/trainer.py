@@ -160,10 +160,6 @@ class LossCurve:
     def losses(self) -> np.ndarray:
         return np.asarray([p.loss for p in self.points], dtype=np.float64)
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_csv_text())
-
     def to_csv_text(self) -> str:
         lines = ["step,tokens,lr,loss,seconds"]
         for p in self.points:

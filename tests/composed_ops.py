@@ -27,18 +27,15 @@ import numpy as np
 from cramlab import checkpoint, tensor
 from cramlab.errors import ContractError
 from cramlab.tensor import (
-    Tape, Tensor, _check_dtypes, _make, _unbroadcast, add, gather_rows, gelu, mul, reshape,
-    softmax,
+    Tape, Tensor, _check_dtypes, _make, _unbroadcast, add, gelu, mul, reshape, softmax,
 )
 
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    def bwd(out):
-        def fn():
-            g = np.zeros_like(a.data)
-            g[..., start:stop] = out.grad
-            a.accumulate_grad(g)
-        return fn
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        ga[..., start:stop] = g
+        a.accumulate_grad(ga)
 
     return _make("slice_last", np.ascontiguousarray(a.data[..., start:stop]), (a,), bwd)
 
@@ -47,13 +44,11 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes("concat_last", a, b)
     na = a.shape[-1]
 
-    def bwd(out):
-        def fn():
-            if a.requires_grad:
-                a.accumulate_grad(out.grad[..., :na])
-            if b.requires_grad:
-                b.accumulate_grad(out.grad[..., na:])
-        return fn
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(g[..., :na])
+        if b.requires_grad:
+            b.accumulate_grad(g[..., na:])
 
     return _make("concat_last", np.concatenate([a.data, b.data], axis=-1), (a, b), bwd)
 
@@ -62,10 +57,8 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
 
-    def bwd(out):
-        def fn():
-            a.accumulate_grad(out.grad.transpose(inverse))
-        return fn
+    def bwd(g):
+        a.accumulate_grad(g.transpose(inverse))
 
     return _make("permute", np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
 
@@ -73,10 +66,8 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
 
-    def bwd(out):
-        def fn():
-            a.accumulate_grad(out.grad * np.asarray(s, dtype=a.dtype))
-        return fn
+    def bwd(g):
+        a.accumulate_grad(g * np.asarray(s, dtype=a.dtype))
 
     return _make("scale", a.data * np.asarray(s, dtype=a.dtype), (a,), bwd)
 
@@ -93,16 +84,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim == b.data.ndim and a.shape[:-2] != b.shape[:-2]:
         raise ContractError("matmul batch dims differ")
 
-    def bwd(out):
-        def fn():
-            g = out.grad
-            if a.requires_grad:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                a.accumulate_grad(_unbroadcast(ga, a.shape))
-            if b.requires_grad:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                b.accumulate_grad(_unbroadcast(gb, b.shape))
-        return fn
+    def bwd(g):
+        if a.requires_grad:
+            ga = g @ np.swapaxes(b.data, -1, -2)
+            a.accumulate_grad(_unbroadcast(ga, a.shape))
+        if b.requires_grad:
+            gb = np.swapaxes(a.data, -1, -2) @ g
+            b.accumulate_grad(_unbroadcast(gb, b.shape))
 
     return _make("matmul", a.data @ b.data, (a, b), bwd)
 
@@ -144,11 +132,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
     return reshape(permute(ctx, (0, 2, 1, 3)), (rows, d))
 
 
-def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None, rows=None) -> Tensor:
-    """The rows gathered first, a @ b.T as its own op, then the bias as a
-    separate add."""
-    if rows is not None:
-        a = gather_rows(a, rows)
+def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b.T as its own op, then the bias as a separate add."""
     out = tensor.matmul_t(a, b)
     return out if bias is None else add(out, bias)
 

@@ -27,8 +27,9 @@ from cramlab.config import (
 )
 from cramlab.errors import AnalysisError, ConfigurationError
 from cramlab.harness import (
-    data_key, emit_report, finetune_seeds, prepare, read_entries, render_ablation_table,
-    run_ablation, run_pretrain, write_svg,
+    CONFIG_NAME, CURVE_NAME, REPORT_NAME, STATS_NAME, data_key, emit_report, finetune_seeds,
+    prepare, read_entries, render_ablation_table, run_ablation, run_pretrain, write_svg,
+    write_text_atomic,
 )
 from cramlab.model import Model
 from cramlab.serde import render_scalar
@@ -127,6 +128,15 @@ def test_parse_sets_values_and_ignores_comments():
     assert cfg.model.hidden_dim == 256
     assert cfg.pipeline.sort is False
     assert cfg.pipeline.t is None
+
+
+def test_hash_inside_a_value_survives_render_and_parse():
+    cfg = RunConfig()
+    cfg.tokenizer.input = "/data/corpus#1.txt"
+    again = parse_run_config(render_run_config(cfg))
+    assert again.tokenizer.input == "/data/corpus#1.txt"
+    trailing = parse_run_config("tokenizer.input = a#b.txt\t# where the corpus lives\n")
+    assert trailing.tokenizer.input == "a#b.txt"
 
 
 def test_bool_parsing_accepts_common_spellings():
@@ -357,6 +367,53 @@ def test_run_checkpoint_is_loadable(finished_run):
     assert model.config.hidden_dim == 32
 
 
+class _Killed(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("name", [CONFIG_NAME, STATS_NAME, CURVE_NAME, REPORT_NAME])
+def test_run_killed_mid_write_keeps_the_previous_file_whole(prepared, tmp_path, monkeypatch,
+                                                             name):
+    # A rerun into the same directory dies halfway through writing one
+    # text file; the file must still hold the first run's bytes.
+    cfg = base_cfg()
+    cfg.train.budget_steps = 2
+    run_dir = str(tmp_path / "run")
+    run_pretrain(cfg, run_dir, data=prepared)
+    path = os.path.join(run_dir, name)
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    class TornWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            raise _Killed(name)
+
+    real_open = open
+
+    def dying_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(str(file)).startswith(name):
+            return TornWriter(fh)
+        return fh
+
+    monkeypatch.setattr("builtins.open", dying_open)
+    with pytest.raises(_Killed):
+        run_pretrain(cfg, run_dir, data=prepared)
+    monkeypatch.undo()
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+
+
 def _curve_and_blob(cfg, run_dir, prepared):
     art, result = run_pretrain(cfg, run_dir, data=prepared)
     assert not result.aborted, result.abort_reason
@@ -506,7 +563,7 @@ def test_report_prints_device_budget_for_wallclock_runs(finished_run, tmp_path):
     curve = LossCurve.from_csv(art.curve_path)
     for i, point in enumerate(curve.points):
         point.seconds = 1800.0 * i
-    curve.to_csv(str(timed / "curve.csv"))
+    write_text_atomic(str(timed / "curve.csv"), curve.to_csv_text())
     text = emit_report(str(timed), device_name="v100")
     hours = 0.5 * (len(curve) - 1)
     assert f"device budget exaflops = {125e12 * hours * 3600 / 1e18:.6f}" in text
@@ -625,7 +682,7 @@ def synthetic_csv(path: str, scale: float = 1.0) -> None:
         pts.append(CurvePoint(step=i, tokens=int(n * scale),
                               lr=1e-3, loss=1.0 + 40.0 * float(n * scale) ** -0.4,
                               seconds=0.0))
-    LossCurve(pts).to_csv(path)
+    write_text_atomic(path, LossCurve(pts).to_csv_text())
 
 
 def _unk_rate(out: str) -> float:

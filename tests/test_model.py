@@ -17,7 +17,7 @@ from cramlab.model import (
     Model, ModelConfig, attention, build, ffn, param_count, param_layout,
     rotary_tables, sinusoidal_table,
 )
-from cramlab.tensor import Tensor, mul, tsum
+from cramlab.tensor import Tape, Tensor, cross_entropy_from_logits, mul, tsum
 
 
 def small_config(**kw) -> ModelConfig:
@@ -288,6 +288,29 @@ def test_dense_without_positions_returns_all_rows():
     model = build(small_config(sparse_prediction=False), seed=19)
     ids = np.random.default_rng(20).integers(6, 64, size=(2, 16))
     assert model.logits(ids).data.shape == (32, 64)
+
+
+def test_dense_and_sparse_prediction_decode_masked_rows_identically():
+    # Without a nonlinear head the two modes differ only in where the
+    # masked rows are gathered, so logits and every parameter gradient,
+    # the tied table's and the decoder bias's included, must match byte
+    # for byte.
+    cfg = dict(num_layers=1, seq_len=128, decoder_bias=True)
+    rng = np.random.default_rng(31)
+    ids = rng.integers(6, 64, size=(8, 128))
+    masked = np.sort(rng.choice(ids.size, 160, replace=False))
+    results = []
+    for sparse in (True, False):
+        model = build(small_config(sparse_prediction=sparse, **cfg), seed=32)
+        with Tape() as tape:
+            logits = model.logits(ids, masked_positions=masked)
+            tape.backward(cross_entropy_from_logits(logits, ids.ravel()[masked]))
+        results.append((logits.data, {k: p.grad for k, p in model.params.items()}))
+    (sparse_logits, sparse_grads), (dense_logits, dense_grads) = results
+    assert sparse_logits.tobytes() == dense_logits.tobytes()
+    assert sparse_grads.keys() == dense_grads.keys()
+    for name, g in sparse_grads.items():
+        assert g.tobytes() == dense_grads[name].tobytes(), name
 
 
 @pytest.mark.parametrize("kind", ["learned", "sinusoidal", "rotary"])

@@ -249,7 +249,7 @@ def test_backward_keeps_only_leaf_grads(preset):
     loss.grad = np.ones_like(loss.data)
     for out, fn in reversed(tape._records):
         if out.grad is not None:
-            fn()
+            fn(out.grad)
     assert sum(out.grad is not None for out, _ in tape._records) > 1
     for name, p in model.params.items():
         assert grads[name] is not None and np.array_equal(grads[name], p.grad), name
@@ -298,10 +298,9 @@ def test_accumulated_micro_batches_add_into_first_grad_buffers(preset, monkeypat
 
 
 def test_backward_peak_stays_near_one_logits_buffer():
-    # original_arch zero-pads the masked rows' logits gradient to every
-    # position for the tied table, so backward needs one dense (B*S, V)
-    # buffer. Keeping every op output's gradient until the end would hold
-    # about seven of them at this shape.
+    # original_arch decodes only the masked rows, so backward never needs
+    # a dense (B*S, V) buffer. Keeping every op output's gradient until
+    # the end would hold about seven of them at this shape.
     batch, seq_len, vocab = 8, 16, 512
     model = _tiny_model("original_arch", num_layers=3, hidden_dim=32,
                         vocab_size=vocab, seq_len=seq_len)
@@ -352,64 +351,8 @@ def test_fd_matmul_family():
     _fd(lambda: tsum(mul(matmul_t(a, c, bias), kt)), [a, c, bias], 1e-6)
     rows = np.array([3, 0, 3])  # unsorted, with a repeat; row 1 never decoded
     kr = Tensor(rng.normal(size=(3, 6)))
-    _fd(lambda: tsum(mul(matmul_t(a, c, rows=rows), kr)), [a, c], 1e-6)
-    _fd(lambda: tsum(mul(matmul_t(a, c, bias, rows=rows), kr)), [a, c, bias], 1e-6)
-
-
-@pytest.mark.parametrize("rows", [np.array([0, 2, 5, 6]), np.array([4, 1, 4, 4])],
-                         ids=["unique", "repeated"])
-def test_matmul_t_rows_sum_into_hidden_like_gather_rows(rows):
-    # Decoding only some rows gives those rows of the full product, and
-    # the rows' gradients reach a exactly as gathering them first would:
-    # repeats summed with np.add.at's bits.
-    rng = np.random.default_rng(23)
-    a = Tensor(rng.normal(size=(7, 5)).astype(np.float32), requires_grad=True)
-    table = Tensor(rng.normal(size=(9, 5)).astype(np.float32), requires_grad=True)
-    bias = Tensor(rng.normal(size=9).astype(np.float32), requires_grad=True)
-    k = Tensor(rng.normal(size=(rows.size, 9)).astype(np.float32))
-    grads = []
-    for op in (matmul_t, composed_ops.matmul_t):
-        with Tape() as tape:
-            out = op(a, table, bias, rows=rows)
-            tape.backward(tsum(mul(out, k)))
-        grads.append((out.data, a.grad, table.grad, bias.grad))
-        for p in (a, table, bias):
-            p.zero_grad()
-    (out, ga, gt, gb), (ref_out, ref_ga, ref_gt, ref_gb) = grads
-    assert np.allclose(out, a.data[rows] @ table.data.T + bias.data, atol=1e-5)
-    assert np.array_equal(out, ref_out)
-    assert ga.tobytes() == ref_ga.tobytes()
-    assert np.allclose(gt, ref_gt, atol=1e-5) and np.allclose(gb, ref_gb, atol=1e-5)
-    assert not ga[np.setdiff1d(np.arange(7), rows)].any()
-
-
-def test_matmul_t_rows_table_gradient_rounds_like_decoding_every_row():
-    # The table's and the bias's gradients are taken over the output
-    # gradient zero-padded to every row, so training rounds exactly as
-    # when every row was decoded and the masked ones selected after. A
-    # product over the decoded rows alone rounds differently at this
-    # height.
-    rng = np.random.default_rng(24)
-    a = Tensor(rng.normal(size=(1024, 16)).astype(np.float32), requires_grad=True)
-    table = Tensor(rng.normal(size=(64, 16)).astype(np.float32), requires_grad=True)
-    bias = Tensor(rng.normal(size=64).astype(np.float32), requires_grad=True)
-    rows = np.sort(rng.choice(1024, 160, replace=False))
-    k = rng.normal(size=(160, 64)).astype(np.float32)
-    with Tape() as tape:
-        tape.backward(tsum(mul(matmul_t(a, table, bias, rows=rows), Tensor(k))))
-    padded = np.zeros((1024, 64), np.float32)
-    padded[rows] += k
-    assert table.grad.tobytes() == (padded.T @ a.data).tobytes()
-    assert bias.grad.tobytes() == padded.sum(axis=0).tobytes()
-
-
-def test_matmul_t_rows_out_of_range_or_not_1d():
-    a, table = ones((4, 3)), ones((5, 3))
-    for rows in (np.array([0, 4]), np.array([-1, 2])):
-        with pytest.raises(IndexError):
-            matmul_t(a, table, rows=rows)
-    with pytest.raises(ContractError):
-        matmul_t(a, table, rows=np.array([[0, 1]]))
+    _fd(lambda: tsum(mul(matmul_t(gather_rows(a, rows), c), kr)), [a, c], 1e-6)
+    _fd(lambda: tsum(mul(matmul_t(gather_rows(a, rows), c, bias), kr)), [a, c, bias], 1e-6)
 
 
 def test_tied_table_gradient_matches_dense_scatter():

@@ -14,6 +14,7 @@ from cramlab import tensor
 from cramlab.budget import Budget
 from cramlab.corpus import PackedDataset
 from cramlab.errors import ConfigurationError, ContractError
+from cramlab.harness import write_text_atomic
 from cramlab.model import Model, ModelConfig, build
 from cramlab.tensor import STREAM_BLOCK, Tape, Tensor, add, mul, set_finite_checks
 from cramlab.tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID
@@ -414,7 +415,7 @@ def test_curve_file_round_trip(tmp_path):
     curve = LossCurve([CurvePoint(0, 0, 0.0, 8.3177, 0.0),
                        CurvePoint(10, 1280, 5e-4, 7.9, 0.0)])
     path = str(tmp_path / "curve.csv")
-    curve.to_csv(path)
+    write_text_atomic(path, curve.to_csv_text())
     back = LossCurve.from_csv(path)
     assert back.to_csv_text() == curve.to_csv_text()
 
