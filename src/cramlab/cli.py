@@ -38,7 +38,7 @@ from .corpus import curate, save_dataset
 from .errors import AnalysisError, ConfigurationError, ContractError
 from .harness import (
     CONFIG_NAME, CURVE_NAME, emit_report, finetune_seeds, read_entries, run_ablation,
-    run_pretrain, write_svg,
+    run_pretrain, write_svg, write_text_atomic,
 )
 from .scaling import estimate_shift, fit_power_law
 from .tokenizer import Vocab, WordPieceModel, train_wordpiece
@@ -79,8 +79,7 @@ def cmd_prepare(args) -> int:
     save_dataset(args.out, ds)
     text = report.to_text() + "\n"
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text_atomic(args.report, text)
     print(text, end="")
     print(f"wrote {ds.sequence_count} sequences -> {args.out}")
     return 0
@@ -90,8 +89,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     if args.input:
         cfg.tokenizer.input = args.input
-    art, result = run_pretrain(cfg, args.out, input_path=cfg.tokenizer.input,
-                               workdir=args.workdir)
+    art, result = run_pretrain(cfg, args.out, workdir=args.workdir)
     print(f"run directory: {art.run_dir}")
     if len(result.curve):
         last = result.curve.points[-1]
@@ -139,8 +137,7 @@ def cmd_ablate(args) -> int:
         task_path=args.task, task_seeds=args.seeds,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table)
+        write_text_atomic(args.out, table)
     print(table, end="")
     return 0 if all(r.status == "ok" for r in results) else 2
 
@@ -166,8 +163,7 @@ def cmd_report(args) -> int:
     text = emit_report(args.run_dir, device_name=args.device,
                        baseline_dir=args.baseline)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text_atomic(args.out, text)
     print(text, end="")
     if args.svg:
         path = os.path.join(args.run_dir, CURVE_NAME)

@@ -119,6 +119,14 @@ class RunConfig:
                 "pipeline.seq_len and model.seq_len disagree "
                 f"({self.pipeline.seq_len} vs {self.model.seq_len})"
             )
+        # config.txt must give the run back: every value reads back as rendered.
+        for name, section in self.sections().items():
+            for key, value in dataclass_to_strs(section).items():
+                line = f"{name}.{key} = {value}"
+                if line.splitlines() != [line] or split_assignment(_strip_comment(line), "")[1] != value:
+                    raise ConfigurationError(
+                        f"{name}.{key} = {value!r} would not read back from a config file "
+                        "(a line break, space at either end, or '#' after whitespace)")
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -132,9 +140,13 @@ def parse_run_config(text: str) -> RunConfig:
 _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
+def _strip_comment(raw: str) -> str:
+    return _COMMENT.sub("", raw, count=1).strip()
+
+
 def apply_config_text(cfg: RunConfig, text: str) -> RunConfig:
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT.sub("", raw, count=1).strip()
+        line = _strip_comment(raw)
         if line:
             cfg.set(*split_assignment(line, f"line {lineno}"))
     return cfg

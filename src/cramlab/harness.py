@@ -145,18 +145,17 @@ def run_pretrain(
     run_dir: str,
     *,
     data: PreparedData | None = None,
-    input_path: str | None = None,
     workdir: str | None = None,
 ) -> tuple[RunArtifacts, PretrainResult]:
-    """Prepare (or reuse) data, pretrain, and write the run directory."""
+    """Prepare (or reuse) data from tokenizer.input, pretrain, and write
+    the run directory."""
     cfg.validate()
     budget = cfg.train.budget()
     check_memory(cfg.model, cfg.train.micro_batch, cfg.train.mask_rate)
     if data is None:
-        src = input_path or cfg.tokenizer.input
-        if not src:
+        if not cfg.tokenizer.input:
             raise ConfigurationError("no corpus input given (tokenizer.input)")
-        data = prepare(cfg, src, workdir or os.path.join(run_dir, "cache"))
+        data = prepare(cfg, cfg.tokenizer.input, workdir or os.path.join(run_dir, "cache"))
     ds = load_dataset(data.data_path)
     if ds.vocab_size != cfg.model.vocab_size:
         raise ConfigurationError(
@@ -224,6 +223,7 @@ def run_ablation(
     for name, overrides in rows:
         cfg = parse_run_config(render_run_config(base))
         apply_overrides(cfg, overrides)
+        cfg.tokenizer.input = input_path
         cfg.validate()
         cfg.train.budget()
         configs.append((name, cfg))
@@ -231,8 +231,7 @@ def run_ablation(
     results: list[AblationRow] = []
     for name, cfg in configs:
         run_dir = os.path.join(workdir, f"run-{_slug(name)}")
-        art, res = run_pretrain(cfg, run_dir, input_path=input_path,
-                                workdir=workdir)
+        art, res = run_pretrain(cfg, run_dir, workdir=workdir)
         row = AblationRow(
             name=name,
             final_loss=res.curve.points[-1].loss if len(res.curve) else None,

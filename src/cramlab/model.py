@@ -237,8 +237,7 @@ class Model:
             x = add(x, self.params["pos_emb"])
         if cfg.embedding_norm:
             x = self._ln(x, "emb_norm")
-        if dropout_rate:
-            x = dropout(x, dropout_rate, rng)
+        x = dropout(x, dropout_rate, rng)
 
         key_bias = None
         if key_mask is not None:
@@ -252,25 +251,20 @@ class Model:
         return x
 
     def _block(self, x, i, key_bias, rate, rng):
+        # Pre-norm normalizes each sublayer's input, post-norm each
+        # residual sum.
         cfg = self.config
-        if cfg.norm_placement == "pre":
-            a = attention(self._ln(x, f"l{i}_attn_norm"), self.params, cfg, i,
-                          key_bias=key_bias, rot=self.rot)
-            if rate:
-                a = dropout(a, rate, rng)
-            x = add(x, a)
-            f = ffn(self._ln(x, f"l{i}_ffn_norm"), self.params, cfg, i)
-            if rate:
-                f = dropout(f, rate, rng)
-            return add(x, f)
-        a = attention(x, self.params, cfg, i, key_bias=key_bias, rot=self.rot)
-        if rate:
-            a = dropout(a, rate, rng)
-        x = self._ln(add(x, a), f"l{i}_attn_norm")
-        f = ffn(x, self.params, cfg, i)
-        if rate:
-            f = dropout(f, rate, rng)
-        return self._ln(add(x, f), f"l{i}_ffn_norm")
+        pre = cfg.norm_placement == "pre"
+        sublayers = (
+            ("attn", lambda h: attention(h, self.params, cfg, i, key_bias=key_bias, rot=self.rot)),
+            ("ffn", lambda h: ffn(h, self.params, cfg, i)),
+        )
+        for stem, sublayer in sublayers:
+            norm = f"l{i}_{stem}_norm"
+            x = add(x, dropout(sublayer(self._ln(x, norm) if pre else x), rate, rng))
+            if not pre:
+                x = self._ln(x, norm)
+        return x
 
     def logits(
         self,

@@ -1,8 +1,9 @@
 """Budget-tied training recipe and the downstream finetuning protocol.
 
 Pretraining: masked-token objective, bias-corrected Adam with decoupled
-weight decay, global-norm clipping, a one-cycle learning rate tied to
-the budget, and a linear micro-batch accumulation ramp. The loop is
+weight decay, global-norm clipping, a one-cycle learning rate and a
+linear micro-batch accumulation ramp, both tied to the budget through one
+progress clock (steps, or seconds under a wallclock budget). The loop is
 single-epoch: sequences are consumed in dataset order and never
 revisited. Training micro-batches apply model.dropout_rate; the step-0
 evaluation runs without dropout. All randomness flows through one
@@ -78,7 +79,7 @@ class ScheduleConfig:
     kind: str = "one_cycle"
     peak_lr: float = 1e-3
     peak_fraction: float = 0.5
-    total_steps: int = 0
+    total_steps: float = 0  # the horizon: steps, or seconds under a wallclock budget
 
     def validate(self) -> None:
         if self.kind not in SCHEDULE_KINDS:
@@ -232,7 +233,7 @@ def mask_batch(
 
 
 def lr_at(step: float, cfg: ScheduleConfig) -> float:
-    """Learning rate at an (integer or fractional) step of the schedule."""
+    """Learning rate at a point of the schedule, in total_steps' unit."""
     cfg.validate()
     T = cfg.total_steps
     if T <= 0:
@@ -252,9 +253,9 @@ def lr_at(step: float, cfg: ScheduleConfig) -> float:
     return cfg.peak_lr * ((T - step) / (T - peak_step))
 
 
-def accumulation_at(step: int, cfg: BatchRampConfig, total_steps: int) -> int:
-    """Micro-batches accumulated at a step: 1 rising linearly to
-    final/micro by ramp_end_fraction of the budget, constant after."""
+def accumulation_at(step: float, cfg: BatchRampConfig, total_steps: float) -> int:
+    """Micro-batches accumulated at a point of the budget: 1 rising
+    linearly to final/micro by ramp_end_fraction of it, constant after."""
     cfg.validate()
     if total_steps <= 0:
         raise ContractError("total_steps not set")
@@ -389,11 +390,11 @@ def pretrain(
 ) -> PretrainResult:
     """Run the pretraining loop until the budget or the data runs out.
 
-    The model is updated in place. In step-budget mode the curve's
-    seconds column is written as 0.0 so identical runs produce
-    byte-identical curve files; wallclock mode records real elapsed
-    time and estimates total_steps from a 30-second calibration phase,
-    re-estimating every five minutes.
+    The model is updated in place. A step starts only while the progress
+    clock, read once at its start, is below the budget, and takes its lr
+    and micro-batch count from that reading. In step-budget mode the
+    curve's seconds column is written as 0.0 so identical runs produce
+    byte-identical curve files; wallclock mode records elapsed time.
     """
     for c in (schedule, ramp, optimizer, masking, budget):
         c.validate()
@@ -407,13 +408,12 @@ def pretrain(
     wallclock_mode = budget.kind == "seconds"
     curve = LossCurve()
     state = AdamState()
-    # In wallclock mode the horizon is provisional, refined after the
-    # calibration window.
-    sched = replace(schedule, total_steps=max(1, int(budget.amount * 10)) if wallclock_mode
+    # One progress clock drives the schedule, the ramp and the stop rule:
+    # completed steps, or elapsed seconds under a wallclock budget.
+    sched = replace(schedule, total_steps=budget.amount if wallclock_mode
                     else int(budget.amount))
 
     start = time.monotonic()
-    next_reestimate = 30.0
     seqs = dataset.sequences
     vocab_size = dataset.vocab_size
     train_rate = model.config.dropout_rate
@@ -425,6 +425,9 @@ def pretrain(
 
     def elapsed() -> float:
         return time.monotonic() - start
+
+    def progress() -> float:
+        return elapsed() if wallclock_mode else step
 
     def curve_seconds() -> float:
         return elapsed() if wallclock_mode else 0.0
@@ -464,20 +467,8 @@ def pretrain(
     checks_state = set_finite_checks(False)
     err_state = np.seterr(over="ignore", invalid="ignore", divide="ignore")
     try:
-        while True:
-            if not wallclock_mode and step >= sched.total_steps:
-                break
-            if wallclock_mode and elapsed() >= budget.amount:
-                break
-            if (wallclock_mode and step > 0
-                    and (elapsed() >= next_reestimate
-                         or step >= sched.total_steps)):
-                rate = step / elapsed()
-                remaining = max(0.0, budget.amount - elapsed())
-                sched.total_steps = max(step + 1, step + int(rate * remaining))
-                next_reestimate = elapsed() + 300.0
-
-            acc = accumulation_at(step, ramp, sched.total_steps)
+        while (now := progress()) < sched.total_steps:
+            acc = accumulation_at(now, ramp, sched.total_steps)
             if cursor + acc * ramp.micro_batch > seqs.shape[0]:
                 break  # single epoch: not enough rows for a full step
             model.zero_grads()
@@ -496,7 +487,7 @@ def pretrain(
             clip_gradients(
                 (p.grad for p in model.params.values()), optimizer.clip_norm
             )
-            lr = lr_at(min(step, sched.total_steps), sched)
+            lr = lr_at(now, sched)
             adam_step(model.params, state, lr, optimizer, Model.decay_exempt)
             step += 1
             if step % curve_interval == 0:
@@ -660,9 +651,7 @@ def finetune(
                               dropout_rate=rate, rng=rng if train_mode else None)
         B, S, _ = hidden.shape
         flat = reshape(hidden, (B * S, d))
-        cls_h = gather_rows(flat, np.arange(B) * S)
-        if rate:
-            cls_h = dropout(cls_h, rate, rng)
+        cls_h = dropout(gather_rows(flat, np.arange(B) * S), rate, rng)
         return add(matmul(cls_h, head_w), head_b)
 
     step = 0

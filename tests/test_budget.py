@@ -205,9 +205,10 @@ def test_default_paper_config_is_refused_at_8_gib(monkeypatch, tmp_path):
     cfg.train.budget_hours = 24.0
     fits = max(b for b in range(1, 129) if memory_estimate(cfg.model, b, 0.15) <= 8 * GiB)
     assert 8 <= fits < 128
+    cfg.tokenizer.input = str(tmp_path / "missing.txt")
     run_dir = tmp_path / "run"
     with pytest.raises(ConfigurationError, match=f"largest micro-batch that fits is {fits}$"):
-        run_pretrain(cfg, str(run_dir), input_path=str(tmp_path / "missing.txt"))
+        run_pretrain(cfg, str(run_dir))
     assert not run_dir.exists()  # refused before any work
 
 

@@ -23,7 +23,7 @@ from cramlab import checkpoint as ckpt
 from cramlab import cli, harness
 from cramlab.config import (
     PRESETS, RunConfig, TokenizerSection, TrainSection, apply_overrides, config_diff,
-    parse_run_config, render_run_config,
+    load_run_config, parse_run_config, render_run_config,
 )
 from cramlab.errors import AnalysisError, ConfigurationError
 from cramlab.harness import (
@@ -137,6 +137,17 @@ def test_hash_inside_a_value_survives_render_and_parse():
     assert again.tokenizer.input == "/data/corpus#1.txt"
     trailing = parse_run_config("tokenizer.input = a#b.txt\t# where the corpus lives\n")
     assert trailing.tokenizer.input == "a#b.txt"
+
+
+@pytest.mark.parametrize("value", [
+    "/data/my corpus #1.txt", "#corpus.txt", "corpus\n1.txt", "corpus\r1.txt", " corpus.txt",
+    "corpus.txt\t",
+])
+def test_values_that_would_not_read_back_are_rejected(value):
+    cfg = RunConfig()
+    cfg.tokenizer.input = value
+    with pytest.raises(ConfigurationError, match="^tokenizer.input = "):
+        cfg.validate()
 
 
 def test_bool_parsing_accepts_common_spellings():
@@ -371,18 +382,12 @@ class _Killed(BaseException):
     pass
 
 
-@pytest.mark.parametrize("name", [CONFIG_NAME, STATS_NAME, CURVE_NAME, REPORT_NAME])
-def test_run_killed_mid_write_keeps_the_previous_file_whole(prepared, tmp_path, monkeypatch,
-                                                             name):
-    # A rerun into the same directory dies halfway through writing one
-    # text file; the file must still hold the first run's bytes.
-    cfg = base_cfg()
-    cfg.train.budget_steps = 2
-    run_dir = str(tmp_path / "run")
-    run_pretrain(cfg, run_dir, data=prepared)
-    path = os.path.join(run_dir, name)
+def _killed_rerun_keeps_the_file_whole(monkeypatch, path, rerun):
+    # rerun dies halfway through writing path; path must still hold the
+    # first run's bytes.
     with open(path, "rb") as fh:
         before = fh.read()
+    name = os.path.basename(path)
 
     class TornWriter:
         def __init__(self, fh):
@@ -408,10 +413,42 @@ def test_run_killed_mid_write_keeps_the_previous_file_whole(prepared, tmp_path, 
 
     monkeypatch.setattr("builtins.open", dying_open)
     with pytest.raises(_Killed):
-        run_pretrain(cfg, run_dir, data=prepared)
+        rerun()
     monkeypatch.undo()
     with open(path, "rb") as fh:
         assert fh.read() == before
+
+
+@pytest.mark.parametrize("name", [CONFIG_NAME, STATS_NAME, CURVE_NAME, REPORT_NAME])
+def test_run_killed_mid_write_keeps_the_previous_file_whole(prepared, tmp_path, monkeypatch,
+                                                             name):
+    # A rerun into the same directory dies writing one text file.
+    cfg = base_cfg()
+    cfg.train.budget_steps = 2
+    run_dir = str(tmp_path / "run")
+    run_pretrain(cfg, run_dir, data=prepared)
+    _killed_rerun_keeps_the_file_whole(
+        monkeypatch, os.path.join(run_dir, name), lambda: run_pretrain(cfg, run_dir, data=prepared))
+
+
+@pytest.mark.parametrize("verb", ["prepare", "ablate", "report"])
+def test_cli_killed_mid_write_keeps_the_previous_output_whole(
+        verb, corpus_path, workdir, prepared, finished_run, tmp_path, monkeypatch, capsys):
+    # prepare --report, ablate --out and report --out, rerun onto their
+    # own output, die writing it.
+    out = str(tmp_path / "out.txt")
+    cfg_path = str(tmp_path / "base.cfg")
+    write_text_atomic(cfg_path, render_run_config(base_cfg()))
+    argv = {
+        "prepare": ["prepare", "--config", cfg_path, "--input", corpus_path,
+                    "--vocab", prepared.vocab_path, "--out", str(tmp_path / "d.bin"),
+                    "--report", out],
+        "ablate": ["ablate", "--config", cfg_path, "--input", corpus_path,
+                   "--workdir", workdir, "--presets", "crammed", "--out", out],
+        "report": ["report", "--run-dir", finished_run[1].run_dir, "--out", out],
+    }[verb]
+    assert cli.main(argv) == 0
+    _killed_rerun_keeps_the_file_whole(monkeypatch, out, lambda: cli.main(argv))
 
 
 def _curve_and_blob(cfg, run_dir, prepared):
@@ -607,6 +644,18 @@ def test_ablation_runs_rows_and_renders_table(corpus_path, workdir, task_path):
     assert len(lines) == 3
     assert "half lr" in lines[2]
     assert os.path.isdir(os.path.join(workdir, "run-half-lr"))
+
+
+def test_ablation_row_config_reruns_the_row(corpus_path, workdir, tmp_path):
+    # A row's config.txt names its corpus, so `pretrain --config` on it
+    # repeats the row's run.
+    run_ablation(base_cfg(), [("crammed", {})], corpus_path, workdir)
+    row_dir = os.path.join(workdir, "run-crammed")
+    cfg = load_run_config(os.path.join(row_dir, CONFIG_NAME))
+    assert cfg.tokenizer.input == corpus_path
+    art, _ = run_pretrain(cfg, str(tmp_path / "rerun"), workdir=workdir)
+    with open(os.path.join(row_dir, CURVE_NAME), "rb") as a, open(art.curve_path, "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_ablation_validates_every_row_before_running(corpus_path, tmp_path):
@@ -808,8 +857,8 @@ def test_cli_finetune_encodes_with_the_runs_max_chars_per_word(
     cfg = base_cfg()
     cfg.tokenizer.max_chars_per_word = 5
     cfg.train.budget_steps = 2
-    art, _ = run_pretrain(cfg, str(tmp_path / "run-short-words"), input_path=corpus_path,
-                          workdir=workdir)
+    cfg.tokenizer.input = corpus_path
+    art, _ = run_pretrain(cfg, str(tmp_path / "run-short-words"), workdir=workdir)
     vocab = prepare(cfg, corpus_path, workdir).vocab_path
     lines = read_entries(corpus_path)[:2]
     assert max(len(w) for line in lines for w in line.split()) > 5

@@ -4,6 +4,7 @@ ramp, Adam, the pretraining loop contract, and finetuning."""
 import math
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import composed_ops
 from cramlab import model as model_module
 from cramlab import tensor
+from cramlab import trainer as trainer_module
 from cramlab.budget import Budget
 from cramlab.corpus import PackedDataset
 from cramlab.errors import ConfigurationError, ContractError
@@ -612,7 +614,8 @@ def test_divergence_replay_draws_the_failed_step_dropout_masks(monkeypatch):
     dropout = model_module.dropout
 
     def recording_dropout(x, rate, rng):
-        draws.append((tensor._finite_checks, rng.bit_generator.state))
+        if rate:  # rate-0 calls (evaluation) draw nothing
+            draws.append((tensor._finite_checks, rng.bit_generator.state))
         return dropout(x, rate, rng)
 
     monkeypatch.setattr(model_module, "dropout", recording_dropout)
@@ -649,6 +652,38 @@ def test_pretrain_wallclock_mode_records_elapsed_seconds():
     assert res.steps > 0
     assert res.curve.points[-1].seconds > 0.0
     assert elapsed >= 1.0 or res.tokens == data.token_count
+
+
+def test_wallclock_schedule_ramp_and_stop_read_elapsed_seconds(monkeypatch):
+    # A fake clock advances 1 s per forward, so each step's start time is
+    # known. The step's lr and micro-batch count come from that time with
+    # the budget's seconds as the horizon, and the run stops at the first
+    # step that would start at or after the budget.
+    clock = [0.0]
+    logits = Model.logits
+
+    def ticking_logits(self, *args, **kwargs):
+        clock[0] += 1.0
+        return logits(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "logits", ticking_logits)
+    monkeypatch.setattr(trainer_module, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    schedule = ScheduleConfig(kind="one_cycle", peak_lr=1e-3)
+    ramp = BatchRampConfig(micro_batch=8, final_batch=32, ramp_end_fraction=0.5)
+    res = pretrain(
+        tiny_model(seed=8), toy_dataset(n_rows=400),
+        schedule=schedule, ramp=ramp, optimizer=OptimizerConfig(), masking=MaskingConfig(),
+        budget=Budget(kind="seconds", amount=20.0), seed=21, curve_interval=1,
+    )
+    pts = res.curve.points
+    # A curve point's seconds is the elapsed time at the next step's start.
+    starts = [p.seconds for p in pts[:-1]]
+    horizon = ScheduleConfig(kind="one_cycle", peak_lr=1e-3, total_steps=20.0)
+    assert [p.lr for p in pts[1:]] == [lr_at(t, horizon) for t in starts]
+    micro_batches = [(b.tokens - a.tokens) // (8 * 16) for a, b in zip(pts, pts[1:])]
+    assert micro_batches == sorted(micro_batches) and micro_batches[-1] == ramp.factor()
+    assert starts[-1] < 20.0 <= pts[-1].seconds
+    assert res.steps == len(starts)
 
 
 # ---------------------------------------------------------------------------
