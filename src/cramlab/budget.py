@@ -23,13 +23,10 @@ BUDGET_KINDS = ("steps", "seconds")
 class DeviceSpec:
     name: str
     peak_tflops: float
-    count: int = 1
 
     def validate(self) -> None:
         if self.peak_tflops <= 0:
             raise ConfigurationError("peak_tflops must be positive")
-        if self.count < 1:
-            raise ConfigurationError("device count must be positive")
 
 
 @dataclass
@@ -49,15 +46,14 @@ def total_exaflops(device: DeviceSpec, hours: float) -> float:
     device.validate()
     if hours <= 0:
         raise ConfigurationError("hours must be positive")
-    return device.count * device.peak_tflops * 1e12 * hours * 3600.0 / 1e18
+    return device.peak_tflops * 1e12 * hours * 3600.0 / 1e18
 
 
-def model_flops_estimate(config: ModelConfig | int, tokens: int) -> float:
+def model_flops_estimate(config: ModelConfig, tokens: int) -> float:
     """6 * N * D: forward 2N plus backward 4N FLOPs per token."""
     if tokens < 0:
         raise ConfigurationError("tokens must be nonnegative")
-    n = config if isinstance(config, int) else param_count(config)
-    return 6.0 * n * tokens
+    return 6.0 * param_count(config) * tokens
 
 
 def utilization(flops_used: float, elapsed_seconds: float, device: DeviceSpec) -> float:
@@ -82,11 +78,12 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
     drop_sd = 2 * (config.dropout_rate > 0)
     # Per block: norms keep x-hat and output, q/k/v a product and a
     # per-head copy (k transposed), then the context, the output
-    # projection and two residual sums; each bias is one more output.
-    per_sd = 15 + 3 * config.qkv_bias + 2 * config.linear_bias + 2 * drop_sd
+    # projection and two residual sums. A bias is added into its
+    # product, so it keeps no buffer of its own.
+    per_sd = 15 + 2 * drop_sd
     # The FFN input projection, plus Phi and the output of the activation
     # (half width for the gated unit, which keeps gelu(gate) too).
-    per_sf = (2.5 if config.ffn_kind == "glu_gelu" else 3.0) + config.linear_bias
+    per_sf = 2.5 if config.ffn_kind == "glu_gelu" else 3.0
     # The attention probabilities.
     per_ss = H * S
     blocks = config.num_layers * S * (per_sd * d + per_sf * f + per_ss)
@@ -94,7 +91,7 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
         + 2 * config.final_norm + drop_sd
     masked = math.ceil(mask_rate * S)
     rows = masked if config.sparse_prediction else S
-    head = rows * d * (config.sparse_prediction + (5 + config.linear_bias) * config.nonlinear_head)
+    head = rows * d * (config.sparse_prediction + 5 * config.nonlinear_head)
     # Only masked rows are decoded: their logits, then the loss's shifted
     # copy and exponentials.
     head += 3 * masked * V

@@ -402,11 +402,9 @@ def emit_report(run_dir: str, device_name: str | None = None,
     return "\n".join(lines) + "\n"
 
 
-def write_svg(path: str, series: dict[str, tuple[np.ndarray, np.ndarray]],
-              *, width: int = 720, height: int = 480,
-              x_label: str = "tokens", y_label: str = "loss") -> None:
+def write_svg(path: str, series: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
     """Minimal self-contained loss-vs-tokens chart, log-scaled x axis."""
-    pad = 56
+    width, height, pad = 720, 480, 56
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
               "#8c564b", "#17becf", "#7f7f7f"]
     xs_all = np.concatenate([np.asarray(x, float) for x, _ in series.values()])
@@ -435,10 +433,10 @@ def write_svg(path: str, series: dict[str, tuple[np.ndarray, np.ndarray]],
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
         f'stroke="black"/>',
         f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-        f'font-size="13">{x_label} (log scale)</text>',
+        'font-size="13">tokens (log scale)</text>',
         f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" '
         f'font-size="13" transform="rotate(-90 16 {height / 2:.1f})">'
-        f'{y_label}</text>',
+        'loss</text>',
     ]
     for tick in range(math.ceil(lo_x), math.floor(hi_x) + 1):
         x = px(10.0 ** tick)

@@ -7,6 +7,11 @@ end of the stack, and the head applied only at masked positions
 (sparse prediction). Either way the decoder computes logits only for
 the masked rows: sparse prediction gathers them before the head, dense
 prediction runs the head on every position and gathers them after it.
+
+param_layout is the one reader of the bias and tying toggles. The
+forward takes each optional parameter (a bias, the untied decoder) from
+the parameter set with params.get, since it is there exactly when the
+layout declares it; a missing bias reaches its product as None.
 """
 
 from __future__ import annotations
@@ -282,17 +287,14 @@ class Model:
         if rows is not None and cfg.sparse_prediction:
             h, rows = gather_rows(h, rows), None
         if cfg.nonlinear_head:
-            h = matmul(h, self.params["head_w"])
-            if cfg.linear_bias:
-                h = add(h, self.params["head_b"])
-            h = gelu(h)
+            h = gelu(matmul(h, self.params["head_w"], self.params.get("head_b")))
             h = self._ln(h, "head_norm")
         if rows is not None:
             # Dense prediction: the head ran on every position, but only
             # the masked rows are decoded.
             h = gather_rows(h, rows)
-        dec = self.params["tok_emb"] if cfg.tie_embeddings else self.params["decoder"]
-        return matmul_t(h, dec, self.params["decoder_bias"] if cfg.decoder_bias else None)
+        dec = self.params.get("decoder", self.params["tok_emb"])
+        return matmul_t(h, dec, self.params.get("decoder_bias"))
 
     # -- persistence ------------------------------------------------------
     def save(self, path: str) -> None:
@@ -327,17 +329,9 @@ def attention(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: 
     B, S, d = x.shape
     p = params
     xf = reshape(x, (B * S, d))
-
-    def proj(which: str) -> Tensor:
-        out = matmul(xf, p[f"l{layer}_w{which}"])
-        if config.qkv_bias:
-            out = add(out, p[f"l{layer}_b{which}"])
-        return out
-
-    ctx = attend(proj("q"), proj("k"), proj("v"), S, config.num_heads, key_bias, rot)
-    out = matmul(ctx, p[f"l{layer}_wo"])
-    if config.linear_bias:
-        out = add(out, p[f"l{layer}_bo"])
+    q, k, v = (matmul(xf, p[f"l{layer}_w{w}"], p.get(f"l{layer}_b{w}")) for w in "qkv")
+    ctx = attend(q, k, v, S, config.num_heads, key_bias, rot)
+    out = matmul(ctx, p[f"l{layer}_wo"], p.get(f"l{layer}_bo"))
     return reshape(out, (B, S, d))
 
 
@@ -345,13 +339,9 @@ def ffn(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: int = 
     """Feedforward block: gated (value * gelu(gate)) or plain gelu."""
     B, S, d = x.shape
     p = params
-    h = matmul(reshape(x, (B * S, d)), p[f"l{layer}_w1"])
-    if config.linear_bias:
-        h = add(h, p[f"l{layer}_b1"])
+    h = matmul(reshape(x, (B * S, d)), p[f"l{layer}_w1"], p.get(f"l{layer}_b1"))
     h = glu_gelu(h) if config.ffn_kind == "glu_gelu" else gelu(h)
-    out = matmul(h, p[f"l{layer}_w2"])
-    if config.linear_bias:
-        out = add(out, p[f"l{layer}_b2"])
+    out = matmul(h, p[f"l{layer}_w2"], p.get(f"l{layer}_b2"))
     return reshape(out, (B, S, d))
 
 

@@ -239,32 +239,43 @@ def mul(a: Tensor, b) -> Tensor:
     return _make("mul", a.data * b.data, (a, b), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for 2-D operands."""
-    _check_dtypes("matmul", a, b)
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b (+ bias) for 2-D operands.
+
+    Both products take the same bias rule: the optional bias is added in
+    place into the fresh product, and its gradient is summed in the
+    product's own backward, so a biased projection records one op and
+    keeps no pre-bias buffer.
+    """
+    inputs = (a, b) if bias is None else (a, b, bias)
+    _check_dtypes("matmul", *inputs)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ContractError("matmul expects 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ContractError(f"matmul inner dims {a.shape} @ {b.shape}")
+    data = a.data @ b.data
+    if bias is not None:
+        data += bias.data
 
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g @ b.data.T)
         if b.requires_grad:
             b.accumulate_grad(a.data.T @ g)
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.shape))
 
-    return _make("matmul", a.data @ b.data, (a, b), bwd)
+    return _make("matmul", data, inputs, bwd)
 
 
 def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b.T (+ bias) for 2-D operands, without materializing the transpose.
 
     The decoder shares storage with the (V, d) embedding table, so the
-    tied head is a matmul against its transpose. The optional bias is
-    added in place into the fresh product, so the head holds one logits
-    buffer instead of two. Callers that decode only some rows gather
-    them first (gather_rows), so no logits the loss would drop are
-    computed.
+    tied head is a matmul against its transpose. The bias follows
+    matmul's rule, so the head holds one logits buffer instead of two.
+    Callers that decode only some rows gather them first (gather_rows),
+    so no logits the loss would drop are computed.
     """
     inputs = (a, b) if bias is None else (a, b, bias)
     _check_dtypes("matmul_t", *inputs)
@@ -310,25 +321,18 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         raise IndexError("gather_rows index out of range")
 
     def bwd(g):
-        g = g.reshape(-1, a.shape[1])
-        flat = idx.ravel()
+        # Sum each looked-up row's contributions in lookup order, as a
+        # dense scatter would, then add only those rows into the table's
+        # gradient (e.g. the tied decoder's), zeros when it has none.
+        # add.at over flat element indices takes numpy's fast 1-D loop,
+        # several times faster than the same sums over 2-D rows.
+        d = a.shape[1]
+        uniq, inv = np.unique(idx.ravel(), return_inverse=True)
+        rows = np.zeros((uniq.size, d), g.dtype)
+        np.add.at(rows.reshape(-1), (inv[:, None] * d + np.arange(d)).ravel(), g.reshape(-1))
         if a.grad is None:
-            dense = np.zeros(a.shape, g.dtype)
-            if np.all(flat[1:] > flat[:-1]):
-                # Unique rows (e.g. sorted masked positions): a plain
-                # fancy-index add; 0.0 + g keeps add.at's bits.
-                dense[flat] += g
-            else:
-                np.add.at(dense, flat, g)
-            a.accumulate_grad(dense)
-        else:
-            # Sum each looked-up row's contributions in lookup order,
-            # as the dense scatter would, and add only those rows
-            # into the existing gradient (e.g. the tied decoder's).
-            uniq, inv = np.unique(flat, return_inverse=True)
-            rows = np.zeros((uniq.size, a.shape[1]), a.dtype)
-            np.add.at(rows, inv, g)
-            a.grad[uniq] += rows
+            a.accumulate_grad(np.zeros(a.shape, g.dtype))
+        a.grad[uniq] += rows
 
     return _make("gather_rows", a.data[idx], (a,), bwd)
 

@@ -78,7 +78,6 @@ class Vocab:
                 raise ConfigurationError(f"token {tok!r} does not survive normalization")
         self.tokens = list(tokens)
         self.token_to_id = {t: i for i, t in enumerate(tokens)}
-        self.continuation_prefix = CONTINUATION_PREFIX
         self.max_token_chars = max(len(t) for t in tokens)
 
     def __len__(self) -> int:

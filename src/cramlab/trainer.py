@@ -30,7 +30,7 @@ from .budget import Budget
 from .errors import ConfigurationError, ContractError
 from .model import Model
 from .tensor import (
-    STREAM_BLOCK, Tape, Tensor, add, cross_entropy_from_logits, dropout, gather_rows,
+    STREAM_BLOCK, Tape, Tensor, cross_entropy_from_logits, dropout, gather_rows,
     matmul, reshape, set_finite_checks, truncated_normal,
 )
 from .tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, WordPieceModel
@@ -652,7 +652,7 @@ def finetune(
         B, S, _ = hidden.shape
         flat = reshape(hidden, (B * S, d))
         cls_h = dropout(gather_rows(flat, np.arange(B) * S), rate, rng)
-        return add(matmul(cls_h, head_w), head_b)
+        return matmul(cls_h, head_w, head_b)
 
     step = 0
     for _ in range(protocol.epochs):
@@ -666,7 +666,7 @@ def finetune(
                 loss = cross_entropy_from_logits(logits, y_train[rows])
                 tape.backward(loss)
             clip_gradients((p.grad for p in trainable.values()), optimizer.clip_norm)
-            lr = lr_at(min(step, total_steps), sched)
+            lr = lr_at(step, sched)
             adam_step(trainable, state, lr, optimizer, Model.decay_exempt)
             step += 1
 

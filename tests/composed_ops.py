@@ -4,9 +4,10 @@
 `matmul` are the generic ops the model used before `glu_gelu` and
 `attend` were fused; they live on here only to build the references the
 fused ops are checked against, bit for bit in float32. `rotary` is the position rotation `attend`
-applies to q and k, composed the same way. `glu_gelu`, `attend` and
-`matmul_t` share the fused ops' signatures so tests can monkeypatch them
-into `cramlab.model`.
+applies to q and k, composed the same way. `glu_gelu`, `attend`,
+`matmul` and `matmul_t` share the fused ops' signatures so tests can
+monkeypatch them into `cramlab.model`; the two products add their
+optional bias as a separate `add`.
 
 `adam_step`, `truncated_normal` and `save_checkpoint` are the
 whole-array forms of the passes that now stream parameters through
@@ -72,8 +73,9 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make("scale", a.data * np.asarray(s, dtype=a.dtype), (a,), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 2-D, or batched with identical leading dims."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product; 2-D, or batched with identical leading dims. The
+    bias, if any, is a separate add."""
     _check_dtypes("matmul", a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ContractError("matmul requires at least 2-D operands")
@@ -92,7 +94,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.swapaxes(a.data, -1, -2) @ g
             b.accumulate_grad(_unbroadcast(gb, b.shape))
 
-    return _make("matmul", a.data @ b.data, (a, b), bwd)
+    out = _make("matmul", a.data @ b.data, (a, b), bwd)
+    return out if bias is None else add(out, bias)
 
 
 def glu_gelu(h: Tensor) -> Tensor:

@@ -49,8 +49,8 @@ def test_device_table_ships_published_peaks():
 )
 def test_exaflop_reference_rows(device, count, hours, expected):
     spec = load_devices()[device]
-    spec.count = count
-    assert round(total_exaflops(spec, hours)) == expected
+    # count devices for hours give the budget of count * hours device-hours
+    assert round(total_exaflops(spec, count * hours)) == expected
 
 
 @pytest.mark.parametrize(
@@ -66,8 +66,8 @@ def test_exaflop_reference_rows(device, count, hours, expected):
 )
 def test_exaflop_further_published_rows(device, count, hours, expected):
     spec = load_devices()[device]
-    spec.count = count
-    assert round(total_exaflops(spec, hours)) == expected
+    # count devices for hours give the budget of count * hours device-hours
+    assert round(total_exaflops(spec, count * hours)) == expected
 
 
 def test_exaflop_closed_form():
@@ -82,8 +82,6 @@ def test_exaflop_input_errors():
         total_exaflops(spec, 0.0)
     with pytest.raises(ConfigurationError):
         total_exaflops(DeviceSpec("bad", peak_tflops=0.0), 1.0)
-    with pytest.raises(ConfigurationError):
-        total_exaflops(DeviceSpec("bad", peak_tflops=1.0, count=0), 1.0)
 
 
 def test_model_flops_estimate_linearity():
@@ -92,8 +90,6 @@ def test_model_flops_estimate_linearity():
     assert model_flops_estimate(cfg, 0) == 0.0
     assert model_flops_estimate(cfg, 10**9) == 6.0 * n * 10**9
     assert model_flops_estimate(cfg, 2_000) == 2 * model_flops_estimate(cfg, 1_000)
-    # raw parameter counts work too
-    assert model_flops_estimate(1000, 5) == 30000.0
     with pytest.raises(ConfigurationError):
         model_flops_estimate(cfg, -1)
 

@@ -489,18 +489,22 @@ def test_fused_ops_train_bit_for_bit_like_composed_reference(prepared, tmp_path,
     assert composed == fused
 
 
-def test_decoder_bias_in_matmul_t_trains_bit_for_bit_like_separate_add(prepared, tmp_path,
-                                                                      monkeypatch):
-    # original_arch decodes every position through the tied table plus a
-    # decoder bias; adding the bias inside matmul_t must give the same
-    # curve and parameters as a separate add op.
+def test_every_bias_fused_into_its_product_trains_bit_for_bit_like_separate_adds(
+        prepared, tmp_path, monkeypatch):
+    # original_arch runs every bias: q/k/v, the output and FFN
+    # projections, the nonlinear head and the decoder over the tied
+    # table. Adding each inside matmul or matmul_t must give the same
+    # curve and parameters as separate add ops.
     cfg = base_cfg()
     apply_overrides(cfg, PRESETS["original_arch"])
     cfg.train.budget_steps = 4
     cfg.report.curve_interval = 1
-    assert cfg.model.decoder_bias and cfg.model.tie_embeddings
+    m = cfg.model
+    assert m.qkv_bias and m.linear_bias and m.nonlinear_head
+    assert m.decoder_bias and m.tie_embeddings
 
     fused = _curve_and_blob(cfg, str(tmp_path / "fused"), prepared)
+    monkeypatch.setattr("cramlab.model.matmul", composed_ops.matmul)
     monkeypatch.setattr("cramlab.model.matmul_t", composed_ops.matmul_t)
     composed = _curve_and_blob(cfg, str(tmp_path / "composed"), prepared)
     assert fused[0].count("\n") == 6  # header, steps 0-4
@@ -590,7 +594,7 @@ def test_report_has_all_sections(finished_run):
 
 
 def test_report_prints_device_budget_for_wallclock_runs(finished_run, tmp_path):
-    # The device budget is count x peak x wallclock, the exaFLOP column
+    # The device budget is peak x wallclock, the exaFLOP column
     # of the paper's table; a step-budget run has no wallclock to use.
     _, art, _ = finished_run
     text = emit_report(art.run_dir)

@@ -89,10 +89,15 @@ def test_matmul_grad_closed_form():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    bias = Tensor(rng.normal(size=3), requires_grad=True)
     with Tape() as tape:
-        tape.backward(tsum(matmul(a, b)))
+        out = matmul(a, b, bias)
+        assert len(tape) == 1  # the bias is added inside the product's record
+        tape.backward(tsum(out))
+    np.testing.assert_array_equal(out.data, a.data @ b.data + bias.data)
     np.testing.assert_allclose(a.grad, np.ones((4, 3)) @ b.data.T, rtol=1e-12)
     np.testing.assert_allclose(b.grad, a.data.T @ np.ones((4, 3)), rtol=1e-12)
+    np.testing.assert_array_equal(bias.grad, np.full(3, 4.0))
 
 
 # -- invariants -------------------------------------------------------------
@@ -346,7 +351,9 @@ def test_fd_matmul_family():
     k = Tensor(rng.normal(size=(4, 3)))
     kt = Tensor(rng.normal(size=(4, 6)))
     bias = Tensor(rng.normal(size=6), requires_grad=True)
+    bias3 = Tensor(rng.normal(size=3), requires_grad=True)
     _fd(lambda: tsum(mul(matmul(a, b), k)), [a, b], 1e-6)
+    _fd(lambda: tsum(mul(matmul(a, b, bias3), k)), [a, b, bias3], 1e-6)
     _fd(lambda: tsum(mul(matmul_t(a, c), kt)), [a, c], 1e-6)
     _fd(lambda: tsum(mul(matmul_t(a, c, bias), kt)), [a, c, bias], 1e-6)
     rows = np.array([3, 0, 3])  # unsorted, with a repeat; row 1 never decoded
