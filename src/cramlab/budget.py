@@ -107,7 +107,8 @@ def memory_estimate(config: ModelConfig, micro_batch: int, mask_rate: float) -> 
     Five parameter-sized copies live for the whole run: the parameters,
     their gradients, Adam's m and v, and the last-good snapshot. On top
     of them come one micro-batch's activations plus the decoder's (V, d)
-    gradient product, which backward makes while they still live.
+    gradient product, which backward makes while they still live. The
+    prepared dataset is mapped from its file and is not part of it.
     """
     if micro_batch < 1:
         raise ConfigurationError("micro_batch must be positive")

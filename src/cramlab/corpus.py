@@ -5,6 +5,10 @@ The pipeline turns raw text entries into fixed-length id sequences:
   normalize+tokenize -> compression filter -> exact-substring dedup
   -> seeded shuffle + pack with <sep> -> optional prevalence sort
 
+Ids are uint16 from `pack` to the trainer, and a saved dataset is its
+file: `load_dataset` maps the id matrix read-only, so a day-scale corpus
+costs reclaimable file-backed pages, not an anonymous copy.
+
 Deduplication works on token ids. Every length-L window that also
 occurs earlier in the corpus is excised, which removes exactly the
 repeated spans of length >= L (a span of length M >= L repeats iff all
@@ -26,6 +30,9 @@ from .tokenizer import SEP_ID, UNK_ID, WordPieceModel, normalize
 
 DATASET_MAGIC = b"CRAM"
 DATASET_VERSION = 1
+# magic, version, seq_len, vocab_size, sequence count; the id matrix follows.
+_HEADER = struct.Struct("<4sIIIQ")
+ID_DTYPE = np.dtype("<u2")
 
 
 @dataclass
@@ -37,13 +44,15 @@ class RawEntry:
 @dataclass
 class TokenizedEntry:
     ids: list[int]
-    token_count: int
     source_index: int
+
+    @property
+    def token_count(self) -> int:
+        return len(self.ids)
 
     @classmethod
     def from_ids(cls, ids, source_index: int) -> "TokenizedEntry":
-        ids = list(map(int, ids))
-        return cls(ids=ids, token_count=len(ids), source_index=source_index)
+        return cls(ids=list(map(int, ids)), source_index=source_index)
 
 
 @dataclass
@@ -71,10 +80,16 @@ class PipelineConfig:
 
 @dataclass
 class PackedDataset:
-    sequences: np.ndarray  # (N, S) int32
-    seq_len: int
+    """A (N, S) uint16 id matrix, made by `pack` or mapped from its file
+    by `load_dataset`, and the vocabulary size it indexes. Width and
+    counts derive from the ids."""
+
+    sequences: np.ndarray  # (N, S) ID_DTYPE
     vocab_size: int
-    unigram_counts: np.ndarray  # (vocab_size,) int64
+
+    @property
+    def seq_len(self) -> int:
+        return int(self.sequences.shape[1])
 
     @property
     def sequence_count(self) -> int:
@@ -84,14 +99,15 @@ class PackedDataset:
     def token_count(self) -> int:
         return int(self.sequences.size)
 
+    @property
+    def unigram_counts(self) -> np.ndarray:
+        return np.bincount(self.sequences.ravel(), minlength=self.vocab_size)
+
     def validate(self) -> None:
-        n, s = self.sequences.shape
-        if s != self.seq_len:
-            raise ContractError("sequence width disagrees with seq_len")
+        if self.sequences.ndim != 2 or self.sequences.dtype != ID_DTYPE:
+            raise ContractError("sequences must be a 2-D uint16 id matrix")
         if self.sequences.size and int(self.sequences.max()) >= self.vocab_size:
             raise ContractError("token id outside vocab_size")
-        if int(self.unigram_counts.sum()) != n * s:
-            raise ContractError("unigram_counts do not sum to token count")
 
 
 def compression_filter(entry: TokenizedEntry, raw: RawEntry, t: float) -> bool:
@@ -108,22 +124,16 @@ def _window_ranks(arr: np.ndarray, L: int) -> np.ndarray:
     i+k combine into ranks at length 2k; the final step overlaps two
     length-k windows to land exactly on L.
     """
-    n = arr.size
     _, rank = np.unique(arr, return_inverse=True)
     rank = rank.astype(np.int64)
     k = 1
-    while 2 * k < L:
-        m = n - 2 * k + 1
-        combined = rank[:m] * (rank.max() + 1) + rank[k:k + m]
-        _, rank = np.unique(combined, return_inverse=True)
-        rank = rank.astype(np.int64)
-        k *= 2
-    if k < L:
-        off = L - k
-        m = n - L + 1
+    while k < L:
+        off = min(k, L - k)
+        m = arr.size - (k + off) + 1
         combined = rank[:m] * (rank.max() + 1) + rank[off:off + m]
         _, rank = np.unique(combined, return_inverse=True)
         rank = rank.astype(np.int64)
+        k += off
     return rank
 
 
@@ -138,18 +148,10 @@ def dedup_exact(entries: list[TokenizedEntry], L: int) -> list[TokenizedEntry]:
         raise ConfigurationError("dedup threshold must be at least 2")
     if not entries:
         return []
-    parts: list[np.ndarray] = []
-    offsets: list[int] = []
-    pos = 0
-    for i, e in enumerate(entries):
-        offsets.append(pos)
-        parts.append(np.asarray(e.ids, dtype=np.int64))
-        pos += e.token_count
-        # Unique negative separator per boundary: windows crossing
-        # entry boundaries can never match anything.
-        parts.append(np.asarray([-(i + 1)], dtype=np.int64))
-        pos += 1
-    concat = np.concatenate(parts)
+    # Unique negative separator after each entry: windows crossing
+    # entry boundaries can never match anything.
+    concat = np.concatenate([np.asarray(e.ids + [-(i + 1)], dtype=np.int64)
+                             for i, e in enumerate(entries)])
     n = concat.size
 
     covered = np.zeros(n, dtype=bool)
@@ -165,8 +167,10 @@ def dedup_exact(entries: list[TokenizedEntry], L: int) -> list[TokenizedEntry]:
         covered = np.cumsum(delta[:n]) > 0
 
     out: list[TokenizedEntry] = []
-    for e, ofs in zip(entries, offsets):
+    ofs = 0
+    for e in entries:
         keep = ~covered[ofs:ofs + e.token_count]
+        ofs += e.token_count + 1
         if keep.all():
             out.append(e)
             continue
@@ -180,28 +184,28 @@ def dedup_exact(entries: list[TokenizedEntry], L: int) -> list[TokenizedEntry]:
 def pack(entries: list[TokenizedEntry], S: int, seed: int, vocab_size: int) -> PackedDataset:
     """Shuffle entries by seed, join with single <sep> ids, chunk to S.
 
-    The trailing remainder shorter than S is discarded.
+    The trailing remainder shorter than S is discarded. Ids are uint16,
+    so this is where a vocabulary wider than 65536 is refused.
     """
+    if vocab_size > 65536:
+        raise ConfigurationError(f"vocab_size {vocab_size} exceeds the 65536 uint16 ids")
     if not entries:
         raise ConfigurationError("nothing to pack")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(entries))
     pieces: list[np.ndarray] = []
-    sep = np.asarray([SEP_ID], dtype=np.int32)
+    sep = np.asarray([SEP_ID], dtype=ID_DTYPE)
     for j, idx in enumerate(perm):
         if j:
             pieces.append(sep)
-        pieces.append(np.asarray(entries[idx].ids, dtype=np.int32))
+        pieces.append(np.asarray(entries[idx].ids, dtype=ID_DTYPE))
     stream = np.concatenate(pieces)
     n_seq = stream.size // S
     if n_seq == 0:
         raise ConfigurationError(
             f"token supply {stream.size} below one sequence of length {S}"
         )
-    sequences = stream[: n_seq * S].reshape(n_seq, S).copy()
-    counts = np.bincount(sequences.ravel(), minlength=vocab_size).astype(np.int64)
-    ds = PackedDataset(sequences=sequences, seq_len=S, vocab_size=vocab_size,
-                       unigram_counts=counts)
+    ds = PackedDataset(stream[: n_seq * S].reshape(n_seq, S), vocab_size)
     ds.validate()
     return ds
 
@@ -219,12 +223,7 @@ def sort_by_prevalence(ds: PackedDataset) -> PackedDataset:
     logp[present] = np.log(counts[present] / total)
     scores = logp[ds.sequences].mean(axis=1)
     order = np.argsort(-scores, kind="stable")
-    return PackedDataset(
-        sequences=ds.sequences[order].copy(),
-        seq_len=ds.seq_len,
-        vocab_size=ds.vocab_size,
-        unigram_counts=ds.unigram_counts.copy(),
-    )
+    return PackedDataset(ds.sequences[order], ds.vocab_size)
 
 
 @dataclass
@@ -311,14 +310,9 @@ def curate(
         tokenized.append(TokenizedEntry.from_ids(ids, source_index=i))
 
     if cfg.t is not None:
-        kept_r, kept_t = [], []
-        for raw, ent in zip(raws, tokenized):
-            if compression_filter(ent, raw, cfg.t):
-                kept_r.append(raw)
-                kept_t.append(ent)
-            else:
-                report.dropped_filter += 1
-        raws, tokenized = kept_r, kept_t
+        kept = [(r, e) for r, e in zip(raws, tokenized) if compression_filter(e, r, cfg.t)]
+        report.dropped_filter = len(tokenized) - len(kept)
+        raws, tokenized = [r for r, _ in kept], [e for _, e in kept]
     report.entries_after_filter = len(tokenized)
     report.tokens_before_dedup = sum(e.token_count for e in tokenized)
 
@@ -342,34 +336,28 @@ def curate(
 
 def save_dataset(path: str, ds: PackedDataset) -> None:
     ds.validate()
-    if ds.vocab_size > 65536:
-        raise ContractError("dataset format stores u16 ids: vocab_size > 65536")
-    header = DATASET_MAGIC + struct.pack(
-        "<IIIQ", DATASET_VERSION, ds.seq_len, ds.vocab_size, ds.sequence_count
-    )
-    body = ds.sequences.astype("<u2").tobytes()
+    header = _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, ds.seq_len,
+                          ds.vocab_size, ds.sequence_count)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        fh.write(np.ascontiguousarray(ds.sequences))
     os.replace(tmp, path)
 
 
 def load_dataset(path: str) -> PackedDataset:
+    """Check the header and the file size, then map the ids read-only."""
     with open(path, "rb") as fh:
-        head = fh.read(4 + struct.calcsize("<IIIQ"))
-        if head[:4] != DATASET_MAGIC:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size or head[:4] != DATASET_MAGIC:
             raise ContractError(f"{path}: bad dataset magic")
-        version, seq_len, vocab_size, count = struct.unpack("<IIIQ", head[4:])
+        _, version, seq_len, vocab_size, count = _HEADER.unpack(head)
         if version != DATASET_VERSION:
             raise ContractError(f"{path}: unsupported dataset version {version}")
-        body = fh.read()
-    if len(body) != count * seq_len * 2:
-        raise ContractError(f"{path}: body size disagrees with header")
-    ids = np.frombuffer(body, dtype="<u2")
-    sequences = ids.reshape(int(count), seq_len).astype(np.int32)
-    counts = np.bincount(sequences.ravel(), minlength=vocab_size).astype(np.int64)
-    ds = PackedDataset(sequences=sequences, seq_len=seq_len,
-                       vocab_size=vocab_size, unigram_counts=counts)
+        if os.fstat(fh.fileno()).st_size != _HEADER.size + count * seq_len * ID_DTYPE.itemsize:
+            raise ContractError(f"{path}: body size disagrees with header")
+        sequences = np.memmap(fh, dtype=ID_DTYPE, mode="r", offset=_HEADER.size,
+                              shape=(count, seq_len))
+    ds = PackedDataset(sequences, vocab_size)
     ds.validate()
     return ds

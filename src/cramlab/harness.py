@@ -214,23 +214,26 @@ def run_ablation(
     """Run one pretraining per row, all sharing the base seed and
     budget. Rows that abort are marked failed; the rest still run.
 
-    Row overrides and the seed count are validated up front so a typo
-    cannot waste the earlier runs.
+    Row overrides, run directories and the seed count are validated up
+    front so a typo or a repeated name cannot waste the earlier runs.
     """
     if task_path is not None:
         _require_seeds(task_seeds)
-    configs: list[tuple[str, RunConfig]] = []
+    configs: dict[str, tuple[str, RunConfig]] = {}
     for name, overrides in rows:
+        run_dir = os.path.join(workdir, f"run-{_slug(name)}")
+        if run_dir in configs:
+            raise ConfigurationError(f"ablation rows {configs[run_dir][0]!r} and "
+                                     f"{name!r} would share the run directory {run_dir}")
         cfg = parse_run_config(render_run_config(base))
         apply_overrides(cfg, overrides)
         cfg.tokenizer.input = input_path
         cfg.validate()
         cfg.train.budget()
-        configs.append((name, cfg))
+        configs[run_dir] = (name, cfg)
 
     results: list[AblationRow] = []
-    for name, cfg in configs:
-        run_dir = os.path.join(workdir, f"run-{_slug(name)}")
+    for run_dir, (name, cfg) in configs.items():
         art, res = run_pretrain(cfg, run_dir, workdir=workdir)
         row = AblationRow(
             name=name,

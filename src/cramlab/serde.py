@@ -4,6 +4,7 @@ checkpoint manifests."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 
@@ -11,7 +12,7 @@ from .errors import ConfigurationError
 
 
 def parse_scalar(ftype, text: str):
-    """Parse text into ftype (int, float, bool, str, or X | None)."""
+    """Parse text into ftype (int, finite float, bool, str, or X | None)."""
     origin = typing.get_origin(ftype)
     if origin in (typing.Union, types.UnionType):
         args = [a for a in typing.get_args(ftype) if a is not type(None)]
@@ -35,9 +36,12 @@ def parse_scalar(ftype, text: str):
             raise ConfigurationError(f"not an integer: {text!r}") from exc
     if ftype is float:
         try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigurationError(f"not a number: {text!r}") from exc
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigurationError(f"not a finite number: {text!r}")
+        return value
     if ftype is str:
         return text
     raise ConfigurationError(f"unsupported field type {ftype}")

@@ -172,8 +172,7 @@ def test_memory_estimate_bounds_traced_training_peak(preset, model):
     m = cfg.model
     rng = np.random.default_rng(5)
     seqs = rng.integers(len(SPECIAL_TOKENS), m.vocab_size, (64, m.seq_len)).astype(np.int32)
-    ds = PackedDataset(seqs, m.seq_len, m.vocab_size,
-                       np.bincount(seqs.ravel(), minlength=m.vocab_size).astype(np.int64))
+    ds = PackedDataset(seqs, m.vocab_size)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

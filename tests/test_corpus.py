@@ -207,7 +207,7 @@ def test_sort_matches_brute_force():
     rng = np.random.default_rng(340)
     seqs = rng.integers(0, 50, size=(100, 16)).astype(np.int32)
     counts = np.bincount(seqs.ravel(), minlength=50).astype(np.int64)
-    ds = PackedDataset(seqs, 16, 50, counts)
+    ds = PackedDataset(seqs, 50)
     got = sort_by_prevalence(ds)
     logp = np.log(counts / counts.sum())
     scores = logp[seqs].mean(axis=1)
@@ -221,7 +221,7 @@ def test_sort_descending_and_stable_on_ties():
     # relative order must survive
     seqs = np.array([[3, 3], [1, 2], [2, 1], [3, 1]], np.int32)
     counts = np.bincount(seqs.ravel(), minlength=4).astype(np.int64)
-    ds = sort_by_prevalence(PackedDataset(seqs, 2, 4, counts))
+    ds = sort_by_prevalence(PackedDataset(seqs, 4))
     with np.errstate(divide="ignore"):
         scores = np.log(counts / counts.sum())[ds.sequences].mean(axis=1)
     assert (np.diff(scores) <= 1e-15).all()
@@ -232,8 +232,7 @@ def test_sort_descending_and_stable_on_ties():
 def test_sort_idempotent():
     rng = np.random.default_rng(341)
     seqs = rng.integers(0, 12, size=(40, 8)).astype(np.int32)
-    counts = np.bincount(seqs.ravel(), minlength=12).astype(np.int64)
-    once = sort_by_prevalence(PackedDataset(seqs, 8, 12, counts))
+    once = sort_by_prevalence(PackedDataset(seqs, 12))
     twice = sort_by_prevalence(once)
     assert np.array_equal(once.sequences, twice.sequences)
 
@@ -242,7 +241,7 @@ def test_sort_idempotent():
 
 def test_stats_uniform_entropy():
     seqs = np.tile(np.arange(1, 9, dtype=np.int32), (4, 1))
-    ds = PackedDataset(seqs, 8, 9, np.bincount(seqs.ravel(), minlength=9).astype(np.int64))
+    ds = PackedDataset(seqs, 9)
     rep = corpus_stats(ds)
     assert abs(rep.unigram_entropy - np.log(8)) < 1e-12
     assert rep.unk_rate == 0.0
@@ -251,7 +250,7 @@ def test_stats_uniform_entropy():
 
 def test_stats_degenerate_and_unk():
     seqs = np.zeros((2, 4), np.int32)
-    ds = PackedDataset(seqs, 4, 5, np.bincount(seqs.ravel(), minlength=5).astype(np.int64))
+    ds = PackedDataset(seqs, 5)
     rep = corpus_stats(ds)
     assert rep.unigram_entropy == 0.0
     assert rep.unk_rate == 1.0  # id 0 is <unk>
@@ -259,7 +258,7 @@ def test_stats_degenerate_and_unk():
 
 def test_stats_report_text_includes_ratio_only_when_given():
     seqs = np.zeros((1, 4), np.int32)
-    ds = PackedDataset(seqs, 4, 2, np.bincount(seqs.ravel(), minlength=2).astype(np.int64))
+    ds = PackedDataset(seqs, 2)
     assert "tokens per char" not in corpus_stats(ds).to_text()
     assert "tokens per char" in corpus_stats(ds, 0.25).to_text()
 
@@ -314,9 +313,8 @@ def test_curate_without_optional_stages(wp_small, lexicon):
 # -- binary format -------------------------------------------------------------
 
 def make_ds(rng, n=20, s=16, vocab=300):
-    seqs = rng.integers(0, vocab, size=(n, s)).astype(np.int32)
-    return PackedDataset(seqs, s, vocab,
-                         np.bincount(seqs.ravel(), minlength=vocab).astype(np.int64))
+    seqs = rng.integers(0, vocab, size=(n, s)).astype(np.uint16)
+    return PackedDataset(seqs, vocab)
 
 
 def test_dataset_round_trip(tmp_path):
@@ -325,7 +323,7 @@ def test_dataset_round_trip(tmp_path):
     save_dataset(path, ds)
     back = load_dataset(path)
     assert np.array_equal(back.sequences, ds.sequences)
-    assert back.sequences.dtype == np.int32
+    assert back.sequences.dtype == np.uint16
     assert back.seq_len == ds.seq_len and back.vocab_size == ds.vocab_size
     assert np.array_equal(back.unigram_counts, ds.unigram_counts)
 
@@ -357,11 +355,28 @@ def test_dataset_bytes_deterministic(tmp_path):
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
-def test_dataset_rejects_wide_vocab(tmp_path):
-    seqs = np.zeros((1, 4), np.int32)
-    ds = PackedDataset(seqs, 4, 65537, np.bincount(seqs.ravel(), minlength=65537).astype(np.int64))
-    with pytest.raises(ContractError):
-        save_dataset(str(tmp_path / "w.bin"), ds)
+def test_dataset_rejects_wide_vocab():
+    with pytest.raises(ConfigurationError, match="65537"):
+        pack([entry([1] * 8)], S=4, seed=0, vocab_size=65537)
+    assert pack([entry([65535] * 8)], S=4, seed=0, vocab_size=65536).sequences.max() == 65535
+
+
+def test_load_dataset_maps_the_file_read_only(tmp_path):
+    ds = make_ds(np.random.default_rng(364))
+    path = str(tmp_path / "d.bin")
+    save_dataset(path, ds)
+    back = load_dataset(path)
+    # The ids are the file's pages, not a copy: a write fails, and a
+    # change to the file shows through.
+    assert isinstance(back.sequences, np.memmap)
+    assert back.sequences.filename == os.path.abspath(path)
+    assert not back.sequences.flags.writeable
+    with pytest.raises(ValueError):
+        back.sequences[0, 0] = 1
+    with open(path, "r+b") as fh:
+        fh.seek(os.path.getsize(path) - 2)
+        fh.write(np.uint16(7).tobytes())
+    assert back.sequences[-1, -1] == 7
 
 
 def test_dataset_load_rejects_corruption(tmp_path):

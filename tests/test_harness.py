@@ -183,6 +183,18 @@ def test_bad_scalar_values_are_rejected():
         cfg.set("train.peak_lr", "fast")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", [
+    "train.peak_lr", "train.eps", "train.weight_decay", "train.clip_norm",
+    "model.layer_norm_eps", "pipeline.t", "train.budget_hours",
+])
+def test_non_finite_numbers_are_rejected_where_parsed(key, value):
+    # Comparisons with nan are false, so a later range check would pass
+    # it: clip_norm = nan would turn clipping off without a word.
+    with pytest.raises(ConfigurationError, match=f"not a finite number: '{value}'"):
+        parse_run_config(f"{key} = {value}\n")
+
+
 def test_render_parse_round_trip():
     cfg = base_cfg()
     cfg.train.clip_norm = None
@@ -664,17 +676,19 @@ def test_ablation_row_config_reruns_the_row(corpus_path, workdir, tmp_path):
 
 def test_ablation_validates_every_row_before_running(corpus_path, tmp_path):
     bad_rows = [
-        ({"model.nope": "1"}, "unknown config key"),
-        ({"train.peak_lr": "-1"}, "peak_lr"),
-        ({"train.schedule_kind": "cosine"}, "schedule kind"),
-        ({"train.micro_batch": "0"}, "micro_batch"),
-        ({"train.beta1": "1.0"}, "betas"),
-        ({"train.p_mask": "0.5"}, "p_mask"),
-        ({"train.seed": "-1"}, "train.seed"),
-        ({"pipeline.shuffle_seed": "-1"}, "shuffle_seed"),
+        (("bad", {"model.nope": "1"}), "unknown config key"),
+        (("bad", {"train.peak_lr": "-1"}), "peak_lr"),
+        (("bad", {"train.schedule_kind": "cosine"}), "schedule kind"),
+        (("bad", {"train.micro_batch": "0"}), "micro_batch"),
+        (("bad", {"train.beta1": "1.0"}), "betas"),
+        (("bad", {"train.p_mask": "0.5"}), "p_mask"),
+        (("bad", {"train.seed": "-1"}), "train.seed"),
+        (("bad", {"pipeline.shuffle_seed": "-1"}), "shuffle_seed"),
+        # "Fine" is a fine config, but its run directory is run-fine too.
+        (("Fine", {}), "share the run directory"),
     ]
-    for overrides, message in bad_rows:
-        rows = [("fine", {}), ("bad", overrides)]
+    for bad_row, message in bad_rows:
+        rows = [("fine", {}), bad_row]
         with pytest.raises(ConfigurationError, match=message):
             run_ablation(base_cfg(), rows, corpus_path, str(tmp_path))
         assert not os.path.exists(str(tmp_path / "run-fine"))

@@ -14,7 +14,7 @@ from cramlab import model as model_module
 from cramlab import tensor
 from cramlab import trainer as trainer_module
 from cramlab.budget import Budget
-from cramlab.corpus import PackedDataset
+from cramlab.corpus import PackedDataset, TokenizedEntry, load_dataset, pack, save_dataset
 from cramlab.errors import ConfigurationError, ContractError
 from cramlab.harness import write_text_atomic
 from cramlab.model import Model, ModelConfig, build
@@ -51,8 +51,7 @@ def toy_dataset(n_rows=200, seq_len=16, vocab_size=64, fill=None, seed=0):
         seqs = rng.integers(5, vocab_size, size=(n_rows, seq_len), dtype=np.int32)
     else:
         seqs = np.full((n_rows, seq_len), fill, dtype=np.int32)
-    counts = np.bincount(seqs.ravel(), minlength=vocab_size).astype(np.int64)
-    return PackedDataset(seqs, seq_len, vocab_size, counts)
+    return PackedDataset(seqs, vocab_size)
 
 
 def tiny_model(seed=0, **overrides):
@@ -533,6 +532,27 @@ def test_curve_point_snapshot_reuses_its_arrays():
             tracemalloc.stop()
     param_bytes = sum(p.data.nbytes for p in model.params.values())
     assert peaks[0] - peaks[1] < param_bytes / 4
+
+
+def test_pretrain_on_a_mapped_dataset_matches_the_packed_one(tmp_path):
+    # The uint16 ids pack makes, the same ids mapped from their file, and
+    # an int32 copy of them train to the same curve and checkpoint bytes.
+    rng = np.random.default_rng(21)
+    entries = [TokenizedEntry.from_ids(rng.integers(5, 64, size=int(n)), i)
+               for i, n in enumerate(rng.integers(8, 40, size=200))]
+    packed = pack(entries, 16, seed=3, vocab_size=64)
+    path = str(tmp_path / "data.bin")
+    save_dataset(path, packed)
+    datasets = {"packed": packed, "mapped": load_dataset(path),
+                "int32": PackedDataset(packed.sequences.astype(np.int32), 64)}
+    outputs = {}
+    for name, data in datasets.items():
+        checkpoint = str(tmp_path / f"{name}.ckpt")
+        res = run_small(tiny_model(seed=4), data, total_steps=6, interval=1, micro=4,
+                        final=8, checkpoint=checkpoint)
+        with open(checkpoint, "rb") as fh, open(checkpoint + ".bin", "rb") as blob:
+            outputs[name] = (res.curve.to_csv_text(), fh.read(), blob.read())
+    assert outputs["mapped"] == outputs["packed"] == outputs["int32"]
 
 
 def run_diverging(interval=5, **model_overrides):
