@@ -76,14 +76,14 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
     # Each dropout keeps its mask and its output: one after the
     # embedding, two per block.
     drop_sd = 2 * (config.dropout_rate > 0)
-    # Per block: norms keep x-hat and output, q/k/v a product and a
-    # per-head copy (k transposed), then the context, the output
-    # projection and two residual sums. A bias is added into its
-    # product, so it keeps no buffer of its own.
-    per_sd = 15 + 2 * drop_sd
+    # Per block: norms keep x-hat and output, q/k/v their products
+    # (attention builds its per-head views from them), then the context,
+    # the output projection and two residual sums. A bias is added into
+    # its product, so it keeps no buffer of its own.
+    per_sd = 12 + 2 * drop_sd
     # The FFN input projection, plus Phi and the output of the activation
-    # (half width for the gated unit, which keeps gelu(gate) too).
-    per_sf = 2.5 if config.ffn_kind == "glu_gelu" else 3.0
+    # (half width for the gated unit).
+    per_sf = 2.0 if config.ffn_kind == "glu_gelu" else 3.0
     # The attention probabilities.
     per_ss = H * S
     blocks = config.num_layers * S * (per_sd * d + per_sf * f + per_ss)

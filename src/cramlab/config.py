@@ -98,7 +98,7 @@ class RunConfig:
         section = self.sections().get(section_name)
         if section is None or key not in {f.name for f in fields(section)}:
             raise ConfigurationError(f"unknown config key {dotted_key!r}")
-        dataclass_update_from_strs(section, {key: value})
+        dataclass_update_from_strs(section, {key: value}, f"{section_name}.")
 
     def validate(self) -> None:
         self.pipeline.validate()
@@ -148,7 +148,12 @@ def apply_config_text(cfg: RunConfig, text: str) -> RunConfig:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if line:
-            cfg.set(*split_assignment(line, f"line {lineno}"))
+            where = f"line {lineno}"
+            key, value = split_assignment(line, where)
+            try:
+                cfg.set(key, value)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{where}: {exc}") from exc
     return cfg
 
 

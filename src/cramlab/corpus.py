@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
+from .tensor import row_blocks
 from .tokenizer import SEP_ID, UNK_ID, WordPieceModel, normalize
 
 DATASET_MAGIC = b"CRAM"
@@ -101,7 +102,14 @@ class PackedDataset:
 
     @property
     def unigram_counts(self) -> np.ndarray:
-        return np.bincount(self.sequences.ravel(), minlength=self.vocab_size)
+        # By row blocks: bincount casts the ids it is given to intp, four
+        # times the bytes of uint16.
+        counts = np.zeros(self.vocab_size, np.intp)
+        for b in row_blocks(*self.sequences.shape)[1]:
+            part = np.bincount(self.sequences[b].ravel(), minlength=counts.size)
+            part[:counts.size] += counts
+            counts = part
+        return counts
 
     def validate(self) -> None:
         if self.sequences.ndim != 2 or self.sequences.dtype != ID_DTYPE:
@@ -214,14 +222,18 @@ def sort_by_prevalence(ds: PackedDataset) -> PackedDataset:
     """Reorder sequences by descending mean log unigram probability.
 
     Probabilities come from ds's own unigram counts; <sep> counts like
-    any other token. Ties keep original order.
+    any other token. Ties keep original order. Rows are scored a block at
+    a time, so the float64 log-probabilities of all ids never exist at
+    once.
     """
     counts = ds.unigram_counts.astype(np.float64)
     total = counts.sum()
     logp = np.full(ds.vocab_size, -np.inf)
     present = counts > 0
     logp[present] = np.log(counts[present] / total)
-    scores = logp[ds.sequences].mean(axis=1)
+    scores = np.empty(ds.sequence_count)
+    for b in row_blocks(*ds.sequences.shape)[1]:
+        scores[b] = logp[ds.sequences[b]].mean(axis=1)
     order = np.argsort(-scores, kind="stable")
     return PackedDataset(ds.sequences[order], ds.vocab_size)
 

@@ -64,9 +64,10 @@ def dataclass_to_strs(obj) -> dict[str, str]:
     return out
 
 
-def dataclass_update_from_strs(obj, strs: dict[str, str]):
+def dataclass_update_from_strs(obj, strs: dict[str, str], prefix: str = ""):
     """Set fields named in strs, parsing values by annotation; unknown
-    field names raise ConfigurationError."""
+    field names raise ConfigurationError, and so do values that do not
+    parse, naming prefix + the field."""
     hints = typing.get_type_hints(type(obj))
     names = {f.name for f in dataclasses.fields(obj)}
     for key, text in strs.items():
@@ -74,5 +75,9 @@ def dataclass_update_from_strs(obj, strs: dict[str, str]):
             raise ConfigurationError(
                 f"unknown field {key!r} for {type(obj).__name__}"
             )
-        setattr(obj, key, parse_scalar(hints[key], text))
+        try:
+            value = parse_scalar(hints[key], text)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{prefix}{key}: {exc}") from exc
+        setattr(obj, key, value)
     return obj

@@ -13,6 +13,17 @@ accumulate_grad keeps the first contribution by reference and adds
 later ones into it in place, so accumulating micro-batches allocates
 no new parameter-sized buffer.
 
+Passes over an array much larger than the per-core cache stream
+through it in blocks of about STREAM_BLOCK elements: parameter-sized
+passes walk a flat view, and activation ops (gelu, glu_gelu,
+layer_norm, attend) walk whole rows, one sequence at a time for
+attention. Each block runs the op's whole ufunc chain into a
+preallocated output through block-sized scratch, so intermediates stay
+in cache instead of making a new array-sized temporary per step of the
+chain. Every element sees the same ufuncs in the same order as the
+whole-array form, and row reductions see the same rows, so the bytes do
+not depend on the blocking.
+
 Training runs in float32. The finite-difference oracles in the tests run
 the same code at float64; ops never mix dtypes silently.
 """
@@ -30,10 +41,24 @@ from .errors import ContractError
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Elements per block when a pass walks a parameter-sized flat array
-# (initialization here, the Adam update in trainer.py): a few float32
-# buffers of this length stay in the per-core cache, where a temporary
-# the size of the whole parameter would stream through main memory.
-STREAM_BLOCK = 1 << 15
+# (initialization here, the Adam update in trainer.py) or the rows of an
+# activation: a few float32 buffers of this length stay in the per-core
+# cache, where a temporary the size of the whole array would stream
+# through main memory. Much smaller blocks pay numpy's per-call cost
+# once per ufunc of a long chain.
+STREAM_BLOCK = 1 << 16
+
+# Eigen's and XLA's float32 erf(z): an odd degree-13 numerator over an
+# even degree-8 denominator, with z clamped at +-4, where erf rounds to
+# +-1 in float32. Coefficients run from the highest power down.
+_ERF_NUM = np.array([
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02], np.float32)
+_ERF_DEN = np.array([
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02], np.float32)
+_F32_SQRT_HALF = np.float32(math.sqrt(0.5))
 
 # Non-finite op outputs raise FloatingPointError immediately, naming the
 # op, instead of propagating NaN. The check is on by default for direct
@@ -204,6 +229,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    """a as a 2-D (rows, last axis) array, a view when a is contiguous."""
+    return a.reshape(-1, a.shape[-1] if a.ndim else 1)
+
+
+def row_blocks(rows: int, row_size: int) -> tuple[int, list[slice]]:
+    """Slices of `rows` rows of `row_size` elements, about STREAM_BLOCK
+    elements and at least one row each, and the rows in a full block
+    (what a block's scratch buffer holds)."""
+    step = max(1, min(rows, STREAM_BLOCK // max(row_size, 1)))
+    return step, [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def add(a: Tensor, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
     b = _as_tensor(b, a.dtype)
@@ -339,28 +377,59 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to mean 0 / population variance 1, then
-    apply elementwise gain and bias."""
+    apply elementwise gain and bias.
+
+    Mean, variance, x-hat and output are computed one row block at a
+    time, and so is the input gradient; the gain and bias gradients are
+    whole-array sums over rows.
+    """
     if eps <= 0:
         raise ContractError("layer_norm eps must be positive")
     _check_dtypes("layer_norm", x, gain, bias)
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = centered * inv
+    xs = _as_rows(x.data)
+    n, d = xs.shape
+    eps = np.asarray(eps, dtype=x.dtype)
+    step, blocks = row_blocks(n, d)
+    xhat, out = np.empty((n, d), x.dtype), np.empty((n, d), x.dtype)
+    inv = np.empty((n, 1), x.dtype)
+    square = np.empty((step, d), x.dtype)
+    for b in blocks:
+        xb, cb, ib = xs[b], xhat[b], inv[b]
+        np.mean(xb, axis=-1, keepdims=True, out=ib)
+        np.subtract(xb, ib, out=cb)
+        sq = np.multiply(cb, cb, out=square[:len(cb)])
+        np.mean(sq, axis=-1, keepdims=True, out=ib)
+        ib += eps
+        np.sqrt(ib, out=ib)
+        np.divide(1.0, ib, out=ib)
+        cb *= ib
+        np.multiply(cb, gain.data, out=out[b])
+        out[b] += bias.data
 
     def bwd(g):
+        gs = g.reshape(n, d)
+        dx = np.empty((n, d), x.dtype)
         if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
+            gain.accumulate_grad(np.multiply(gs, xhat, out=dx).sum(axis=0))
         if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, x.shape[-1]).sum(axis=0))
-        if x.requires_grad:
-            gxhat = g * gain.data
-            m1 = gxhat.mean(axis=-1, keepdims=True)
-            m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
+            bias.accumulate_grad(gs.sum(axis=0))
+        if not x.requires_grad:
+            return
+        gx, prod = np.empty((step, d), x.dtype), np.empty((step, d), x.dtype)
+        m1, m2 = np.empty((step, 1), x.dtype), np.empty((step, 1), x.dtype)
+        for b in blocks:
+            k = b.stop - b.start
+            gxb = np.multiply(gs[b], gain.data, out=gx[:k])
+            np.mean(gxb, axis=-1, keepdims=True, out=m1[:k])
+            pb = np.multiply(gxb, xhat[b], out=prod[:k])
+            np.mean(pb, axis=-1, keepdims=True, out=m2[:k])
+            gxb -= m1[:k]
+            np.multiply(xhat[b], m2[:k], out=pb)
+            gxb -= pb
+            np.multiply(inv[b], gxb, out=dx[b])
+        x.accumulate_grad(dx.reshape(x.shape))
 
-    return _make("layer_norm", xhat * gain.data + bias.data, (x, gain, bias), bwd)
+    return _make("layer_norm", out.reshape(x.shape), (x, gain, bias), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -375,39 +444,91 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make("softmax", y, (x,), bwd)
 
 
-def _gelu_grad(x: np.ndarray, phi_cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g * d gelu(x)/dx, given phi_cdf = Phi(x) from the forward pass."""
-    pdf = x * x
-    pdf *= -0.5
-    np.exp(pdf, out=pdf)
-    pdf /= np.asarray(_SQRT_2PI, dtype=x.dtype)
-    pdf *= x
-    pdf += phi_cdf
-    pdf *= g
-    return pdf
+def _normal_cdf(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Phi(x) into out. float32 takes (1 + erf(x / sqrt 2)) / 2 through
+    the rational erf above, in float32 throughout, using three scratch
+    buffers of out's shape; any other dtype takes scipy's ndtr."""
+    if x.dtype != np.float32:
+        ndtr(x, out=out)
+        return
+    z, z2, den = scratch
+    np.multiply(x, _F32_SQRT_HALF, out=z)
+    np.clip(z, np.float32(-4.0), np.float32(4.0), out=z)
+    np.multiply(z, z, out=z2)
+    np.multiply(z2, _ERF_NUM[0], out=out)
+    for c in _ERF_NUM[1:-1]:
+        out += c
+        out *= z2
+    out += _ERF_NUM[-1]
+    np.multiply(z2, _ERF_DEN[0], out=den)
+    for c in _ERF_DEN[1:-1]:
+        den += c
+        den *= z2
+    den += _ERF_DEN[-1]
+    out *= z
+    out /= den
+    out += np.float32(1.0)
+    out *= np.float32(0.5)
+
+
+def _gelu_grad(x: np.ndarray, phi_cdf: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+    """g * d gelu(x)/dx into out, given phi_cdf = Phi(x) from the forward pass."""
+    np.multiply(x, x, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= np.asarray(_SQRT_2PI, dtype=x.dtype)
+    out *= x
+    out += phi_cdf
+    out *= g
 
 
 def gelu(x: Tensor) -> Tensor:
-    """x * Phi(x) with the exact Gaussian CDF (erf form)."""
-    phi_cdf = ndtr(x.data).astype(x.dtype, copy=False)
+    """x * Phi(x) with the exact Gaussian CDF (erf form), by row blocks;
+    backward keeps Phi."""
+    xs = _as_rows(x.data)
+    step, blocks = row_blocks(*xs.shape)
+    phi_cdf, out = np.empty(xs.shape, x.dtype), np.empty(xs.shape, x.dtype)
+    scratch = np.empty((3, step, xs.shape[1]), x.dtype)
+    for b in blocks:
+        _normal_cdf(xs[b], phi_cdf[b], scratch[:, :b.stop - b.start])
+        np.multiply(xs[b], phi_cdf[b], out=out[b])
 
     def bwd(g):
-        x.accumulate_grad(_gelu_grad(x.data, phi_cdf, g))
+        gs, dx = g.reshape(xs.shape), np.empty(xs.shape, x.dtype)
+        for b in blocks:
+            _gelu_grad(xs[b], phi_cdf[b], gs[b], dx[b])
+        x.accumulate_grad(dx.reshape(x.shape))
 
-    return _make("gelu", x.data * phi_cdf, (x,), bwd)
+    return _make("gelu", out.reshape(x.shape), (x,), bwd)
 
 
 def glu_gelu(h: Tensor) -> Tensor:
-    """Gated linear unit value * gelu(gate) over the two halves of the last axis."""
-    value, gate = np.split(h.data, 2, axis=-1)
-    phi_cdf = ndtr(gate).astype(h.dtype, copy=False)
-    act = gate * phi_cdf
+    """Gated linear unit value * gelu(gate) over the two halves of the
+    last axis, by row blocks; backward keeps Phi(gate) and recomputes
+    gelu(gate) from it."""
+    hs = _as_rows(h.data)
+    half = hs.shape[1] // 2
+    value, gate = hs[:, :half], hs[:, half:]
+    step, blocks = row_blocks(len(hs), half)
+    phi_cdf, out = np.empty(value.shape, h.dtype), np.empty(value.shape, h.dtype)
+    scratch = np.empty((3, step, half), h.dtype)
+    for b in blocks:
+        _normal_cdf(gate[b], phi_cdf[b], scratch[:, :b.stop - b.start])
+        ob = np.multiply(gate[b], phi_cdf[b], out=out[b])
+        ob *= value[b]
 
     def bwd(g):
-        h.accumulate_grad(np.concatenate(
-            [g * act, _gelu_grad(gate, phi_cdf, g * value)], axis=-1))
+        gs, dh = g.reshape(out.shape), np.empty(hs.shape, h.dtype)
+        dvalue, dgate = dh[:, :half], dh[:, half:]
+        gv = np.empty((step, half), h.dtype)
+        for b in blocks:
+            dv = np.multiply(gate[b], phi_cdf[b], out=dvalue[b])
+            dv *= gs[b]
+            gvb = np.multiply(gs[b], value[b], out=gv[:b.stop - b.start])
+            _gelu_grad(gate[b], phi_cdf[b], gvb, dgate[b])
+        h.accumulate_grad(dh.reshape(h.shape))
 
-    return _make("glu_gelu", value * act, (h,), bwd)
+    return _make("glu_gelu", out.reshape(h.shape[:-1] + (half,)), (h,), bwd)
 
 
 def _rotate_half(a: np.ndarray) -> np.ndarray:
@@ -424,8 +545,11 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
     (B, H, S, dh) heads, first rotates q and k by position:
     t*cos + rotate_half(t)*sin, where rotate_half maps the halves
     (t1, t2) to (-t2, t1). key_bias broadcasts against the (B, H, S, S)
-    scores, which are scaled, biased and normalized in place; backward
-    keeps only the probabilities and the per-head q, k^T and v.
+    scores, which are scaled, biased and normalized in place.
+
+    Both passes walk whole sequences in row blocks (one sequence at a
+    time at model shapes), building each block's per-head q, k^T and v
+    from the projections, so backward keeps only the probabilities.
     """
     _check_dtypes("attend", q, k, v)
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -437,9 +561,14 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
     if rot is not None:
         cos, sin = (np.asarray(t, dtype=q.dtype) for t in rot)
+    if key_bias is not None:
+        key_bias = np.broadcast_to(np.asarray(key_bias, dtype=q.dtype), (B, H, S, S))
+    step, blocks = row_blocks(B, H * S * S)
 
-    def heads_of(t: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(t.reshape(B, S, H, dh).transpose(0, 2, 1, 3))
+    def heads_of(t: Tensor, b: slice) -> np.ndarray:
+        """Sequences b of t as contiguous (n, H, S, dh) heads."""
+        t = t.data[b.start * S:b.stop * S]
+        return np.ascontiguousarray(t.reshape(-1, S, H, dh).transpose(0, 2, 1, 3))
 
     def rotate(h: np.ndarray) -> np.ndarray:
         return h if rot is None else h * cos + _rotate_half(h) * sin
@@ -447,35 +576,48 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
     def unrotate(g: np.ndarray) -> np.ndarray:
         return g if rot is None else g * cos - _rotate_half(g * sin)
 
-    def merge(h: np.ndarray) -> np.ndarray:
-        return h.transpose(0, 2, 1, 3).reshape(rows, d)
+    def keys_t(b: slice) -> np.ndarray:
+        return np.ascontiguousarray(rotate(heads_of(k, b)).transpose(0, 1, 3, 2))
 
-    qh, vh = rotate(heads_of(q.data)), heads_of(v.data)
-    kt = np.ascontiguousarray(rotate(heads_of(k.data)).transpose(0, 1, 3, 2))
-    probs = qh @ kt
-    probs *= scale
-    if key_bias is not None:
-        probs += np.asarray(key_bias, dtype=q.dtype)
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    def merged(a: np.ndarray) -> np.ndarray:
+        """(B, H, S, dh) heads view of a (B*S, d) array."""
+        return a.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+
+    probs = np.empty((B, H, S, S), q.dtype)
+    out = np.empty((rows, d), q.dtype)
+    for b in blocks:
+        p = np.matmul(rotate(heads_of(q, b)), keys_t(b), out=probs[b])
+        p *= scale
+        if key_bias is not None:
+            p += key_bias[b]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        merged(out)[b] = p @ heads_of(v, b)
 
     def bwd(g):
-        g = g.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
-        if v.requires_grad:
-            v.accumulate_grad(merge(np.swapaxes(probs, -1, -2) @ g))
-        # Softmax backward, then the score scale, in place.
-        gs = g @ np.swapaxes(vh, -1, -2)
-        gs -= (gs * probs).sum(axis=-1, keepdims=True)
-        gs *= probs
-        gs *= scale
-        if q.requires_grad:
-            q.accumulate_grad(merge(unrotate(gs @ np.swapaxes(kt, -1, -2))))
-        if k.requires_grad:
-            gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2)
-            k.accumulate_grad(merge(unrotate(gk)))
+        g = merged(g)
+        dq, dk, dv = (np.empty((rows, d), q.dtype) if t.requires_grad else None
+                      for t in (q, k, v))
+        for b in blocks:
+            p, gb = probs[b], g[b]
+            if dv is not None:
+                merged(dv)[b] = np.swapaxes(p, -1, -2) @ gb
+            # Softmax backward, then the score scale, in place.
+            gs = gb @ np.swapaxes(heads_of(v, b), -1, -2)
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            if dq is not None:
+                merged(dq)[b] = unrotate(gs @ np.swapaxes(keys_t(b), -1, -2))
+            if dk is not None:
+                gk = (np.swapaxes(rotate(heads_of(q, b)), -1, -2) @ gs).transpose(0, 1, 3, 2)
+                merged(dk)[b] = unrotate(gk)
+        for t, grad in ((v, dv), (q, dq), (k, dk)):
+            if grad is not None:
+                t.accumulate_grad(grad)
 
-    return _make("attend", merge(probs @ vh), (q, k, v), bwd)
+    return _make("attend", out, (q, k, v), bwd)
 
 
 def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:

@@ -11,8 +11,11 @@ optional bias as a separate `add`.
 
 `adam_step`, `truncated_normal` and `save_checkpoint` are the
 whole-array forms of the passes that now stream parameters through
-cache-sized blocks; the streamed versions are checked against them byte
-for byte.
+cache-sized blocks, and `whole_layer_norm`, `whole_gelu`,
+`whole_glu_gelu` and `whole_attend` those of the activation ops that
+now stream rows; the streamed versions are checked against them byte
+for byte (the GELU pair with the streamed Phi patched to scipy's ndtr,
+which the whole-array forms use).
 
 `finite_diff_check` is the float64 gradient oracle the op and block
 tests are built on.
@@ -24,11 +27,13 @@ import zlib
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
 from cramlab import checkpoint, tensor
 from cramlab.errors import ContractError
 from cramlab.tensor import (
-    Tape, Tensor, _check_dtypes, _make, _unbroadcast, add, gelu, mul, reshape, softmax,
+    _SQRT_2PI, Tape, Tensor, _check_dtypes, _make, _rotate_half, _unbroadcast, add, gelu, mul,
+    reshape, softmax,
 )
 
 
@@ -139,6 +144,112 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b.T as its own op, then the bias as a separate add."""
     out = tensor.matmul_t(a, b)
     return out if bias is None else add(out, bias)
+
+
+def whole_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+    """layer_norm as whole-array expressions."""
+    mean = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mean
+    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    xhat = centered * inv
+
+    def bwd(g):
+        if gain.requires_grad:
+            gain.accumulate_grad((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
+        if bias.requires_grad:
+            bias.accumulate_grad(g.reshape(-1, x.shape[-1]).sum(axis=0))
+        if x.requires_grad:
+            gxhat = g * gain.data
+            m1 = gxhat.mean(axis=-1, keepdims=True)
+            m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+            x.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
+
+    return _make("layer_norm", xhat * gain.data + bias.data, (x, gain, bias), bwd)
+
+
+def _whole_gelu_grad(x, phi_cdf, g):
+    pdf = x * x
+    pdf *= -0.5
+    np.exp(pdf, out=pdf)
+    pdf /= np.asarray(_SQRT_2PI, dtype=x.dtype)
+    pdf *= x
+    pdf += phi_cdf
+    pdf *= g
+    return pdf
+
+
+def whole_gelu(x: Tensor) -> Tensor:
+    """gelu with ndtr over the whole array."""
+    phi_cdf = ndtr(x.data).astype(x.dtype, copy=False)
+
+    def bwd(g):
+        x.accumulate_grad(_whole_gelu_grad(x.data, phi_cdf, g))
+
+    return _make("gelu", x.data * phi_cdf, (x,), bwd)
+
+
+def whole_glu_gelu(h: Tensor) -> Tensor:
+    """glu_gelu with ndtr over whole halves, keeping gelu(gate) for backward."""
+    value, gate = np.split(h.data, 2, axis=-1)
+    phi_cdf = ndtr(gate).astype(h.dtype, copy=False)
+    act = gate * phi_cdf
+
+    def bwd(g):
+        h.accumulate_grad(np.concatenate(
+            [g * act, _whole_gelu_grad(gate, phi_cdf, g * value)], axis=-1))
+
+    return _make("glu_gelu", value * act, (h,), bwd)
+
+
+def whole_attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
+                 key_bias: np.ndarray | None = None,
+                 rot: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+    """attend over all sequences at once, keeping the per-head q, k^T
+    and v for backward."""
+    rows, d = q.shape
+    B, S, H, dh = rows // seq_len, seq_len, heads, d // heads
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    if rot is not None:
+        cos, sin = (np.asarray(t, dtype=q.dtype) for t in rot)
+
+    def heads_of(t):
+        return np.ascontiguousarray(t.reshape(B, S, H, dh).transpose(0, 2, 1, 3))
+
+    def rotate(h):
+        return h if rot is None else h * cos + _rotate_half(h) * sin
+
+    def unrotate(g):
+        return g if rot is None else g * cos - _rotate_half(g * sin)
+
+    def merge(h):
+        return h.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    qh, vh = rotate(heads_of(q.data)), heads_of(v.data)
+    kt = np.ascontiguousarray(rotate(heads_of(k.data)).transpose(0, 1, 3, 2))
+    probs = qh @ kt
+    probs *= scale
+    if key_bias is not None:
+        probs += np.asarray(key_bias, dtype=q.dtype)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        g = g.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+        if v.requires_grad:
+            v.accumulate_grad(merge(np.swapaxes(probs, -1, -2) @ g))
+        gs = g @ np.swapaxes(vh, -1, -2)
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale
+        if q.requires_grad:
+            q.accumulate_grad(merge(unrotate(gs @ np.swapaxes(kt, -1, -2))))
+        if k.requires_grad:
+            gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2)
+            k.accumulate_grad(merge(unrotate(gk)))
+
+    return _make("attend", merge(probs @ vh), (q, k, v), bwd)
 
 
 def adam_step(params, state, lr, cfg, decay_exempt=None) -> None:

@@ -2,12 +2,13 @@
 quadratic reference, packing, prevalence sort, stats, binary format."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cramlab.corpus import (
-    PackedDataset, PipelineConfig, RawEntry, TokenizedEntry,
+    ID_DTYPE, PackedDataset, PipelineConfig, RawEntry, TokenizedEntry,
     compression_filter, corpus_stats, curate, dedup_exact, load_dataset,
     pack, save_dataset, sort_by_prevalence,
 )
@@ -235,6 +236,26 @@ def test_sort_idempotent():
     once = sort_by_prevalence(PackedDataset(seqs, 12))
     twice = sort_by_prevalence(once)
     assert np.array_equal(once.sequences, twice.sequences)
+
+
+def test_sort_scores_rows_in_blocks():
+    # Scoring and counting by row blocks: the float64 log-probabilities
+    # of every id, or an intp copy of them, would be 4x and 8x the ids.
+    rng = np.random.default_rng(342)
+    seqs = rng.integers(0, 8192, size=(20000, 128)).astype(ID_DTYPE)
+    ds = PackedDataset(seqs, 8192)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = sort_by_prevalence(ds)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * seqs.nbytes
+    logp = np.log(np.bincount(seqs.ravel(), minlength=8192) / seqs.size)
+    order = np.argsort(-logp[seqs].mean(axis=1), kind="stable")
+    assert got.sequences.dtype == ID_DTYPE
+    assert np.array_equal(got.sequences, seqs[order])
 
 
 # -- stats ---------------------------------------------------------------------

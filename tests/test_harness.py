@@ -183,6 +183,19 @@ def test_bad_scalar_values_are_rejected():
         cfg.set("train.peak_lr", "fast")
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("train.peak_lr", "fast", "not a finite number: 'fast'"),
+    ("train.micro_batch", "many", "not an integer: 'many'"),
+    ("model.final_norm", "maybe", "not a boolean: 'maybe'"),
+])
+def test_bad_scalar_errors_name_the_key_and_line(key, value, message):
+    with pytest.raises(ConfigurationError, match=f"^{key}: {message}$"):
+        RunConfig().set(key, value)
+    text = f"train.seed = 1\n# a comment\n{key} = {value}\n"
+    with pytest.raises(ConfigurationError, match=f"^line 3: {key}: {message}$"):
+        parse_run_config(text)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("key", [
     "train.peak_lr", "train.eps", "train.weight_decay", "train.clip_norm",

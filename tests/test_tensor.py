@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import composed_ops
+from cramlab import tensor
 from cramlab.config import PRESETS, RunConfig, apply_overrides
 from cramlab.errors import ContractError
 from cramlab.model import build, rotary_tables
@@ -585,6 +587,81 @@ def test_fused_ops_match_composed_reference_bitwise(shape):
     assert np.array_equal(out, ref_out)
     assert np.array_equal(grad, ref_grad)
     assert records == 1 and ref_records > 1
+
+
+# -- row-blocked activation ops ----------------------------------------------
+
+def test_float32_normal_cdf_and_gelu_track_float64_ndtr():
+    x = np.concatenate([np.linspace(-13.0, 13.0, 400_001), [1e30, -1e30]]).astype(np.float32)
+    x64 = x.astype(F64)
+    phi = np.empty_like(x)
+    tensor._normal_cdf(x, phi, np.empty((3,) + x.shape, np.float32))
+    assert phi.dtype == np.float32
+    assert np.abs(phi - ndtr(x64)).max() <= 3e-7
+    assert phi[-2] == 1.0 and phi[-1] == 0.0
+    out = gelu(Tensor(x)).data
+    assert out.dtype == np.float32
+    assert np.abs(out - x64 * ndtr(x64)).max() <= 2e-6
+    nan = np.full(3, np.nan, np.float32)
+    tensor._normal_cdf(nan, phi[:3], np.empty((3, 3), np.float32))
+    assert np.isnan(phi[:3]).all()
+
+
+def _ln(x):
+    d = x.shape[-1]
+    rng = np.random.default_rng(21)
+    return (x, Tensor(rng.normal(size=d).astype(x.dtype) + 1.0, requires_grad=True),
+            Tensor(rng.normal(size=d).astype(x.dtype), requires_grad=True))
+
+
+def _run_op(op, leaves, extra=()):
+    """Forward output and every leaf gradient of sum(op(...) * k) for a fixed k."""
+    with Tape() as tape:
+        out = op(*leaves, *extra)
+        k = np.random.default_rng(11).normal(size=out.shape).astype(out.dtype)
+        tape.backward(tsum(mul(out, Tensor(k))))
+    return [out.data] + [t.grad for t in leaves]
+
+
+# Row counts that leave a partial last block, a row wider than
+# STREAM_BLOCK (one row per block), and a 3-D input.
+BLOCK_SHAPES = [(2 * (STREAM_BLOCK // 64) + 37, 64), (3, 2 * STREAM_BLOCK + 10), (4, 300, 128)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=["partial-block", "wide-row", "3d"])
+@pytest.mark.parametrize("name", ["layer_norm", "gelu", "glu_gelu"])
+def test_row_blocked_ops_match_whole_array_forms_bitwise(name, shape, dtype, monkeypatch):
+    monkeypatch.setattr(tensor, "_normal_cdf", lambda x, out, scratch: ndtr(x, out=out))
+    blocked, whole = {
+        "layer_norm": (layer_norm, composed_ops.whole_layer_norm),
+        "gelu": (gelu, composed_ops.whole_gelu),
+        "glu_gelu": (glu_gelu, composed_ops.whole_glu_gelu),
+    }[name]
+    x = (np.random.default_rng(20).normal(size=shape) * 3.0).astype(dtype)
+    results = []
+    for op in (blocked, whole):
+        leaf = Tensor(x.copy(), requires_grad=True)
+        leaves = _ln(leaf) if name == "layer_norm" else (leaf,)
+        results.append(_run_op(op, leaves))
+    got, want = results
+    assert all(a.dtype == dtype for a in got)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("B, S, H, dh", [(70, 16, 4, 8), (3, 128, 4, 16)],
+                         ids=["partial-block", "one-sequence-blocks"])
+def test_attend_matches_whole_array_form_bitwise(B, S, H, dh, dtype):
+    rng = np.random.default_rng(22)
+    qkv = [(rng.normal(size=(B * S, H * dh)) * 3.0).astype(dtype) for _ in range(3)]
+    key_bias = rng.normal(size=(B, 1, 1, S)).astype(dtype)
+    key_bias[-1, ..., -1] = -1e9
+    extra = (S, H, key_bias, rotary_tables(S, dh, dtype))
+    got, want = (_run_op(op, [Tensor(a.copy(), requires_grad=True) for a in qkv], extra)
+                 for op in (attend, composed_ops.whole_attend))
+    assert all(a.dtype == dtype for a in got)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_fd_normalization_ops():
