@@ -7,9 +7,10 @@ shape and byte offset, and a `blob <nbytes> <crc32>` line) and
 Round trips are bit-exact for float32 arrays, which is what run-to-run
 determinism checks compare.
 
-Saving replaces the blob first and the manifest last, so the manifest
-is the commit point and a torn save fails the blob line's check on
-load. A manifest without a blob line gets only the length check.
+Both files are written through `serde.committed`, the blob first and
+the manifest last, so the manifest is the commit point and a torn save
+fails the blob line's check on load. A manifest without a blob line
+gets only the length check.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import zlib
 import numpy as np
 
 from .errors import ContractError
+from .serde import committed
 
 _HEADER = "cramlab-checkpoint v1"
 
@@ -31,11 +33,9 @@ def blob_path(path: str) -> str:
 def save_checkpoint(path: str, arrays: dict[str, np.ndarray], config: dict | None = None) -> None:
     """Write arrays (insertion order preserved) and optional config keys.
 
-    Each array's buffer goes straight into the temporary blob, with the
-    blob's crc32 accumulated over it, so the save copies no array that
-    is already contiguous little-endian float32. The manifest, which
-    needs the crc, is written next; the blob is renamed into place
-    before the manifest, which commits the save.
+    Each array's buffer goes straight into the blob, with the blob's
+    crc32 accumulated over it, so the save copies no array that is
+    already contiguous little-endian float32.
     """
     for name in arrays:
         if " " in name or not name:
@@ -44,9 +44,7 @@ def save_checkpoint(path: str, arrays: dict[str, np.ndarray], config: dict | Non
     for key in sorted(config or {}):
         lines.append(f"config {key} = {(config or {})[key]}")
     offset = crc = 0
-    tmp_manifest = path + ".tmp"
-    tmp_blob = blob_path(path) + ".tmp"
-    with open(tmp_blob, "wb") as fh:
+    with committed(blob_path(path)) as fh:
         for name, arr in arrays.items():
             a = np.ascontiguousarray(arr, dtype="<f4")
             shape = "x".join(str(d) for d in a.shape) or "1"
@@ -55,10 +53,8 @@ def save_checkpoint(path: str, arrays: dict[str, np.ndarray], config: dict | Non
             fh.write(a)
             offset += a.nbytes
     lines.append(f"blob {offset} {crc}")
-    with open(tmp_manifest, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp_blob, blob_path(path))
-    os.replace(tmp_manifest, path)
+    with committed(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:

@@ -186,13 +186,6 @@ def render_run_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_sections(cfg: RunConfig, names: tuple[str, ...]) -> str:
-    text = render_run_config(cfg)
-    keep = [ln for ln in text.splitlines()
-            if ln.partition(".")[0] in names]
-    return "\n".join(keep) + "\n"
-
-
 def config_diff(a: RunConfig, b: RunConfig) -> dict[str, tuple[str, str]]:
     """Dotted keys whose rendered values differ, key -> (a, b)."""
     out: dict[str, tuple[str, str]] = {}

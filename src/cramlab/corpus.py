@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
+from .serde import committed
 from .tensor import row_blocks
 from .tokenizer import SEP_ID, UNK_ID, WordPieceModel, normalize
 
@@ -350,11 +351,9 @@ def save_dataset(path: str, ds: PackedDataset) -> None:
     ds.validate()
     header = _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, ds.seq_len,
                           ds.vocab_size, ds.sequence_count)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    with committed(path) as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(ds.sequences))
-    os.replace(tmp, path)
 
 
 def load_dataset(path: str) -> PackedDataset:

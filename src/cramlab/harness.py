@@ -5,8 +5,10 @@ A run directory is self-contained: config.txt (full rendered
 configuration), curve.csv, checkpoint (+ .bin blob), dataset-stats.txt
 and report.txt. Prepared vocabularies and datasets live in a shared
 work directory keyed by a content hash of the tokenizer and pipeline
-sections plus the raw input bytes, so runs that differ only in model
-or training settings reuse the exact same dataset file.
+settings and the corpus entries, not the corpus path, so runs that
+differ only in model or training settings reuse the exact same dataset
+file. Every file is committed whole through `serde.committed`, so
+concurrent runs may share a work directory.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from .budget import (
 )
 from .config import (
     RunConfig, apply_overrides, config_diff, load_run_config,
-    parse_run_config, render_run_config, render_sections,
+    parse_run_config, render_run_config,
 )
 from .corpus import curate, load_dataset, save_dataset
 from .errors import AnalysisError, ConfigurationError
 from .model import Model, build
 from .scaling import fit_power_law
+from .serde import write_text_atomic
 from .tokenizer import Vocab, WordPieceModel, train_wordpiece
 from .trainer import (
     FinetuneMetrics, FinetuneProtocol, LossCurve, PretrainResult, finetune, load_task,
@@ -41,15 +44,6 @@ CURVE_NAME = "curve.csv"
 CHECKPOINT_NAME = "checkpoint"
 STATS_NAME = "dataset-stats.txt"
 REPORT_NAME = "report.txt"
-
-
-def write_text_atomic(path: str, text: str) -> None:
-    """Write text to a temporary file, then rename it over path, so a
-    killed process leaves the old file or the new one, never a torn one."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def read_entries(path: str) -> list[str]:
@@ -73,11 +67,15 @@ def read_entries(path: str) -> list[str]:
     return entries
 
 
-def data_key(cfg: RunConfig, input_path: str) -> str:
-    """Content hash over everything that can change the dataset bytes."""
+def data_key(cfg: RunConfig, entries: list[str]) -> str:
+    """Content hash over everything that can change the dataset bytes:
+    the tokenizer and pipeline settings but tokenizer.input, and the
+    corpus entries."""
     h = hashlib.sha256()
-    h.update(render_sections(cfg, ("tokenizer", "pipeline")).encode())
-    for entry in read_entries(input_path):
+    for line in render_run_config(cfg).splitlines(keepends=True):
+        if line.startswith(("tokenizer.", "pipeline.")) and not line.startswith("tokenizer.input "):
+            h.update(line.encode())
+    for entry in entries:
         h.update(entry.encode())
         h.update(b"\n")
     return h.hexdigest()[:16]
@@ -95,7 +93,8 @@ def prepare(cfg: RunConfig, input_path: str, workdir: str) -> PreparedData:
     """Train the tokenizer and curate the corpus, or reuse cached
     artifacts when an identical preparation already ran."""
     os.makedirs(workdir, exist_ok=True)
-    key = data_key(cfg, input_path)
+    entries = read_entries(input_path)
+    key = data_key(cfg, entries)
     out = PreparedData(
         key=key,
         vocab_path=os.path.join(workdir, f"vocab-{key}.txt"),
@@ -105,7 +104,6 @@ def prepare(cfg: RunConfig, input_path: str, workdir: str) -> PreparedData:
     if all(os.path.exists(p) for p in (out.vocab_path, out.data_path, out.stats_path)):
         return out
 
-    entries = read_entries(input_path)
     wp = train_wordpiece(
         entries,
         vocab_size=cfg.tokenizer.vocab_size,
@@ -234,7 +232,8 @@ def run_ablation(
 
     results: list[AblationRow] = []
     for run_dir, (name, cfg) in configs.items():
-        art, res = run_pretrain(cfg, run_dir, workdir=workdir)
+        data = prepare(cfg, input_path, workdir)
+        art, res = run_pretrain(cfg, run_dir, data=data)
         row = AblationRow(
             name=name,
             final_loss=res.curve.points[-1].loss if len(res.curve) else None,
@@ -244,7 +243,7 @@ def run_ablation(
         )
         if task_path is not None and not res.aborted:
             runs = finetune_seeds(
-                art.checkpoint_path, prepare(cfg, input_path, workdir).vocab_path,
+                art.checkpoint_path, data.vocab_path,
                 task_path, FinetuneProtocol(), task_seeds,
                 max_chars_per_word=cfg.tokenizer.max_chars_per_word)
             row.task_metric = float(statistics.median(m.accuracy for m in runs))

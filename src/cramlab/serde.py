@@ -1,10 +1,12 @@
 """String <-> dataclass field conversion shared by config files and
-checkpoint manifests."""
+checkpoint manifests, and the one way every artifact file is written."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import os
 import types
 import typing
 
@@ -81,3 +83,28 @@ def dataclass_update_from_strs(obj, strs: dict[str, str], prefix: str = ""):
             raise ConfigurationError(f"{prefix}{key}: {exc}") from exc
         setattr(obj, key, value)
     return obj
+
+
+@contextlib.contextmanager
+def committed(path: str):
+    """Yield a new binary file beside path and rename it over path when
+    the block ends. Its name starts with path's and is unique to the
+    writer, so overlapping writers each commit a whole file and the last
+    rename wins; an exception removes it. Nothing is fsynced: a commit
+    outlives a killed process, not a power loss."""
+    tmp = f"{path}.tmp-{os.urandom(8).hex()}"
+    # Created exclusively, with open()'s own bits: 0o666 less the umask.
+    fh = open(tmp, "wb", opener=lambda p, flags: os.open(p, flags | os.O_EXCL, 0o666))
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Commit text to path as UTF-8."""
+    with committed(path) as fh:
+        fh.write(text.encode("utf-8"))

@@ -682,10 +682,10 @@ def truncated_normal(shape, std: float, rng: np.random.Generator, dtype=np.float
     out = np.empty(shape, dtype)
     flat = out.reshape(-1)
     bad = [np.empty(0, np.intp)]
-    for lo in range(0, flat.size, STREAM_BLOCK):
-        draw = rng.normal(0.0, std, size=min(STREAM_BLOCK, flat.size - lo))
-        flat[lo:lo + draw.size] = draw
-        bad.append(lo + np.flatnonzero(np.abs(draw) > 2.0 * std))
+    for blk in row_blocks(flat.size, 1)[1]:
+        draw = rng.normal(0.0, std, size=blk.stop - blk.start)
+        flat[blk] = draw
+        bad.append(blk.start + np.flatnonzero(np.abs(draw) > 2.0 * std))
     bad = np.concatenate(bad)
     # Only positions redrawn in the last round can still be out of range.
     while bad.size:

@@ -15,7 +15,6 @@ than max_chars_per_word) becomes <unk>.
 
 from __future__ import annotations
 
-import os
 import unicodedata
 import warnings
 from collections import Counter
@@ -24,6 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigurationError
+from .serde import committed
 
 UNK, SEP, MASK, CLS, PAD = "<unk>", "<sep>", "<mask>", "<cls>", "<pad>"
 SPECIAL_TOKENS = (UNK, SEP, MASK, CLS, PAD)
@@ -84,10 +84,8 @@ class Vocab:
         return len(self.tokens)
 
     def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("\n".join(self.tokens) + "\n")
-        os.replace(tmp, path)
+        with committed(path) as fh:
+            fh.write(("\n".join(self.tokens) + "\n").encode("ascii"))
 
     @classmethod
     def load(cls, path: str) -> "Vocab":

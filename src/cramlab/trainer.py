@@ -30,12 +30,12 @@ from .budget import Budget
 from .errors import ConfigurationError, ContractError
 from .model import Model
 from .tensor import (
-    STREAM_BLOCK, Tape, Tensor, cross_entropy_from_logits, dropout, gather_rows,
-    matmul, reshape, set_finite_checks, truncated_normal,
+    Tape, Tensor, cross_entropy_from_logits, dropout, gather_rows, matmul, reshape,
+    row_blocks, set_finite_checks, truncated_normal,
 )
 from .tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, WordPieceModel
 
-SCHEDULE_KINDS = ("one_cycle", "triangular", "cosine_decay", "linear_decay", "constant")
+SCHEDULE_KINDS = ("one_cycle", "cosine_decay", "linear_decay", "constant")
 
 
 @dataclass
@@ -43,16 +43,14 @@ class MaskingConfig:
     rate: float = 0.15
     p_mask: float = 0.8
     p_random: float = 0.1
-    p_keep: float = 0.1
 
     def validate(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
             raise ConfigurationError("masking rate must be within [0, 1]")
-        total = self.p_mask + self.p_random + self.p_keep
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigurationError("p_mask + p_random + p_keep must be 1")
-        if min(self.p_mask, self.p_random, self.p_keep) < 0:
+        if min(self.p_mask, self.p_random) < 0:
             raise ConfigurationError("treatment probabilities must be nonnegative")
+        if self.p_mask + self.p_random > 1:
+            raise ConfigurationError("p_mask + p_random must be at most 1")
 
 
 @dataclass
@@ -246,7 +244,7 @@ def lr_at(step: float, cfg: ScheduleConfig) -> float:
         return cfg.peak_lr * 0.5 * (1.0 + math.cos(math.pi * step / T))
     if cfg.kind == "linear_decay":
         return cfg.peak_lr * (T - step) / T
-    # one_cycle and triangular share the linear up/down shape.
+    # one_cycle: linear up to the peak, linear down to 0.
     peak_step = cfg.peak_fraction * T
     if step <= peak_step:
         return cfg.peak_lr * (step / peak_step)
@@ -313,12 +311,12 @@ def adam_step(
         v = state.v[name]
         decay = cfg.weight_decay and not (decay_exempt and decay_exempt(name))
         pf, gf, mf, vf = (x.reshape(-1) for x in (p.data, g, m, v))
-        scratch_a = np.empty(min(pf.size, STREAM_BLOCK), pf.dtype)
+        width, blocks = row_blocks(pf.size, 1)
+        scratch_a = np.empty(width, pf.dtype)
         scratch_b = np.empty_like(scratch_a)
-        for lo in range(0, pf.size, STREAM_BLOCK):
-            hi = min(lo + STREAM_BLOCK, pf.size)
-            pb, gb, mb, vb = pf[lo:hi], gf[lo:hi], mf[lo:hi], vf[lo:hi]
-            a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
+        for blk in blocks:
+            pb, gb, mb, vb = pf[blk], gf[blk], mf[blk], vf[blk]
+            a, b = scratch_a[:pb.size], scratch_b[:pb.size]
             mb *= cfg.beta1
             np.multiply(gb, 1.0 - cfg.beta1, out=a)
             mb += a

@@ -25,6 +25,7 @@ from cramlab.config import (
     PRESETS, RunConfig, TokenizerSection, TrainSection, apply_overrides, config_diff,
     load_run_config, parse_run_config, render_run_config,
 )
+from cramlab.corpus import load_dataset, save_dataset
 from cramlab.errors import AnalysisError, ConfigurationError
 from cramlab.harness import (
     CONFIG_NAME, CURVE_NAME, REPORT_NAME, STATS_NAME, data_key, emit_report, finetune_seeds,
@@ -33,6 +34,7 @@ from cramlab.harness import (
 )
 from cramlab.model import Model
 from cramlab.serde import render_scalar
+from cramlab.tokenizer import Vocab
 from cramlab.trainer import CurvePoint, FinetuneProtocol, LossCurve, encode_task_batch
 
 
@@ -224,7 +226,7 @@ def test_rendered_defaults_and_presets_keep_their_bytes():
              for overrides in PRESETS.values()]
     assert render_run_config(RunConfig()) == texts[list(PRESETS).index("crammed")]
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
-        "1594ec6eb4e51b63bead535afad2e318416836b7c6bd30aa5f4652479d01df5e")
+        "073bf36db82cf3db750eb53539d973d82bcda9d76f73a0fe56cbced2b2322c47")
 
 
 def test_every_train_key_reaches_its_trainer_config_field():
@@ -245,7 +247,6 @@ def test_every_train_key_reaches_its_trainer_config_field():
         "mask_rate": ("masking", "rate", "0.2"),
         "p_mask": ("masking", "p_mask", "0.7"),
         "p_random": ("masking", "p_random", "0.2"),
-        "p_keep": ("masking", "p_keep", "0.05"),
     }
     assert set(routes) | {"budget_steps", "budget_hours", "seed"} == {
         f.name for f in dataclasses.fields(TrainSection)}
@@ -342,23 +343,31 @@ def test_read_entries_error_cases(tmp_path):
 
 def test_data_key_tracks_data_inputs_only(corpus_path, tmp_path):
     cfg = base_cfg()
-    key = data_key(cfg, corpus_path)
-    assert key == data_key(base_cfg(), corpus_path)
+    entries = read_entries(corpus_path)
+    key = data_key(cfg, entries)
+    assert key == data_key(base_cfg(), entries)
 
     other = base_cfg()
     other.model.hidden_dim = 64
     other.train.peak_lr = 9e-9
-    assert data_key(other, corpus_path) == key  # model/train not hashed
+    assert data_key(other, entries) == key  # model/train not hashed
 
     other = base_cfg()
     other.pipeline.t = 0.5
-    assert data_key(other, corpus_path) != key
+    assert data_key(other, entries) != key
 
     altered = tmp_path / "altered.txt"
     with open(corpus_path, encoding="utf-8") as fh:
         body = fh.read()
     altered.write_text(body + "one extra line\n", encoding="utf-8")
-    assert data_key(cfg, str(altered)) != key
+    assert data_key(cfg, read_entries(str(altered))) != key
+
+    # The same bytes under a second path, named the way a user might.
+    moved = tmp_path / "moved.txt"
+    moved.write_text(body, encoding="utf-8")
+    other = base_cfg()
+    other.tokenizer.input = os.path.join(os.path.relpath(tmp_path), ".", "moved.txt")
+    assert data_key(other, read_entries(other.tokenizer.input)) == key
 
 
 def test_prepare_reuses_cached_artifacts(prepared, corpus_path, workdir):
@@ -474,6 +483,51 @@ def test_cli_killed_mid_write_keeps_the_previous_output_whole(
     }[verb]
     assert cli.main(argv) == 0
     _killed_rerun_keeps_the_file_whole(monkeypatch, out, lambda: cli.main(argv))
+
+
+@pytest.mark.parametrize("kind", ["vocab", "dataset"])
+def test_killed_artifact_save_keeps_the_previous_file_whole(prepared, tmp_path, monkeypatch,
+                                                            kind):
+    # The kill is an exception, so the writer also removes its temporary.
+    vocab, ds = Vocab.load(prepared.vocab_path), load_dataset(prepared.data_path)
+    path = str(tmp_path / kind)
+    save = (lambda: vocab.save(path)) if kind == "vocab" else (lambda: save_dataset(path, ds))
+    save()
+    _killed_rerun_keeps_the_file_whole(monkeypatch, path, save)
+    assert os.listdir(tmp_path) == [kind]
+
+
+def test_overlapping_writers_of_one_path_each_commit_whole_bytes(tmp_path, monkeypatch):
+    # A second writer of path runs from start to end while the first is
+    # halfway through its write; both return, the last rename wins.
+    path = str(tmp_path / "out.txt")
+    real_open = open
+
+    class Overtaken:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            monkeypatch.setattr("builtins.open", real_open)
+            write_text_atomic(path, "B" * 10)
+            self.fh.write(text[len(text) // 2:])
+
+    monkeypatch.setattr("builtins.open", lambda *a, **k: Overtaken(real_open(*a, **k)))
+    write_text_atomic(path, "A" * 10)
+    monkeypatch.undo()
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "A" * 10
+    assert os.listdir(tmp_path) == ["out.txt"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask  # open()'s bits, not mkstemp's
 
 
 def _curve_and_blob(cfg, run_dir, prepared):
@@ -675,6 +729,26 @@ def test_ablation_runs_rows_and_renders_table(corpus_path, workdir, task_path):
     assert os.path.isdir(os.path.join(workdir, "run-half-lr"))
 
 
+def test_prepare_and_each_ablation_row_read_the_corpus_once(corpus_path, task_path, tmp_path,
+                                                            monkeypatch):
+    reads = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == corpus_path:
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    cold = str(tmp_path / "cold")
+    prepare(base_cfg(), corpus_path, cold)
+    assert len(reads) == 1
+    rows = [("a", {"train.budget_steps": "2"}),
+            ("b", {"train.budget_steps": "2", "train.seed": "1"})]
+    run_ablation(base_cfg(), rows, corpus_path, cold, task_path=task_path)
+    assert len(reads) == 1 + len(rows)
+
+
 def test_ablation_row_config_reruns_the_row(corpus_path, workdir, tmp_path):
     # A row's config.txt names its corpus, so `pretrain --config` on it
     # repeats the row's run.
@@ -694,7 +768,7 @@ def test_ablation_validates_every_row_before_running(corpus_path, tmp_path):
         (("bad", {"train.schedule_kind": "cosine"}), "schedule kind"),
         (("bad", {"train.micro_batch": "0"}), "micro_batch"),
         (("bad", {"train.beta1": "1.0"}), "betas"),
-        (("bad", {"train.p_mask": "0.5"}), "p_mask"),
+        (("bad", {"train.p_mask": "0.95"}), "p_mask"),
         (("bad", {"train.seed": "-1"}), "train.seed"),
         (("bad", {"pipeline.shuffle_seed": "-1"}), "shuffle_seed"),
         # "Fine" is a fine config, but its run directory is run-fine too.

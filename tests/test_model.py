@@ -498,7 +498,7 @@ def test_checkpoint_writer_matches_joined_copy_writer(tmp_path):
     with open(ckpt.blob_path(got), "rb") as fh:
         blob = fh.read()
     assert blob_line == [["blob", str(len(blob)), str(zlib.crc32(blob))]]
-    assert not os.path.exists(got + ".tmp") and not os.path.exists(ckpt.blob_path(got) + ".tmp")
+    assert sorted(os.listdir(tmp_path)) == ["got", "got.bin", "want", "want.bin"]
 
 
 def test_checkpoint_short_blob_without_blob_line_is_refused(tmp_path):
