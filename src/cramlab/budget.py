@@ -73,28 +73,30 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
     """
     S, d, f, H, V = (config.seq_len, config.hidden_dim, config.ffn_dim,
                      config.num_heads, config.vocab_size)
-    # Each dropout keeps its mask and its output: one after the
-    # embedding, two per block.
-    drop_sd = 2 * (config.dropout_rate > 0)
-    # Per block: norms keep x-hat and output, q/k/v their products
-    # (attention builds its per-head views from them), then the context,
-    # the output projection and two residual sums. A bias is added into
-    # its product, so it keeps no buffer of its own.
-    per_sd = 12 + 2 * drop_sd
+    # Only inputs that some backward reads are kept: a sum, a sublayer's
+    # output projection or a dropout output that feeds only an add or a
+    # norm is freed once the forward has moved past it.
+    dropout = config.dropout_rate > 0
+    # Per block: norms keep x-hat and output (or, post-norm, the block
+    # input), q/k/v their products (attention builds its per-head views
+    # from them), then the context, and each dropout its mask. A bias is
+    # added into its product, so it keeps no buffer of its own.
+    per_sd = 8 + 2 * dropout
     # The FFN input projection, plus Phi and the output of the activation
     # (half width for the gated unit).
     per_sf = 2.0 if config.ffn_kind == "glu_gelu" else 3.0
     # The attention probabilities.
     per_ss = H * S
     blocks = config.num_layers * S * (per_sd * d + per_sf * f + per_ss)
-    embed_sd = 1 + (config.embedding_kind != "rotary") + 2 * config.embedding_norm \
-        + 2 * config.final_norm + drop_sd
+    # The embedding and final norms, and the embedding dropout's mask
+    # and output.
+    embed_sd = 2 * config.embedding_norm + 2 * config.final_norm + 2 * dropout
     masked = math.ceil(mask_rate * S)
     rows = masked if config.sparse_prediction else S
-    head = rows * d * (config.sparse_prediction + 5 * config.nonlinear_head)
-    # Only masked rows are decoded: their logits, then the loss's shifted
-    # copy and exponentials.
-    head += 3 * masked * V
+    head = rows * d * (config.sparse_prediction + 4 * config.nonlinear_head)
+    # Only masked rows are decoded: their logits, which live until the
+    # loss has their exponentials.
+    head += 2 * masked * V
     # The backward pass of the top block runs while its inputs still
     # live: a few gradient buffers of FFN and attention-score width.
     backward = 2 * S * f + 2 * H * S * S

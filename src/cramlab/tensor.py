@@ -13,6 +13,15 @@ accumulate_grad keeps the first contribution by reference and adds
 later ones into it in place, so accumulating micro-batches allocates
 no new parameter-sized buffer.
 
+One rule governs what the tape keeps: a record and its backward closure
+hold the gradient slot of each tensor they send a gradient to (a leaf
+tensor is its own slot; an op output gets a bare Slot) and the arrays
+that backward reads, never an op output Tensor. So an activation's
+.data is freed as soon as the forward has moved past it unless some
+backward reads it: a residual sum, a projection that only feeds an add
+and the logits once the loss has their exponentials are all gone before
+backward starts.
+
 Passes over an array much larger than the per-core cache stream
 through it in blocks of about STREAM_BLOCK elements: parameter-sized
 passes walk a flat view, and activation ops (gelu, glu_gelu,
@@ -85,32 +94,19 @@ def _guard(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-class Tensor:
-    """n-dimensional array plus optional gradient buffer.
+class Slot:
+    """Gradient slot: where backward sends one tensor's gradient.
 
-    Data is immutable by convention once an op has consumed it; the
-    optimizer mutates parameter .data in place between tapes, which is
-    the one sanctioned exception.
+    Holds the gradient, whether one is wanted and the shape it has, and
+    nothing of the tensor's data.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("grad", "requires_grad", "shape")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
-        arr = np.asarray(data)
-        if arr.dtype.kind != "f":
-            arr = arr.astype(np.float32)
-        self.data = arr
+    def __init__(self, shape: tuple, requires_grad: bool = False):
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.name = name
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
+        self.shape = shape
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -121,6 +117,40 @@ class Tensor:
             self.grad = g
         else:
             self.grad += g
+
+
+class Tensor(Slot):
+    """n-dimensional array plus optional gradient buffer.
+
+    A leaf tensor (a parameter or an input, made by the caller) is its
+    own gradient slot. An op output recorded on a tape sends its
+    gradient to a separate Slot, `slot`, which the tape record and its
+    consumers' closures hold, so they never keep its .data alive.
+
+    Data is immutable by convention once an op has consumed it; the
+    optimizer mutates parameter .data in place between tapes, which is
+    the one sanctioned exception.
+    """
+
+    __slots__ = ("data", "name", "_slot")
+
+    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+        arr = np.asarray(data)
+        if arr.dtype.kind != "f":
+            arr = arr.astype(np.float32)
+        super().__init__(arr.shape, requires_grad)
+        self.data = arr
+        self.name = name
+        self._slot: Slot | None = None
+
+    @property
+    def slot(self) -> Slot:
+        """Where backward sends this tensor's gradient."""
+        return self if self._slot is None else self._slot
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -143,7 +173,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._records: list[tuple[Slot, Callable[[np.ndarray], None]]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -155,7 +185,7 @@ class Tape:
         if popped is not self:
             raise ContractError("tape stack corrupted")
 
-    def record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
+    def record(self, out: Slot, backward_fn: Callable[[np.ndarray], None]) -> None:
         self._records.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
@@ -170,7 +200,7 @@ class Tape:
         if loss.data.size != 1:
             raise ContractError("backward requires a scalar loss")
         self._consumed = True
-        loss.grad = np.ones_like(loss.data)
+        loss.slot.grad = np.ones_like(loss.data)
         # Records are in creation order, so when an output's record comes
         # up every consumer of it has already added its gradient. Popping
         # frees the closure's saved activations, and the output's gradient
@@ -207,14 +237,19 @@ def _check_dtypes(op: str, *ts: Tensor) -> None:
 
 
 def _make(op: str, data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
-    """Wrap an op result; record backward_fn(out.grad) if a tape is live."""
+    """Wrap an op result; if a tape is live and an input wants a gradient,
+    give the result its own gradient slot and record backward_fn(slot.grad).
+
+    backward_fn holds the slots of the inputs it sends gradients to and
+    the arrays it reads, never an op output Tensor.
+    """
     _guard(data, op)
     out = Tensor(data)
     tape = _active_tape()
-    needs = any(t.requires_grad for t in inputs)
-    if tape is not None and needs:
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.record(out, backward_fn)
+        out._slot = Slot(out.shape, True)
+        tape.record(out._slot, backward_fn)
     return out
 
 
@@ -246,19 +281,20 @@ def add(a: Tensor, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
     b = _as_tensor(b, a.dtype)
     _check_dtypes("add", a, b)
+    sa, sb = a.slot, b.slot
 
     def bwd(g):
         ga = None
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.shape)
-            a.accumulate_grad(ga)
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.shape)
+        if sa.requires_grad:
+            ga = _unbroadcast(g, sa.shape)
+            sa.accumulate_grad(ga)
+        if sb.requires_grad:
+            gb = _unbroadcast(g, sb.shape)
             if gb is ga:
                 # Both sides got g itself, and each will add into its
                 # .grad in place: the second gets a copy.
                 gb = gb.copy()
-            b.accumulate_grad(gb)
+            sb.accumulate_grad(gb)
 
     return _make("add", a.data + b.data, (a, b), bwd)
 
@@ -267,12 +303,13 @@ def mul(a: Tensor, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
     b = _as_tensor(b, a.dtype)
     _check_dtypes("mul", a, b)
+    sa, sb, ad, bd = a.slot, b.slot, a.data, b.data
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+        if sa.requires_grad:
+            sa.accumulate_grad(_unbroadcast(g * bd, sa.shape))
+        if sb.requires_grad:
+            sb.accumulate_grad(_unbroadcast(g * ad, sb.shape))
 
     return _make("mul", a.data * b.data, (a, b), bwd)
 
@@ -294,14 +331,16 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     data = a.data @ b.data
     if bias is not None:
         data += bias.data
+    sa, sb, ad, bd = a.slot, b.slot, a.data, b.data
+    sbias = None if bias is None else bias.slot
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.shape))
+        if sa.requires_grad:
+            sa.accumulate_grad(g @ bd.T)
+        if sb.requires_grad:
+            sb.accumulate_grad(ad.T @ g)
+        if sbias is not None and sbias.requires_grad:
+            sbias.accumulate_grad(_unbroadcast(g, sbias.shape))
 
     return _make("matmul", data, inputs, bwd)
 
@@ -324,14 +363,16 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     data = a.data @ b.data.T
     if bias is not None:
         data += bias.data
+    sa, sb, ad, bd = a.slot, b.slot, a.data, b.data
+    sbias = None if bias is None else bias.slot
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g.T @ a.data)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.shape))
+        if sa.requires_grad:
+            sa.accumulate_grad(g @ bd)
+        if sb.requires_grad:
+            sb.accumulate_grad(g.T @ ad)
+        if sbias is not None and sbias.requires_grad:
+            sbias.accumulate_grad(_unbroadcast(g, sbias.shape))
 
     return _make("matmul_t", data, inputs, bwd)
 
@@ -339,9 +380,10 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 def reshape(a: Tensor, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
+    sa = a.slot
 
     def bwd(g):
-        a.accumulate_grad(g.reshape(a.shape))
+        sa.accumulate_grad(g.reshape(sa.shape))
 
     return _make("reshape", a.data.reshape(shape), (a,), bwd)
 
@@ -357,6 +399,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         raise ContractError("gather_rows expects a 2-D tensor")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError("gather_rows index out of range")
+    sa = a.slot
 
     def bwd(g):
         # Sum each looked-up row's contributions in lookup order, as a
@@ -364,13 +407,13 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         # gradient (e.g. the tied decoder's), zeros when it has none.
         # add.at over flat element indices takes numpy's fast 1-D loop,
         # several times faster than the same sums over 2-D rows.
-        d = a.shape[1]
+        d = sa.shape[1]
         uniq, inv = np.unique(idx.ravel(), return_inverse=True)
         rows = np.zeros((uniq.size, d), g.dtype)
         np.add.at(rows.reshape(-1), (inv[:, None] * d + np.arange(d)).ravel(), g.reshape(-1))
-        if a.grad is None:
-            a.accumulate_grad(np.zeros(a.shape, g.dtype))
-        a.grad[uniq] += rows
+        if sa.grad is None:
+            sa.accumulate_grad(np.zeros(sa.shape, g.dtype))
+        sa.grad[uniq] += rows
 
     return _make("gather_rows", a.data[idx], (a,), bwd)
 
@@ -405,21 +448,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         cb *= ib
         np.multiply(cb, gain.data, out=out[b])
         out[b] += bias.data
+    sx, sgain, sbias, gd, dt = x.slot, gain.slot, bias.slot, gain.data, x.dtype
 
     def bwd(g):
         gs = g.reshape(n, d)
-        dx = np.empty((n, d), x.dtype)
-        if gain.requires_grad:
-            gain.accumulate_grad(np.multiply(gs, xhat, out=dx).sum(axis=0))
-        if bias.requires_grad:
-            bias.accumulate_grad(gs.sum(axis=0))
-        if not x.requires_grad:
+        dx = np.empty((n, d), dt)
+        if sgain.requires_grad:
+            sgain.accumulate_grad(np.multiply(gs, xhat, out=dx).sum(axis=0))
+        if sbias.requires_grad:
+            sbias.accumulate_grad(gs.sum(axis=0))
+        if not sx.requires_grad:
             return
-        gx, prod = np.empty((step, d), x.dtype), np.empty((step, d), x.dtype)
-        m1, m2 = np.empty((step, 1), x.dtype), np.empty((step, 1), x.dtype)
+        gx, prod = np.empty((step, d), dt), np.empty((step, d), dt)
+        m1, m2 = np.empty((step, 1), dt), np.empty((step, 1), dt)
         for b in blocks:
             k = b.stop - b.start
-            gxb = np.multiply(gs[b], gain.data, out=gx[:k])
+            gxb = np.multiply(gs[b], gd, out=gx[:k])
             np.mean(gxb, axis=-1, keepdims=True, out=m1[:k])
             pb = np.multiply(gxb, xhat[b], out=prod[:k])
             np.mean(pb, axis=-1, keepdims=True, out=m2[:k])
@@ -427,7 +471,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
             np.multiply(xhat[b], m2[:k], out=pb)
             gxb -= pb
             np.multiply(inv[b], gxb, out=dx[b])
-        x.accumulate_grad(dx.reshape(x.shape))
+        sx.accumulate_grad(dx.reshape(sx.shape))
 
     return _make("layer_norm", out.reshape(x.shape), (x, gain, bias), bwd)
 
@@ -436,10 +480,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     y = np.exp(shifted, out=shifted)
     y /= y.sum(axis=axis, keepdims=True)
+    sx = x.slot
 
     def bwd(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        x.accumulate_grad(y * (g - inner))
+        sx.accumulate_grad(y * (g - inner))
 
     return _make("softmax", y, (x,), bwd)
 
@@ -492,12 +537,13 @@ def gelu(x: Tensor) -> Tensor:
     for b in blocks:
         _normal_cdf(xs[b], phi_cdf[b], scratch[:, :b.stop - b.start])
         np.multiply(xs[b], phi_cdf[b], out=out[b])
+    sx = x.slot
 
     def bwd(g):
-        gs, dx = g.reshape(xs.shape), np.empty(xs.shape, x.dtype)
+        gs, dx = g.reshape(xs.shape), np.empty(xs.shape, xs.dtype)
         for b in blocks:
             _gelu_grad(xs[b], phi_cdf[b], gs[b], dx[b])
-        x.accumulate_grad(dx.reshape(x.shape))
+        sx.accumulate_grad(dx.reshape(sx.shape))
 
     return _make("gelu", out.reshape(x.shape), (x,), bwd)
 
@@ -516,17 +562,18 @@ def glu_gelu(h: Tensor) -> Tensor:
         _normal_cdf(gate[b], phi_cdf[b], scratch[:, :b.stop - b.start])
         ob = np.multiply(gate[b], phi_cdf[b], out=out[b])
         ob *= value[b]
+    sh = h.slot
 
     def bwd(g):
-        gs, dh = g.reshape(out.shape), np.empty(hs.shape, h.dtype)
+        gs, dh = g.reshape(out.shape), np.empty(hs.shape, hs.dtype)
         dvalue, dgate = dh[:, :half], dh[:, half:]
-        gv = np.empty((step, half), h.dtype)
+        gv = np.empty((step, half), hs.dtype)
         for b in blocks:
             dv = np.multiply(gate[b], phi_cdf[b], out=dvalue[b])
             dv *= gs[b]
             gvb = np.multiply(gs[b], value[b], out=gv[:b.stop - b.start])
             _gelu_grad(gate[b], phi_cdf[b], gvb, dgate[b])
-        h.accumulate_grad(dh.reshape(h.shape))
+        sh.accumulate_grad(dh.reshape(sh.shape))
 
     return _make("glu_gelu", out.reshape(h.shape[:-1] + (half,)), (h,), bwd)
 
@@ -565,9 +612,9 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
         key_bias = np.broadcast_to(np.asarray(key_bias, dtype=q.dtype), (B, H, S, S))
     step, blocks = row_blocks(B, H * S * S)
 
-    def heads_of(t: Tensor, b: slice) -> np.ndarray:
-        """Sequences b of t as contiguous (n, H, S, dh) heads."""
-        t = t.data[b.start * S:b.stop * S]
+    def heads_of(t: np.ndarray, b: slice) -> np.ndarray:
+        """Sequences b of a (B*S, d) array as contiguous (n, H, S, dh) heads."""
+        t = t[b.start * S:b.stop * S]
         return np.ascontiguousarray(t.reshape(-1, S, H, dh).transpose(0, 2, 1, 3))
 
     def rotate(h: np.ndarray) -> np.ndarray:
@@ -577,45 +624,47 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
         return g if rot is None else g * cos - _rotate_half(g * sin)
 
     def keys_t(b: slice) -> np.ndarray:
-        return np.ascontiguousarray(rotate(heads_of(k, b)).transpose(0, 1, 3, 2))
+        return np.ascontiguousarray(rotate(heads_of(kd, b)).transpose(0, 1, 3, 2))
 
     def merged(a: np.ndarray) -> np.ndarray:
         """(B, H, S, dh) heads view of a (B*S, d) array."""
         return a.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
 
+    qd, kd, vd = q.data, k.data, v.data
     probs = np.empty((B, H, S, S), q.dtype)
     out = np.empty((rows, d), q.dtype)
     for b in blocks:
-        p = np.matmul(rotate(heads_of(q, b)), keys_t(b), out=probs[b])
+        p = np.matmul(rotate(heads_of(qd, b)), keys_t(b), out=probs[b])
         p *= scale
         if key_bias is not None:
             p += key_bias[b]
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        merged(out)[b] = p @ heads_of(v, b)
+        merged(out)[b] = p @ heads_of(vd, b)
+    sq, sk, sv = q.slot, k.slot, v.slot
 
     def bwd(g):
         g = merged(g)
-        dq, dk, dv = (np.empty((rows, d), q.dtype) if t.requires_grad else None
-                      for t in (q, k, v))
+        dq, dk, dv = (np.empty((rows, d), qd.dtype) if s.requires_grad else None
+                      for s in (sq, sk, sv))
         for b in blocks:
             p, gb = probs[b], g[b]
             if dv is not None:
                 merged(dv)[b] = np.swapaxes(p, -1, -2) @ gb
             # Softmax backward, then the score scale, in place.
-            gs = gb @ np.swapaxes(heads_of(v, b), -1, -2)
+            gs = gb @ np.swapaxes(heads_of(vd, b), -1, -2)
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= scale
             if dq is not None:
                 merged(dq)[b] = unrotate(gs @ np.swapaxes(keys_t(b), -1, -2))
             if dk is not None:
-                gk = (np.swapaxes(rotate(heads_of(q, b)), -1, -2) @ gs).transpose(0, 1, 3, 2)
+                gk = (np.swapaxes(rotate(heads_of(qd, b)), -1, -2) @ gs).transpose(0, 1, 3, 2)
                 merged(dk)[b] = unrotate(gk)
-        for t, grad in ((v, dv), (q, dq), (k, dk)):
+        for s, grad in ((sv, dv), (sq, dq), (sk, dk)):
             if grad is not None:
-                t.accumulate_grad(grad)
+                s.accumulate_grad(grad)
 
     return _make("attend", out, (q, k, v), bwd)
 
@@ -628,29 +677,33 @@ def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
         raise ContractError("labels must be a flat list matching logit rows")
     if labels.size and (labels.min() < 0 or labels.max() >= v):
         raise IndexError("label id outside vocabulary")
-    m = logits.data.max(axis=1, keepdims=True)
-    shifted = logits.data - m
-    e = np.exp(shifted)
+    dt, rows = logits.dtype, np.arange(p)
+    # One logits-sized buffer: the shifted logits, whose picked entries
+    # are the only ones of log softmax ever read, then their exponentials
+    # in place.
+    e = logits.data - logits.data.max(axis=1, keepdims=True)
+    picked = e[rows, labels]
+    np.exp(e, out=e)
     z = e.sum(axis=1, keepdims=True)
-    rows = np.arange(p)
-    # Only the picked entries of log softmax are ever read.
-    log_picked = shifted[rows, labels] - np.log(z[:, 0])
-    loss = -log_picked.mean(dtype=logits.dtype)
+    loss = -(picked - np.log(z[:, 0])).mean(dtype=dt)
+    sl = logits.slot
 
     def bwd(g):
         # The closure runs once per tape, so e can become the gradient.
         probs = e
         probs /= z
         probs[rows, labels] -= 1.0
-        probs *= g / np.asarray(p, dtype=logits.dtype)
-        logits.accumulate_grad(probs)
+        probs *= g / np.asarray(p, dtype=dt)
+        sl.accumulate_grad(probs)
 
-    return _make("cross_entropy", np.asarray(loss, dtype=logits.dtype), (logits,), bwd)
+    return _make("cross_entropy", np.asarray(loss, dtype=dt), (logits,), bwd)
 
 
 def tsum(x: Tensor) -> Tensor:
+    sx = x.slot
+
     def bwd(g):
-        x.accumulate_grad(np.broadcast_to(g, x.shape).copy())
+        sx.accumulate_grad(np.broadcast_to(g, sx.shape).copy())
 
     return _make("sum", np.asarray(x.data.sum(dtype=x.dtype), dtype=x.dtype), (x,), bwd)
 
@@ -663,9 +716,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         return x
     keep = (rng.random(x.shape) >= rate).astype(x.dtype)
     keep /= np.asarray(1.0 - rate, dtype=x.dtype)
+    sx = x.slot
 
     def bwd(g):
-        x.accumulate_grad(g * keep)
+        sx.accumulate_grad(g * keep)
 
     return _make("dropout", x.data * keep, (x,), bwd)
 

@@ -30,7 +30,7 @@ from .budget import Budget
 from .errors import ConfigurationError, ContractError
 from .model import Model
 from .tensor import (
-    Tape, Tensor, cross_entropy_from_logits, dropout, gather_rows, matmul, reshape,
+    Tape, Tensor, cross_entropy_from_logits, dropout, gather_rows, matmul, mul, reshape,
     row_blocks, set_finite_checks, truncated_normal,
 )
 from .tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, WordPieceModel
@@ -477,7 +477,7 @@ def pretrain(
                 cursor += ramp.micro_batch
                 with Tape() as tape:
                     loss = masked_loss(rows, rng, train_rate)
-                    tape.backward(loss * (1.0 / acc))
+                    tape.backward(mul(loss, 1.0 / acc))
                 step_loss += loss.item() / acc
                 tokens += rows.size
             if not math.isfinite(step_loss):

@@ -17,6 +17,10 @@ now stream rows; the streamed versions are checked against them byte
 for byte (the GELU pair with the streamed Phi patched to scipy's ndtr,
 which the whole-array forms use).
 
+Unlike the ops in `cramlab.tensor`, the closures here keep the Tensors
+they were given, which a reference may afford, and send each gradient
+to that Tensor's `slot`.
+
 `finite_diff_check` is the float64 gradient oracle the op and block
 tests are built on.
 """
@@ -41,7 +45,7 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     def bwd(g):
         ga = np.zeros_like(a.data)
         ga[..., start:stop] = g
-        a.accumulate_grad(ga)
+        a.slot.accumulate_grad(ga)
 
     return _make("slice_last", np.ascontiguousarray(a.data[..., start:stop]), (a,), bwd)
 
@@ -52,9 +56,9 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(g[..., :na])
+            a.slot.accumulate_grad(g[..., :na])
         if b.requires_grad:
-            b.accumulate_grad(g[..., na:])
+            b.slot.accumulate_grad(g[..., na:])
 
     return _make("concat_last", np.concatenate([a.data, b.data], axis=-1), (a, b), bwd)
 
@@ -64,7 +68,7 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def bwd(g):
-        a.accumulate_grad(g.transpose(inverse))
+        a.slot.accumulate_grad(g.transpose(inverse))
 
     return _make("permute", np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
 
@@ -73,7 +77,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
 
     def bwd(g):
-        a.accumulate_grad(g * np.asarray(s, dtype=a.dtype))
+        a.slot.accumulate_grad(g * np.asarray(s, dtype=a.dtype))
 
     return _make("scale", a.data * np.asarray(s, dtype=a.dtype), (a,), bwd)
 
@@ -94,10 +98,10 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
+            a.slot.accumulate_grad(_unbroadcast(ga, a.shape))
         if b.requires_grad:
             gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
+            b.slot.accumulate_grad(_unbroadcast(gb, b.shape))
 
     out = _make("matmul", a.data @ b.data, (a, b), bwd)
     return out if bias is None else add(out, bias)
@@ -156,14 +160,14 @@ def whole_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) 
 
     def bwd(g):
         if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
+            gain.slot.accumulate_grad((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
         if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, x.shape[-1]).sum(axis=0))
+            bias.slot.accumulate_grad(g.reshape(-1, x.shape[-1]).sum(axis=0))
         if x.requires_grad:
             gxhat = g * gain.data
             m1 = gxhat.mean(axis=-1, keepdims=True)
             m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
+            x.slot.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
 
     return _make("layer_norm", xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
@@ -184,7 +188,7 @@ def whole_gelu(x: Tensor) -> Tensor:
     phi_cdf = ndtr(x.data).astype(x.dtype, copy=False)
 
     def bwd(g):
-        x.accumulate_grad(_whole_gelu_grad(x.data, phi_cdf, g))
+        x.slot.accumulate_grad(_whole_gelu_grad(x.data, phi_cdf, g))
 
     return _make("gelu", x.data * phi_cdf, (x,), bwd)
 
@@ -196,7 +200,7 @@ def whole_glu_gelu(h: Tensor) -> Tensor:
     act = gate * phi_cdf
 
     def bwd(g):
-        h.accumulate_grad(np.concatenate(
+        h.slot.accumulate_grad(np.concatenate(
             [g * act, _whole_gelu_grad(gate, phi_cdf, g * value)], axis=-1))
 
     return _make("glu_gelu", value * act, (h,), bwd)
@@ -238,16 +242,16 @@ def whole_attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
     def bwd(g):
         g = g.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
         if v.requires_grad:
-            v.accumulate_grad(merge(np.swapaxes(probs, -1, -2) @ g))
+            v.slot.accumulate_grad(merge(np.swapaxes(probs, -1, -2) @ g))
         gs = g @ np.swapaxes(vh, -1, -2)
         gs -= (gs * probs).sum(axis=-1, keepdims=True)
         gs *= probs
         gs *= scale
         if q.requires_grad:
-            q.accumulate_grad(merge(unrotate(gs @ np.swapaxes(kt, -1, -2))))
+            q.slot.accumulate_grad(merge(unrotate(gs @ np.swapaxes(kt, -1, -2))))
         if k.requires_grad:
             gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2)
-            k.accumulate_grad(merge(unrotate(gk)))
+            k.slot.accumulate_grad(merge(unrotate(gk)))
 
     return _make("attend", merge(probs @ vh), (q, k, v), bwd)
 

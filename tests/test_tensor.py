@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 import composed_ops
+from cramlab import model as model_module
 from cramlab import tensor
 from cramlab.config import PRESETS, RunConfig, apply_overrides
 from cramlab.errors import ContractError
@@ -209,7 +211,7 @@ def test_broadcast_gradients_reduce_to_input_shape():
 
 
 def test_operator_sugar_matches_functions():
-    # The trainer scales each micro-batch's loss as `loss * (1.0 / acc)`.
+    # The benchmark's replay scales each micro-batch's loss as `loss * (1.0 / acc)`.
     x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
     with Tape() as tape:
         loss = tsum(x * 0.5)
@@ -244,22 +246,72 @@ def _record_loss(model, batch, seed=13):
 def test_backward_keeps_only_leaf_grads(preset):
     model = _tiny_model(preset)
     tape, loss = _record_loss(model, 4)
-    outputs = [out for out, _ in tape._records]
+    slots = [slot for slot, _ in tape._records]
+    assert not any(isinstance(slot, Tensor) for slot in slots)
     tape.backward(loss)
     assert len(tape) == 0
-    assert all(out.grad is None for out in outputs)
+    assert all(slot.grad is None for slot in slots)
     grads = {name: p.grad for name, p in model.params.items()}
 
     # Reference: replay every record and keep every buffer alive.
     model.zero_grads()
     tape, loss = _record_loss(model, 4)
-    loss.grad = np.ones_like(loss.data)
-    for out, fn in reversed(tape._records):
-        if out.grad is not None:
-            fn(out.grad)
-    assert sum(out.grad is not None for out, _ in tape._records) > 1
+    loss.slot.grad = np.ones_like(loss.data)
+    for slot, fn in reversed(tape._records):
+        if slot.grad is not None:
+            fn(slot.grad)
+    assert sum(slot.grad is not None for slot, _ in tape._records) > 1
     for name, p in model.params.items():
         assert grads[name] is not None and np.array_equal(grads[name], p.grad), name
+
+
+def _closure_tensors(fn):
+    """Every Tensor a closure reaches through its cells, nested closures included."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        f = stack.pop()
+        for cell in f.__closure__ or ():
+            try:
+                value = cell.cell_contents
+            except ValueError:  # a name the enclosing function never bound
+                continue
+            if isinstance(value, Tensor):
+                found.append(value)
+            elif callable(value) and getattr(value, "__closure__", None) and id(value) not in seen:
+                seen.add(id(value))
+                stack.append(value)
+    return found
+
+
+@pytest.mark.parametrize("preset", ["crammed", "original_arch"])
+def test_forward_frees_what_no_backward_reads(preset, monkeypatch):
+    # Records and closures hold gradient slots and the arrays backward
+    # reads, never an op output. No backward reads a residual sum or the
+    # logits once the loss has their exponentials, so a recorded forward
+    # keeps none of them.
+    model = _tiny_model(preset)
+    watched = []
+
+    def watched_add(a, b):
+        out = add(a, b)
+        watched.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(model_module, "add", watched_add)
+    ids = np.random.default_rng(13).integers(0, model.config.vocab_size,
+                                             (4, model.config.seq_len))
+    positions = np.arange(0, ids.size, 3)
+    with Tape() as tape:
+        logits = model.logits(ids, masked_positions=positions)
+        watched.append(weakref.ref(logits.data))
+        loss = cross_entropy_from_logits(logits, ids.ravel()[positions])
+        del logits
+    assert len(watched) > 2 * model.config.num_layers
+    assert sum(ref() is not None for ref in watched) == 0
+    held = [t for _, fn in tape._records for t in _closure_tensors(fn)]
+    assert held and all(t.slot is t for t in held)
+    tape.backward(loss)
+    assert all(p.grad is not None for p in model.params.values())
 
 
 @pytest.mark.parametrize("preset", ["crammed", "original_arch"])
