@@ -16,7 +16,9 @@ no new parameter-sized buffer.
 One rule governs what the tape keeps: a record and its backward closure
 hold the gradient slot of each tensor they send a gradient to (a leaf
 tensor is its own slot; an op output gets a bare Slot) and the arrays
-that backward reads, never an op output Tensor. So an activation's
+that backward reads, never an op output Tensor. A closure therefore
+sends a gradient with x.slot.accumulate_grad, never x.accumulate_grad:
+an op output's own .grad is read by no one. So an activation's
 .data is freed as soon as the forward has moved past it unless some
 backward reads it: a residual sum, a projection that only feeds an add
 and the logits once the loss has their exponentials are all gone before
@@ -126,6 +128,8 @@ class Tensor(Slot):
     own gradient slot. An op output recorded on a tape sends its
     gradient to a separate Slot, `slot`, which the tape record and its
     consumers' closures hold, so they never keep its .data alive.
+    Backward reads only that slot, so gradients go through `t.slot`,
+    never to an op output's own accumulate_grad.
 
     Data is immutable by convention once an op has consumed it; the
     optimizer mutates parameter .data in place between tapes, which is

@@ -243,7 +243,14 @@ def _record_loss(model, batch, seed=13):
 
 
 @pytest.mark.parametrize("preset", ["crammed", "original_arch"])
-def test_backward_keeps_only_leaf_grads(preset):
+def test_backward_keeps_only_leaf_grads(preset, monkeypatch):
+    # Backward reads an op output's gradient only from its slot, so a
+    # closure that sends one to the op output Tensor itself would drop it.
+    def leaf_only(self, g):
+        assert self._slot is None, "gradient sent to an op output, not its slot"
+        tensor.Slot.accumulate_grad(self, g)
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", leaf_only)
     model = _tiny_model(preset)
     tape, loss = _record_loss(model, 4)
     slots = [slot for slot, _ in tape._records]
@@ -343,11 +350,12 @@ def test_accumulated_micro_batches_add_into_first_grad_buffers(preset, monkeypat
             assert np.array_equal(p.grad, alone[0][name] + alone[1][name]), name
 
     # Reference: the same two micro-batches, each contribution summed
-    # into a new buffer, so no aliasing can leak into the result.
+    # into a new buffer, so no aliasing can leak into the result. Slot
+    # is the base class, so leaves and op-output slots both allocate.
     def allocating(self, g):
         self.grad = g.copy() if self.grad is None else self.grad + g
 
-    monkeypatch.setattr(Tensor, "accumulate_grad", allocating)
+    monkeypatch.setattr(tensor.Slot, "accumulate_grad", allocating)
     model.zero_grads()
     for seed in (13, 14):
         tape, loss = _record_loss(model, 4, seed)
