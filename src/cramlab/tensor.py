@@ -1,28 +1,30 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Just enough of an array-autograd layer to express a small transformer
-encoder and its training step on top of numpy. Operations executed while
-a Tape is active record one backward closure each onto it, a function
-of the op output's gradient; Tape.backward replays them in reverse
-exactly once, freeing each op's saved buffers and output gradient as it
-goes, so only leaf tensors hold .grad afterwards.
+encoder and its training step on top of numpy. Each op executed while
+a Tape is active records its output's gradient slot, its inputs' slots
+and a backward closure; a leaf tensor is its own slot, an op output
+gets a bare Slot.
 
-One rule governs gradient buffers: a backward closure hands
-accumulate_grad a writable buffer that no live tensor's .grad overlaps.
-accumulate_grad keeps the first contribution by reference and adds
-later ones into it in place, so accumulating micro-batches allocates
-no new parameter-sized buffer.
+A backward closure maps the output's gradient to one gradient per
+input, in input order: an array, or (rows, values) for gather_rows. It
+holds only the arrays it reads, never a Tensor or a Slot, so an
+activation's .data is freed as soon as the forward has moved past it
+unless some backward reads it: a residual sum, a projection that only
+feeds an add and the logits once the loss has their exponentials are
+all gone before backward starts.
 
-One rule governs what the tape keeps: a record and its backward closure
-hold the gradient slot of each tensor they send a gradient to (a leaf
-tensor is its own slot; an op output gets a bare Slot) and the arrays
-that backward reads, never an op output Tensor. A closure therefore
-sends a gradient with x.slot.accumulate_grad, never x.accumulate_grad:
-an op output's own .grad is read by no one. So an activation's
-.data is freed as soon as the forward has moved past it unless some
-backward reads it: a residual sum, a projection that only feeds an add
-and the logits once the loss has their exponentials are all gone before
-backward starts.
+Tape.backward replays the records newest-first, once, dropping each
+record and its output's gradient as it goes, so only leaf tensors hold
+.grad afterwards. It alone applies the gradient rules, to each
+returned gradient in turn:
+1. skip an input whose slot wants no gradient;
+2. sum a broadcast gradient down to the input's shape;
+3. copy a gradient that shares memory with one the same closure
+   returned before it, so no two .grad buffers overlap;
+4. Slot.accumulate_grad: keep the first contribution by reference and
+   add later ones in place, so accumulating micro-batches allocates no
+   new parameter-sized buffer.
 
 Passes over an array much larger than the per-core cache stream
 through it in blocks of about STREAM_BLOCK elements: parameter-sized
@@ -96,6 +98,11 @@ def _guard(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
+# One input's gradient, as a backward closure returns it.
+Gradient = np.ndarray | tuple[np.ndarray, np.ndarray]
+BackwardFn = Callable[[np.ndarray], Sequence[Gradient]]
+
+
 class Slot:
     """Gradient slot: where backward sends one tensor's gradient.
 
@@ -113,9 +120,19 @@ class Slot:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        # g is writable and overlaps no other live .grad (the module rule).
-        if self.grad is None:
+    def accumulate_grad(self, g: Gradient) -> None:
+        """Keep the first gradient by reference and add later ones in place.
+
+        g is a writable array that overlaps no other live .grad, or
+        (rows, values): values added into those rows of .grad, which
+        starts as zeros when there is none. rows holds no repeats.
+        """
+        if isinstance(g, tuple):
+            rows, values = g
+            if self.grad is None:
+                self.grad = np.zeros(self.shape, values.dtype)
+            self.grad[rows] += values
+        elif self.grad is None:
             self.grad = g
         else:
             self.grad += g
@@ -125,11 +142,9 @@ class Tensor(Slot):
     """n-dimensional array plus optional gradient buffer.
 
     A leaf tensor (a parameter or an input, made by the caller) is its
-    own gradient slot. An op output recorded on a tape sends its
-    gradient to a separate Slot, `slot`, which the tape record and its
-    consumers' closures hold, so they never keep its .data alive.
-    Backward reads only that slot, so gradients go through `t.slot`,
-    never to an op output's own accumulate_grad.
+    own gradient slot. An op output recorded on a tape gets a separate
+    Slot, `slot`, which the tape records hold, so they never keep its
+    .data alive.
 
     Data is immutable by convention once an op has consumed it; the
     optimizer mutates parameter .data in place between tapes, which is
@@ -177,7 +192,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Slot, Callable[[np.ndarray], None]]] = []
+        self._records: list[tuple[Slot, tuple[Slot, ...], BackwardFn]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -189,16 +204,9 @@ class Tape:
         if popped is not self:
             raise ContractError("tape stack corrupted")
 
-    def record(self, out: Slot, backward_fn: Callable[[np.ndarray], None]) -> None:
-        self._records.append((out, backward_fn))
-
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss)=1 and replay records newest-first.
-
-        Each record is dropped once replayed, and so is its output's
-        gradient: after backward only leaf tensors (parameters and
-        inputs, which no op produced) hold .grad.
-        """
+        """Seed d(loss)/d(loss)=1 and replay records newest-first,
+        applying the gradient rules of the module docstring."""
         if self._consumed:
             raise ContractError("tape already consumed by a previous backward")
         if loss.data.size != 1:
@@ -208,16 +216,33 @@ class Tape:
         # Records are in creation order, so when an output's record comes
         # up every consumer of it has already added its gradient. Popping
         # frees the closure's saved activations, and the output's gradient
-        # is dropped as soon as the closure has passed it on.
+        # is dropped as soon as its inputs have theirs.
         records = self._records
         while records:
-            out, fn = records.pop()
+            out, inputs, fn = records.pop()
             if out.grad is not None:
-                fn(out.grad)
+                _send(inputs, fn(out.grad))
                 out.zero_grad()
 
     def __len__(self) -> int:
         return len(self._records)
+
+
+def _send(slots: Sequence[Slot], grads: Sequence[Gradient]) -> None:
+    """Apply the gradient rules to one closure's gradients, in order:
+    skip, unbroadcast, copy an overlapping one, accumulate. Only this
+    call holds the closure's result, so a gradient no slot kept is freed
+    before the next closure runs."""
+    sent: list[np.ndarray] = []
+    for slot, g in zip(slots, grads):
+        if not slot.requires_grad:
+            continue
+        if not isinstance(g, tuple):
+            g = _unbroadcast(g, slot.shape)
+            if any(np.may_share_memory(g, other) for other in sent):
+                g = g.copy()
+            sent.append(g)
+        slot.accumulate_grad(g)
 
 
 _tape_stack: list[Tape] = []
@@ -240,12 +265,11 @@ def _check_dtypes(op: str, *ts: Tensor) -> None:
             raise ContractError(f"{op}: mixed dtypes {d0} and {t.data.dtype}")
 
 
-def _make(op: str, data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
+def _make(op: str, data: np.ndarray, inputs: Sequence[Tensor], backward_fn: BackwardFn) -> Tensor:
     """Wrap an op result; if a tape is live and an input wants a gradient,
-    give the result its own gradient slot and record backward_fn(slot.grad).
-
-    backward_fn holds the slots of the inputs it sends gradients to and
-    the arrays it reads, never an op output Tensor.
+    give the result its own gradient slot and record it with the inputs'
+    slots and backward_fn, which maps the result's gradient to one
+    gradient per input and holds only the arrays it reads.
     """
     _guard(data, op)
     out = Tensor(data)
@@ -253,7 +277,7 @@ def _make(op: str, data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> T
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._slot = Slot(out.shape, True)
-        tape.record(out._slot, backward_fn)
+        tape._records.append((out._slot, tuple(t.slot for t in inputs), backward_fn))
     return out
 
 
@@ -285,37 +309,15 @@ def add(a: Tensor, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
     b = _as_tensor(b, a.dtype)
     _check_dtypes("add", a, b)
-    sa, sb = a.slot, b.slot
-
-    def bwd(g):
-        ga = None
-        if sa.requires_grad:
-            ga = _unbroadcast(g, sa.shape)
-            sa.accumulate_grad(ga)
-        if sb.requires_grad:
-            gb = _unbroadcast(g, sb.shape)
-            if gb is ga:
-                # Both sides got g itself, and each will add into its
-                # .grad in place: the second gets a copy.
-                gb = gb.copy()
-            sb.accumulate_grad(gb)
-
-    return _make("add", a.data + b.data, (a, b), bwd)
+    return _make("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
     b = _as_tensor(b, a.dtype)
     _check_dtypes("mul", a, b)
-    sa, sb, ad, bd = a.slot, b.slot, a.data, b.data
-
-    def bwd(g):
-        if sa.requires_grad:
-            sa.accumulate_grad(_unbroadcast(g * bd, sa.shape))
-        if sb.requires_grad:
-            sb.accumulate_grad(_unbroadcast(g * ad, sb.shape))
-
-    return _make("mul", a.data * b.data, (a, b), bwd)
+    ad, bd = a.data, b.data
+    return _make("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -332,21 +334,11 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ContractError("matmul expects 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ContractError(f"matmul inner dims {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    ad, bd = a.data, b.data
+    data = ad @ bd
     if bias is not None:
         data += bias.data
-    sa, sb, ad, bd = a.slot, b.slot, a.data, b.data
-    sbias = None if bias is None else bias.slot
-
-    def bwd(g):
-        if sa.requires_grad:
-            sa.accumulate_grad(g @ bd.T)
-        if sb.requires_grad:
-            sb.accumulate_grad(ad.T @ g)
-        if sbias is not None and sbias.requires_grad:
-            sbias.accumulate_grad(_unbroadcast(g, sbias.shape))
-
-    return _make("matmul", data, inputs, bwd)
+    return _make("matmul", data, inputs, lambda g: (g @ bd.T, ad.T @ g, g))
 
 
 def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -364,60 +356,44 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ContractError("matmul_t expects 2-D operands")
     if a.shape[1] != b.shape[1]:
         raise ContractError(f"matmul_t inner dims {a.shape} @ {b.shape}^T")
-    data = a.data @ b.data.T
+    ad, bd = a.data, b.data
+    data = ad @ bd.T
     if bias is not None:
         data += bias.data
-    sa, sb, ad, bd = a.slot, b.slot, a.data, b.data
-    sbias = None if bias is None else bias.slot
-
-    def bwd(g):
-        if sa.requires_grad:
-            sa.accumulate_grad(g @ bd)
-        if sb.requires_grad:
-            sb.accumulate_grad(g.T @ ad)
-        if sbias is not None and sbias.requires_grad:
-            sbias.accumulate_grad(_unbroadcast(g, sbias.shape))
-
-    return _make("matmul_t", data, inputs, bwd)
+    return _make("matmul_t", data, inputs, lambda g: (g @ bd, g.T @ ad, g))
 
 
 def reshape(a: Tensor, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    sa = a.slot
-
-    def bwd(g):
-        sa.accumulate_grad(g.reshape(sa.shape))
-
-    return _make("reshape", a.data.reshape(shape), (a,), bwd)
+    in_shape = a.shape
+    return _make("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(in_shape),))
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows of a 2-D tensor: out[i] = a[idx[i]].
 
     Serves embedding lookup and the masked-row selection before the
-    decoder. Repeated rows sum their gradients.
+    decoder. Repeated rows sum their gradients, and backward returns
+    only the rows looked up.
     """
     idx = np.asarray(idx)
     if a.data.ndim != 2:
         raise ContractError("gather_rows expects a 2-D tensor")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError("gather_rows index out of range")
-    sa = a.slot
+    d = a.shape[1]
 
     def bwd(g):
         # Sum each looked-up row's contributions in lookup order, as a
-        # dense scatter would, then add only those rows into the table's
-        # gradient (e.g. the tied decoder's), zeros when it has none.
-        # add.at over flat element indices takes numpy's fast 1-D loop,
-        # several times faster than the same sums over 2-D rows.
-        d = sa.shape[1]
+        # dense scatter would; the tape adds only those rows into the
+        # table's gradient (e.g. the tied decoder's). add.at over flat
+        # element indices takes numpy's fast 1-D loop, several times
+        # faster than the same sums over 2-D rows.
         uniq, inv = np.unique(idx.ravel(), return_inverse=True)
         rows = np.zeros((uniq.size, d), g.dtype)
         np.add.at(rows.reshape(-1), (inv[:, None] * d + np.arange(d)).ravel(), g.reshape(-1))
-        if sa.grad is None:
-            sa.accumulate_grad(np.zeros(sa.shape, g.dtype))
-        sa.grad[uniq] += rows
+        return ((uniq, rows),)
 
     return _make("gather_rows", a.data[idx], (a,), bwd)
 
@@ -452,17 +428,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         cb *= ib
         np.multiply(cb, gain.data, out=out[b])
         out[b] += bias.data
-    sx, sgain, sbias, gd, dt = x.slot, gain.slot, bias.slot, gain.data, x.dtype
+    x_shape, gd, dt = x.shape, gain.data, x.dtype
 
     def bwd(g):
         gs = g.reshape(n, d)
         dx = np.empty((n, d), dt)
-        if sgain.requires_grad:
-            sgain.accumulate_grad(np.multiply(gs, xhat, out=dx).sum(axis=0))
-        if sbias.requires_grad:
-            sbias.accumulate_grad(gs.sum(axis=0))
-        if not sx.requires_grad:
-            return
+        dgain = np.multiply(gs, xhat, out=dx).sum(axis=0)
         gx, prod = np.empty((step, d), dt), np.empty((step, d), dt)
         m1, m2 = np.empty((step, 1), dt), np.empty((step, 1), dt)
         for b in blocks:
@@ -475,7 +446,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
             np.multiply(xhat[b], m2[:k], out=pb)
             gxb -= pb
             np.multiply(inv[b], gxb, out=dx[b])
-        sx.accumulate_grad(dx.reshape(sx.shape))
+        return dx.reshape(x_shape), dgain, gs.sum(axis=0)
 
     return _make("layer_norm", out.reshape(x.shape), (x, gain, bias), bwd)
 
@@ -484,11 +455,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     y = np.exp(shifted, out=shifted)
     y /= y.sum(axis=axis, keepdims=True)
-    sx = x.slot
 
     def bwd(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        sx.accumulate_grad(y * (g - inner))
+        return (y * (g - inner),)
 
     return _make("softmax", y, (x,), bwd)
 
@@ -541,13 +511,13 @@ def gelu(x: Tensor) -> Tensor:
     for b in blocks:
         _normal_cdf(xs[b], phi_cdf[b], scratch[:, :b.stop - b.start])
         np.multiply(xs[b], phi_cdf[b], out=out[b])
-    sx = x.slot
+    x_shape = x.shape
 
     def bwd(g):
         gs, dx = g.reshape(xs.shape), np.empty(xs.shape, xs.dtype)
         for b in blocks:
             _gelu_grad(xs[b], phi_cdf[b], gs[b], dx[b])
-        sx.accumulate_grad(dx.reshape(sx.shape))
+        return (dx.reshape(x_shape),)
 
     return _make("gelu", out.reshape(x.shape), (x,), bwd)
 
@@ -566,7 +536,7 @@ def glu_gelu(h: Tensor) -> Tensor:
         _normal_cdf(gate[b], phi_cdf[b], scratch[:, :b.stop - b.start])
         ob = np.multiply(gate[b], phi_cdf[b], out=out[b])
         ob *= value[b]
-    sh = h.slot
+    h_shape = h.shape
 
     def bwd(g):
         gs, dh = g.reshape(out.shape), np.empty(hs.shape, hs.dtype)
@@ -577,7 +547,7 @@ def glu_gelu(h: Tensor) -> Tensor:
             dv *= gs[b]
             gvb = np.multiply(gs[b], value[b], out=gv[:b.stop - b.start])
             _gelu_grad(gate[b], phi_cdf[b], gvb, dgate[b])
-        sh.accumulate_grad(dh.reshape(sh.shape))
+        return (dh.reshape(h_shape),)
 
     return _make("glu_gelu", out.reshape(h.shape[:-1] + (half,)), (h,), bwd)
 
@@ -646,29 +616,22 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
         merged(out)[b] = p @ heads_of(vd, b)
-    sq, sk, sv = q.slot, k.slot, v.slot
 
     def bwd(g):
         g = merged(g)
-        dq, dk, dv = (np.empty((rows, d), qd.dtype) if s.requires_grad else None
-                      for s in (sq, sk, sv))
+        dq, dk, dv = (np.empty((rows, d), qd.dtype) for _ in range(3))
         for b in blocks:
             p, gb = probs[b], g[b]
-            if dv is not None:
-                merged(dv)[b] = np.swapaxes(p, -1, -2) @ gb
+            merged(dv)[b] = np.swapaxes(p, -1, -2) @ gb
             # Softmax backward, then the score scale, in place.
             gs = gb @ np.swapaxes(heads_of(vd, b), -1, -2)
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= scale
-            if dq is not None:
-                merged(dq)[b] = unrotate(gs @ np.swapaxes(keys_t(b), -1, -2))
-            if dk is not None:
-                gk = (np.swapaxes(rotate(heads_of(qd, b)), -1, -2) @ gs).transpose(0, 1, 3, 2)
-                merged(dk)[b] = unrotate(gk)
-        for s, grad in ((sv, dv), (sq, dq), (sk, dk)):
-            if grad is not None:
-                s.accumulate_grad(grad)
+            merged(dq)[b] = unrotate(gs @ np.swapaxes(keys_t(b), -1, -2))
+            gk = (np.swapaxes(rotate(heads_of(qd, b)), -1, -2) @ gs).transpose(0, 1, 3, 2)
+            merged(dk)[b] = unrotate(gk)
+        return dq, dk, dv
 
     return _make("attend", out, (q, k, v), bwd)
 
@@ -690,7 +653,6 @@ def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
     np.exp(e, out=e)
     z = e.sum(axis=1, keepdims=True)
     loss = -(picked - np.log(z[:, 0])).mean(dtype=dt)
-    sl = logits.slot
 
     def bwd(g):
         # The closure runs once per tape, so e can become the gradient.
@@ -698,18 +660,15 @@ def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
         probs /= z
         probs[rows, labels] -= 1.0
         probs *= g / np.asarray(p, dtype=dt)
-        sl.accumulate_grad(probs)
+        return (probs,)
 
     return _make("cross_entropy", np.asarray(loss, dtype=dt), (logits,), bwd)
 
 
 def tsum(x: Tensor) -> Tensor:
-    sx = x.slot
-
-    def bwd(g):
-        sx.accumulate_grad(np.broadcast_to(g, sx.shape).copy())
-
-    return _make("sum", np.asarray(x.data.sum(dtype=x.dtype), dtype=x.dtype), (x,), bwd)
+    shape = x.shape
+    return _make("sum", np.asarray(x.data.sum(dtype=x.dtype), dtype=x.dtype), (x,),
+                 lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -720,12 +679,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         return x
     keep = (rng.random(x.shape) >= rate).astype(x.dtype)
     keep /= np.asarray(1.0 - rate, dtype=x.dtype)
-    sx = x.slot
-
-    def bwd(g):
-        sx.accumulate_grad(g * keep)
-
-    return _make("dropout", x.data * keep, (x,), bwd)
+    return _make("dropout", x.data * keep, (x,), lambda g: (g * keep,))
 
 
 def truncated_normal(shape, std: float, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:

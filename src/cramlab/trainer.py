@@ -596,7 +596,6 @@ def finetune(
     protocol: FinetuneProtocol,
     seed: int = 0,
     eval_examples: list[TaskExample] | None = None,
-    optimizer: OptimizerConfig | None = None,
     compute_matthews: bool = False,
 ) -> FinetuneMetrics:
     """Full-model finetuning with a fresh linear head on <cls>.
@@ -608,8 +607,10 @@ def finetune(
     protocol.validate()
     if not train_examples:
         raise ConfigurationError("empty task")
-    optimizer = optimizer or OptimizerConfig()
-    optimizer.validate()
+    if wp.vocab_size != model.config.vocab_size:
+        raise ConfigurationError(f"vocabulary of {wp.vocab_size} tokens does not match "
+                                 f"the model's vocab_size {model.config.vocab_size}")
+    optimizer = OptimizerConfig()
     labels = sorted({ex.label for ex in train_examples})
     if len(labels) < 2:
         raise ConfigurationError("task needs at least two classes")

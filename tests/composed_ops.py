@@ -18,8 +18,9 @@ for byte (the GELU pair with the streamed Phi patched to scipy's ndtr,
 which the whole-array forms use).
 
 Unlike the ops in `cramlab.tensor`, the closures here keep the Tensors
-they were given, which a reference may afford, and send each gradient
-to that Tensor's `slot`.
+they were given, which a reference may afford. Like them, each closure
+returns one gradient per input, in input order, and leaves skipping,
+unbroadcasting and accumulating to `Tape.backward`.
 
 `finite_diff_check` is the float64 gradient oracle the op and block
 tests are built on.
@@ -36,7 +37,7 @@ from scipy.special import ndtr
 from cramlab import checkpoint, tensor
 from cramlab.errors import ContractError
 from cramlab.tensor import (
-    _SQRT_2PI, Tape, Tensor, _check_dtypes, _make, _rotate_half, _unbroadcast, add, gelu, mul,
+    _SQRT_2PI, Tape, Tensor, _check_dtypes, _make, _rotate_half, add, gelu, mul,
     reshape, softmax,
 )
 
@@ -45,7 +46,7 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     def bwd(g):
         ga = np.zeros_like(a.data)
         ga[..., start:stop] = g
-        a.slot.accumulate_grad(ga)
+        return (ga,)
 
     return _make("slice_last", np.ascontiguousarray(a.data[..., start:stop]), (a,), bwd)
 
@@ -54,32 +55,21 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes("concat_last", a, b)
     na = a.shape[-1]
 
-    def bwd(g):
-        if a.requires_grad:
-            a.slot.accumulate_grad(g[..., :na])
-        if b.requires_grad:
-            b.slot.accumulate_grad(g[..., na:])
-
-    return _make("concat_last", np.concatenate([a.data, b.data], axis=-1), (a, b), bwd)
+    return _make("concat_last", np.concatenate([a.data, b.data], axis=-1), (a, b),
+                 lambda g: (g[..., :na], g[..., na:]))
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
 
-    def bwd(g):
-        a.slot.accumulate_grad(g.transpose(inverse))
-
-    return _make("permute", np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
+    return _make("permute", np.ascontiguousarray(a.data.transpose(axes)), (a,),
+                 lambda g: (g.transpose(inverse),))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def bwd(g):
-        a.slot.accumulate_grad(g * np.asarray(s, dtype=a.dtype))
-
-    return _make("scale", a.data * np.asarray(s, dtype=a.dtype), (a,), bwd)
+    s = np.asarray(float(s), dtype=a.dtype)
+    return _make("scale", a.data * s, (a,), lambda g: (g * s,))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -96,12 +86,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ContractError("matmul batch dims differ")
 
     def bwd(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a.slot.accumulate_grad(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b.slot.accumulate_grad(_unbroadcast(gb, b.shape))
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     out = _make("matmul", a.data @ b.data, (a, b), bwd)
     return out if bias is None else add(out, bias)
@@ -159,15 +144,12 @@ def whole_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) 
     xhat = centered * inv
 
     def bwd(g):
-        if gain.requires_grad:
-            gain.slot.accumulate_grad((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
-        if bias.requires_grad:
-            bias.slot.accumulate_grad(g.reshape(-1, x.shape[-1]).sum(axis=0))
-        if x.requires_grad:
-            gxhat = g * gain.data
-            m1 = gxhat.mean(axis=-1, keepdims=True)
-            m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-            x.slot.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
+        gxhat = g * gain.data
+        m1 = gxhat.mean(axis=-1, keepdims=True)
+        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (gxhat - m1 - xhat * m2),
+                (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0),
+                g.reshape(-1, x.shape[-1]).sum(axis=0))
 
     return _make("layer_norm", xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
@@ -187,10 +169,8 @@ def whole_gelu(x: Tensor) -> Tensor:
     """gelu with ndtr over the whole array."""
     phi_cdf = ndtr(x.data).astype(x.dtype, copy=False)
 
-    def bwd(g):
-        x.slot.accumulate_grad(_whole_gelu_grad(x.data, phi_cdf, g))
-
-    return _make("gelu", x.data * phi_cdf, (x,), bwd)
+    return _make("gelu", x.data * phi_cdf, (x,),
+                 lambda g: (_whole_gelu_grad(x.data, phi_cdf, g),))
 
 
 def whole_glu_gelu(h: Tensor) -> Tensor:
@@ -200,8 +180,7 @@ def whole_glu_gelu(h: Tensor) -> Tensor:
     act = gate * phi_cdf
 
     def bwd(g):
-        h.slot.accumulate_grad(np.concatenate(
-            [g * act, _whole_gelu_grad(gate, phi_cdf, g * value)], axis=-1))
+        return (np.concatenate([g * act, _whole_gelu_grad(gate, phi_cdf, g * value)], axis=-1),)
 
     return _make("glu_gelu", value * act, (h,), bwd)
 
@@ -241,17 +220,14 @@ def whole_attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
 
     def bwd(g):
         g = g.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
-        if v.requires_grad:
-            v.slot.accumulate_grad(merge(np.swapaxes(probs, -1, -2) @ g))
+        dv = merge(np.swapaxes(probs, -1, -2) @ g)
         gs = g @ np.swapaxes(vh, -1, -2)
         gs -= (gs * probs).sum(axis=-1, keepdims=True)
         gs *= probs
         gs *= scale
-        if q.requires_grad:
-            q.slot.accumulate_grad(merge(unrotate(gs @ np.swapaxes(kt, -1, -2))))
-        if k.requires_grad:
-            gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2)
-            k.slot.accumulate_grad(merge(unrotate(gk)))
+        dq = merge(unrotate(gs @ np.swapaxes(kt, -1, -2)))
+        gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2)
+        return dq, merge(unrotate(gk)), dv
 
     return _make("attend", merge(probs @ vh), (q, k, v), bwd)
 

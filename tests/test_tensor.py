@@ -210,6 +210,37 @@ def test_broadcast_gradients_reduce_to_input_shape():
     np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
 
 
+def test_tape_applies_every_gradient_rule():
+    # The closure returns g for each input; the tape skips the input that
+    # wants no gradient, copies the second same-shape g and sums g down
+    # to the (1, d) input's shape.
+    w = np.arange(6.0).reshape(2, 3)
+    a, a2, b = (Tensor(np.zeros(shape), requires_grad=True) for shape in ((2, 3), (2, 3), (1, 3)))
+    frozen = Tensor(np.zeros((2, 3)))
+    with Tape() as tape:
+        out = tensor._make("fan_out", np.zeros((2, 3)), (a, frozen, a2, b), lambda g: (g,) * 4)
+        tape.backward(tsum(mul(out, Tensor(w))))
+    np.testing.assert_array_equal(a.grad, w)
+    np.testing.assert_array_equal(a2.grad, w)
+    np.testing.assert_array_equal(b.grad, w.sum(axis=0, keepdims=True))
+    assert frozen.grad is None
+    grads = (a.grad, a2.grad, b.grad)
+    assert not any(np.may_share_memory(x, y) for i, x in enumerate(grads) for y in grads[i + 1:])
+
+
+def test_tape_adds_row_gradients_into_the_existing_buffer():
+    rows, values = np.array([3, 1]), np.array([[1.0, 2.0], [3.0, 4.0]])
+    table, fresh = (Tensor(np.zeros((4, 2)), requires_grad=True) for _ in range(2))
+    table.grad = buf = np.ones((4, 2))
+    with Tape() as tape:
+        out = tensor._make("rows", np.zeros(()), (table, fresh),
+                           lambda g: ((rows, values), (rows, values)))
+        tape.backward(out)
+    assert table.grad is buf
+    np.testing.assert_array_equal(buf, [[1, 1], [4, 5], [1, 1], [2, 3]])
+    np.testing.assert_array_equal(fresh.grad, [[0, 0], [3, 4], [0, 0], [1, 2]])
+
+
 def test_operator_sugar_matches_functions():
     # The benchmark's replay scales each micro-batch's loss as `loss * (1.0 / acc)`.
     x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
@@ -244,36 +275,29 @@ def _record_loss(model, batch, seed=13):
 
 @pytest.mark.parametrize("preset", ["crammed", "original_arch"])
 def test_backward_keeps_only_leaf_grads(preset, monkeypatch):
-    # Backward reads an op output's gradient only from its slot, so a
-    # closure that sends one to the op output Tensor itself would drop it.
-    def leaf_only(self, g):
-        assert self._slot is None, "gradient sent to an op output, not its slot"
-        tensor.Slot.accumulate_grad(self, g)
-
-    monkeypatch.setattr(Tensor, "accumulate_grad", leaf_only)
     model = _tiny_model(preset)
     tape, loss = _record_loss(model, 4)
-    slots = [slot for slot, _ in tape._records]
+    slots = [out for out, _, _ in tape._records]
     assert not any(isinstance(slot, Tensor) for slot in slots)
     tape.backward(loss)
     assert len(tape) == 0
     assert all(slot.grad is None for slot in slots)
     grads = {name: p.grad for name, p in model.params.items()}
 
-    # Reference: replay every record and keep every buffer alive.
+    # Reference: the same backward with every op output's gradient kept.
     model.zero_grads()
     tape, loss = _record_loss(model, 4)
-    loss.slot.grad = np.ones_like(loss.data)
-    for slot, fn in reversed(tape._records):
-        if slot.grad is not None:
-            fn(slot.grad)
-    assert sum(slot.grad is not None for slot, _ in tape._records) > 1
+    slots = [out for out, _, _ in tape._records]
+    monkeypatch.setattr(tensor.Slot, "zero_grad", lambda self: None)
+    tape.backward(loss)
+    assert sum(slot.grad is not None for slot in slots) > 1
     for name, p in model.params.items():
         assert grads[name] is not None and np.array_equal(grads[name], p.grad), name
 
 
-def _closure_tensors(fn):
-    """Every Tensor a closure reaches through its cells, nested closures included."""
+def _closure_slots(fn):
+    """Every Slot (Tensors included) a closure reaches through its cells,
+    tuples and lists of them and nested closures."""
     found, seen, stack = [], set(), [fn]
     while stack:
         f = stack.pop()
@@ -282,20 +306,20 @@ def _closure_tensors(fn):
                 value = cell.cell_contents
             except ValueError:  # a name the enclosing function never bound
                 continue
-            if isinstance(value, Tensor):
-                found.append(value)
-            elif callable(value) and getattr(value, "__closure__", None) and id(value) not in seen:
-                seen.add(id(value))
-                stack.append(value)
+            for item in value if isinstance(value, (tuple, list)) else (value,):
+                if isinstance(item, tensor.Slot):
+                    found.append(item)
+                elif callable(item) and getattr(item, "__closure__", None) and id(item) not in seen:
+                    seen.add(id(item))
+                    stack.append(item)
     return found
 
 
 @pytest.mark.parametrize("preset", ["crammed", "original_arch"])
 def test_forward_frees_what_no_backward_reads(preset, monkeypatch):
-    # Records and closures hold gradient slots and the arrays backward
-    # reads, never an op output. No backward reads a residual sum or the
-    # logits once the loss has their exponentials, so a recorded forward
-    # keeps none of them.
+    # Closures hold only the arrays backward reads, never a Tensor or a
+    # Slot. No backward reads a residual sum or the logits once the loss
+    # has their exponentials, so a recorded forward keeps none of them.
     model = _tiny_model(preset)
     watched = []
 
@@ -315,8 +339,12 @@ def test_forward_frees_what_no_backward_reads(preset, monkeypatch):
         del logits
     assert len(watched) > 2 * model.config.num_layers
     assert sum(ref() is not None for ref in watched) == 0
-    held = [t for _, fn in tape._records for t in _closure_tensors(fn)]
-    assert held and all(t.slot is t for t in held)
+    assert [t for _, _, fn in tape._records for t in _closure_slots(fn)] == []
+    # The search does find what a closure holds: the composed reference
+    # ops keep their input Tensors.
+    with Tape() as probe:
+        composed_ops.slice_last(Tensor(np.ones(2), requires_grad=True), 0, 1)
+    assert len(_closure_slots(probe._records[0][2])) == 1
     tape.backward(loss)
     assert all(p.grad is not None for p in model.params.values())
 
@@ -352,7 +380,12 @@ def test_accumulated_micro_batches_add_into_first_grad_buffers(preset, monkeypat
     # Reference: the same two micro-batches, each contribution summed
     # into a new buffer, so no aliasing can leak into the result. Slot
     # is the base class, so leaves and op-output slots both allocate.
+    # A (rows, values) gradient is expanded to a dense one first.
     def allocating(self, g):
+        if isinstance(g, tuple):
+            rows, values = g
+            g = np.zeros(self.shape, values.dtype)
+            g[rows] = values
         self.grad = g.copy() if self.grad is None else self.grad + g
 
     monkeypatch.setattr(tensor.Slot, "accumulate_grad", allocating)

@@ -813,6 +813,17 @@ def test_finetune_validation_errors(wp_small):
         finetune(model, wp_small, train, FinetuneProtocol(), eval_examples=stray)
 
 
+@pytest.mark.parametrize("extra", [-8, 8])
+def test_finetune_refuses_a_vocabulary_the_model_was_not_built_for(wp_small, extra):
+    # A vocabulary larger than the model's would index past its embedding
+    # table; a smaller one would train on the wrong rows.
+    vocab = len(wp_small.vocab)
+    model = tiny_model(seed=11, vocab_size=vocab + extra)
+    train = [TaskExample("misty", None, "a"), TaskExample("harbor", None, "b")]
+    with pytest.raises(ConfigurationError, match=f"{vocab} tokens .* vocab_size {vocab + extra}"):
+        finetune(model, wp_small, train, FinetuneProtocol())
+
+
 def test_finetune_protocol_bounds():
     with pytest.raises(ConfigurationError):
         FinetuneProtocol(epochs=6).validate()
