@@ -75,25 +75,28 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
                      config.num_heads, config.vocab_size)
     # Only inputs that some backward reads are kept: a sum, a sublayer's
     # output projection or a dropout output that feeds only an add or a
-    # norm is freed once the forward has moved past it.
+    # norm is freed once the forward has moved past it. A norm or GELU
+    # output that feeds a product is rebuilt in the product's backward,
+    # so it is not kept either.
     dropout = config.dropout_rate > 0
-    # Per block: norms keep x-hat and output (or, post-norm, the block
-    # input), q/k/v their products (attention builds its per-head views
-    # from them), then the context, and each dropout its mask. A bias is
-    # added into its product, so it keeps no buffer of its own.
-    per_sd = 8 + 2 * dropout
-    # The FFN input projection, plus Phi and the output of the activation
-    # (half width for the gated unit).
-    per_sf = 2.0 if config.ffn_kind == "glu_gelu" else 3.0
+    # Per block: norms keep x-hat, q/k/v their products (attention builds
+    # its per-head views from them), then the context, and each dropout
+    # its mask. A bias is added into its product, so it keeps no buffer
+    # of its own.
+    per_sd = 6 + 2 * dropout
+    # The FFN input projection, plus Phi (half width for the gated unit).
+    per_sf = 1.5 if config.ffn_kind == "glu_gelu" else 2.0
     # The attention probabilities.
     per_ss = H * S
     blocks = config.num_layers * S * (per_sd * d + per_sf * f + per_ss)
-    # The embedding and final norms, and the embedding dropout's mask
-    # and output.
-    embed_sd = 2 * config.embedding_norm + 2 * config.final_norm + 2 * dropout
+    # The embedding and final norms' x-hat, and the embedding dropout's
+    # mask and output (post-norm, the first block's q/k/v keep it).
+    embed_sd = config.embedding_norm + config.final_norm + 2 * dropout
     masked = math.ceil(mask_rate * S)
     rows = masked if config.sparse_prediction else S
-    head = rows * d * (config.sparse_prediction + 4 * config.nonlinear_head)
+    # The gathered rows a sparse head reads, and a nonlinear head's
+    # projection, Phi and norm x-hat.
+    head = rows * d * (config.sparse_prediction + 3 * config.nonlinear_head)
     # Only masked rows are decoded: their logits, which live until the
     # loss has their exponentials.
     head += 2 * masked * V

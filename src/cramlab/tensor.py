@@ -14,6 +14,17 @@ unless some backward reads it: a residual sum, a projection that only
 feeds an add and the logits once the loss has their exponentials are
 all gone before backward starts.
 
+An output one elementwise pass can remake from arrays its producer's
+backward keeps anyway is rebuilt, not kept: layer_norm (x-hat * gain +
+bias), gelu (x * Phi) and glu_gelu (gate * Phi * value) give their
+recorded output a rebuild, a zero-argument closure that holds only
+arrays and returns an array byte-equal to the output, and reshape
+passes it through. The products (matmul, matmul_t, mul) capture an
+input's rebuild in place of its .data, so no product keeps a norm or
+activation output; an input without a rebuild is read from .data. A
+rebuild makes its array once per backward, so the q, k and v products
+share one copy, which dies with the last of their records.
+
 Tape.backward replays the records newest-first, once, dropping each
 record and its output's gradient as it goes, so only leaf tensors hold
 .grad afterwards. It alone applies the gradient rules, to each
@@ -101,6 +112,7 @@ def _guard(arr: np.ndarray, op: str) -> np.ndarray:
 # One input's gradient, as a backward closure returns it.
 Gradient = np.ndarray | tuple[np.ndarray, np.ndarray]
 BackwardFn = Callable[[np.ndarray], Sequence[Gradient]]
+Rebuild = Callable[[], np.ndarray]
 
 
 class Slot:
@@ -144,14 +156,14 @@ class Tensor(Slot):
     A leaf tensor (a parameter or an input, made by the caller) is its
     own gradient slot. An op output recorded on a tape gets a separate
     Slot, `slot`, which the tape records hold, so they never keep its
-    .data alive.
+    .data alive, and, when its producer can remake it, a `rebuild`.
 
     Data is immutable by convention once an op has consumed it; the
     optimizer mutates parameter .data in place between tapes, which is
     the one sanctioned exception.
     """
 
-    __slots__ = ("data", "name", "_slot")
+    __slots__ = ("data", "name", "_slot", "rebuild")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data)
@@ -161,6 +173,7 @@ class Tensor(Slot):
         self.data = arr
         self.name = name
         self._slot: Slot | None = None
+        self.rebuild: Rebuild | None = None
 
     @property
     def slot(self) -> Slot:
@@ -265,11 +278,13 @@ def _check_dtypes(op: str, *ts: Tensor) -> None:
             raise ContractError(f"{op}: mixed dtypes {d0} and {t.data.dtype}")
 
 
-def _make(op: str, data: np.ndarray, inputs: Sequence[Tensor], backward_fn: BackwardFn) -> Tensor:
+def _make(op: str, data: np.ndarray, inputs: Sequence[Tensor], backward_fn: BackwardFn,
+          rebuild: Rebuild | None = None) -> Tensor:
     """Wrap an op result; if a tape is live and an input wants a gradient,
     give the result its own gradient slot and record it with the inputs'
     slots and backward_fn, which maps the result's gradient to one
-    gradient per input and holds only the arrays it reads.
+    gradient per input and holds only the arrays it reads. A recorded
+    result also gets rebuild, if given, made to build its array once.
     """
     _guard(data, op)
     out = Tensor(data)
@@ -278,7 +293,31 @@ def _make(op: str, data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Back
         out.requires_grad = True
         out._slot = Slot(out.shape, True)
         tape._records.append((out._slot, tuple(t.slot for t in inputs), backward_fn))
+        if rebuild is not None:
+            out.rebuild = _once(rebuild)
     return out
+
+
+def _once(build: Rebuild) -> Rebuild:
+    """build, called at most once: later calls return the same array,
+    which lives as long as the last closure holding this rebuild."""
+    made: list[np.ndarray] = []
+
+    def rebuild() -> np.ndarray:
+        if not made:
+            made.append(build())
+        return made[0]
+
+    return rebuild
+
+
+def _reader(t: Tensor) -> Rebuild:
+    """How a backward reads t's data: t's rebuild when it has one, so the
+    closure keeps no array its producer can remake, else t.data itself."""
+    if t.rebuild is not None:
+        return t.rebuild
+    data = t.data
+    return lambda: data
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -316,8 +355,8 @@ def mul(a: Tensor, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
     b = _as_tensor(b, a.dtype)
     _check_dtypes("mul", a, b)
-    ad, bd = a.data, b.data
-    return _make("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
+    ad, bd = _reader(a), _reader(b)
+    return _make("mul", a.data * b.data, (a, b), lambda g: (g * bd(), g * ad()))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -334,11 +373,11 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ContractError("matmul expects 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ContractError(f"matmul inner dims {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-    data = ad @ bd
+    ad, bd = _reader(a), _reader(b)
+    data = a.data @ b.data
     if bias is not None:
         data += bias.data
-    return _make("matmul", data, inputs, lambda g: (g @ bd.T, ad.T @ g, g))
+    return _make("matmul", data, inputs, lambda g: (g @ bd().T, ad().T @ g, g))
 
 
 def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -356,18 +395,19 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ContractError("matmul_t expects 2-D operands")
     if a.shape[1] != b.shape[1]:
         raise ContractError(f"matmul_t inner dims {a.shape} @ {b.shape}^T")
-    ad, bd = a.data, b.data
-    data = ad @ bd.T
+    ad, bd = _reader(a), _reader(b)
+    data = a.data @ b.data.T
     if bias is not None:
         data += bias.data
-    return _make("matmul_t", data, inputs, lambda g: (g @ bd, g.T @ ad, g))
+    return _make("matmul_t", data, inputs, lambda g: (g @ bd(), g.T @ ad(), g))
 
 
 def reshape(a: Tensor, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    in_shape = a.shape
-    return _make("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(in_shape),))
+    in_shape, remake = a.shape, a.rebuild
+    return _make("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(in_shape),),
+                 None if remake is None else lambda: remake().reshape(shape))
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -404,7 +444,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
 
     Mean, variance, x-hat and output are computed one row block at a
     time, and so is the input gradient; the gain and bias gradients are
-    whole-array sums over rows.
+    whole-array sums over rows. The output is rebuilt from x-hat.
     """
     if eps <= 0:
         raise ContractError("layer_norm eps must be positive")
@@ -416,6 +456,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     xhat, out = np.empty((n, d), x.dtype), np.empty((n, d), x.dtype)
     inv = np.empty((n, 1), x.dtype)
     square = np.empty((step, d), x.dtype)
+    x_shape, gd, bd, dt = x.shape, gain.data, bias.data, x.dtype
+
+    def affine(b: slice, y: np.ndarray) -> None:
+        yb = np.multiply(xhat[b], gd, out=y[b])
+        yb += bd
+
     for b in blocks:
         xb, cb, ib = xs[b], xhat[b], inv[b]
         np.mean(xb, axis=-1, keepdims=True, out=ib)
@@ -426,9 +472,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         np.sqrt(ib, out=ib)
         np.divide(1.0, ib, out=ib)
         cb *= ib
-        np.multiply(cb, gain.data, out=out[b])
-        out[b] += bias.data
-    x_shape, gd, dt = x.shape, gain.data, x.dtype
+        affine(b, out)
+
+    def rebuild():
+        y = np.empty((n, d), dt)
+        for b in blocks:
+            affine(b, y)
+        return y.reshape(x_shape)
 
     def bwd(g):
         gs = g.reshape(n, d)
@@ -448,7 +498,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
             np.multiply(inv[b], gxb, out=dx[b])
         return dx.reshape(x_shape), dgain, gs.sum(axis=0)
 
-    return _make("layer_norm", out.reshape(x.shape), (x, gain, bias), bwd)
+    return _make("layer_norm", out.reshape(x.shape), (x, gain, bias), bwd, rebuild)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -503,7 +553,7 @@ def _gelu_grad(x: np.ndarray, phi_cdf: np.ndarray, g: np.ndarray, out: np.ndarra
 
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact Gaussian CDF (erf form), by row blocks;
-    backward keeps Phi."""
+    backward keeps Phi, and the output is rebuilt from x and Phi."""
     xs = _as_rows(x.data)
     step, blocks = row_blocks(*xs.shape)
     phi_cdf, out = np.empty(xs.shape, x.dtype), np.empty(xs.shape, x.dtype)
@@ -519,27 +569,38 @@ def gelu(x: Tensor) -> Tensor:
             _gelu_grad(xs[b], phi_cdf[b], gs[b], dx[b])
         return (dx.reshape(x_shape),)
 
-    return _make("gelu", out.reshape(x.shape), (x,), bwd)
+    return _make("gelu", out.reshape(x.shape), (x,), bwd,
+                 lambda: np.multiply(xs, phi_cdf).reshape(x_shape))
 
 
 def glu_gelu(h: Tensor) -> Tensor:
     """Gated linear unit value * gelu(gate) over the two halves of the
     last axis, by row blocks; backward keeps Phi(gate) and recomputes
-    gelu(gate) from it."""
+    gelu(gate) from it, and the output is rebuilt the same way."""
     hs = _as_rows(h.data)
     half = hs.shape[1] // 2
     value, gate = hs[:, :half], hs[:, half:]
     step, blocks = row_blocks(len(hs), half)
     phi_cdf, out = np.empty(value.shape, h.dtype), np.empty(value.shape, h.dtype)
     scratch = np.empty((3, step, half), h.dtype)
+    h_shape, out_shape = h.shape, h.shape[:-1] + (half,)
+
+    def product(b: slice, y: np.ndarray) -> None:
+        yb = np.multiply(gate[b], phi_cdf[b], out=y[b])
+        yb *= value[b]
+
     for b in blocks:
         _normal_cdf(gate[b], phi_cdf[b], scratch[:, :b.stop - b.start])
-        ob = np.multiply(gate[b], phi_cdf[b], out=out[b])
-        ob *= value[b]
-    h_shape = h.shape
+        product(b, out)
+
+    def rebuild():
+        y = np.empty(value.shape, hs.dtype)
+        for b in blocks:
+            product(b, y)
+        return y.reshape(out_shape)
 
     def bwd(g):
-        gs, dh = g.reshape(out.shape), np.empty(hs.shape, hs.dtype)
+        gs, dh = g.reshape(value.shape), np.empty(hs.shape, hs.dtype)
         dvalue, dgate = dh[:, :half], dh[:, half:]
         gv = np.empty((step, half), hs.dtype)
         for b in blocks:
@@ -549,7 +610,7 @@ def glu_gelu(h: Tensor) -> Tensor:
             _gelu_grad(gate[b], phi_cdf[b], gvb, dgate[b])
         return (dh.reshape(h_shape),)
 
-    return _make("glu_gelu", out.reshape(h.shape[:-1] + (half,)), (h,), bwd)
+    return _make("glu_gelu", out.reshape(out_shape), (h,), bwd, rebuild)
 
 
 def _rotate_half(a: np.ndarray) -> np.ndarray:

@@ -306,8 +306,9 @@ def adam_step(
             raise ContractError(f"adam_step: parameter {name} is not C-contiguous")
         m = state.m.get(name)
         if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
+            # np.zeros maps lazily zeroed pages; zeros_like writes every zero.
+            m = state.m[name] = np.zeros(p.data.shape, p.data.dtype)
+            state.v[name] = np.zeros(p.data.shape, p.data.dtype)
         v = state.v[name]
         decay = cfg.weight_decay and not (decay_exempt and decay_exempt(name))
         pf, gf, mf, vf = (x.reshape(-1) for x in (p.data, g, m, v))

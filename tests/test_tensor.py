@@ -317,28 +317,37 @@ def _closure_slots(fn):
 
 @pytest.mark.parametrize("preset", ["crammed", "original_arch"])
 def test_forward_frees_what_no_backward_reads(preset, monkeypatch):
-    # Closures hold only the arrays backward reads, never a Tensor or a
-    # Slot. No backward reads a residual sum or the logits once the loss
-    # has their exponentials, so a recorded forward keeps none of them.
+    # Closures and rebuilds hold only arrays, never a Tensor or a Slot.
+    # No backward reads a residual sum or the logits once the loss has
+    # their exponentials, and the products rebuild a norm or activation
+    # output instead of keeping it, so a recorded forward keeps none of
+    # them. Each watch is on the array that owns the output's memory,
+    # which outlives every view of it.
     model = _tiny_model(preset)
     watched = []
 
-    def watched_add(a, b):
-        out = add(a, b)
-        watched.append(weakref.ref(out.data))
-        return out
+    def watching(op):
+        def run(*args):
+            out = op(*args)
+            owner = out.data if out.data.base is None else out.data.base
+            watched.append((op.__name__, weakref.ref(owner)))
+            return out
+        return run
 
-    monkeypatch.setattr(model_module, "add", watched_add)
+    for name in ("add", "layer_norm", "gelu", "glu_gelu"):
+        monkeypatch.setattr(model_module, name, watching(getattr(model_module, name)))
     ids = np.random.default_rng(13).integers(0, model.config.vocab_size,
                                              (4, model.config.seq_len))
     positions = np.arange(0, ids.size, 3)
     with Tape() as tape:
         logits = model.logits(ids, masked_positions=positions)
-        watched.append(weakref.ref(logits.data))
+        watched.append(("logits", weakref.ref(logits.data)))
         loss = cross_entropy_from_logits(logits, ids.ravel()[positions])
         del logits
-    assert len(watched) > 2 * model.config.num_layers
-    assert sum(ref() is not None for ref in watched) == 0
+    cfg = model.config
+    assert {name for name, _ in watched} == (
+        {"add", "layer_norm", cfg.ffn_kind, "logits"} | ({"gelu"} if cfg.nonlinear_head else set()))
+    assert [name for name, ref in watched if ref() is not None] == []
     assert [t for _, _, fn in tape._records for t in _closure_slots(fn)] == []
     # The search does find what a closure holds: the composed reference
     # ops keep their input Tensors.
@@ -682,6 +691,39 @@ def test_fused_ops_match_composed_reference_bitwise(shape):
     assert records == 1 and ref_records > 1
 
 
+@pytest.mark.parametrize("case", ["matmul-reshape-layer_norm", "matmul-glu_gelu", "matmul-gelu",
+                                  "matmul_t-layer_norm"])
+def test_fd_products_read_rebuilt_inputs(case):
+    # The loss overwrites the product's input once the product has run:
+    # only a backward that rebuilds that input, instead of reading its
+    # .data, still gets the weight gradient right.
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
+    h = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
+    gain = Tensor(rng.normal(size=8) + 1.0, requires_grad=True)
+    bias = Tensor(rng.normal(size=8), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+    w_half = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    table = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+    k = Tensor(rng.normal(size=(6, 5)))
+    leaves, make, product = {
+        "matmul-reshape-layer_norm": ([x, gain, bias, w], lambda: layer_norm(x, gain, bias),
+                                      lambda y: matmul(reshape(y, (6, 8)), w)),
+        "matmul-glu_gelu": ([h, w_half], lambda: glu_gelu(h), lambda y: matmul(y, w_half)),
+        "matmul-gelu": ([h, w], lambda: gelu(h), lambda y: matmul(y, w)),
+        "matmul_t-layer_norm": ([h, gain, bias, table], lambda: layer_norm(h, gain, bias),
+                                lambda y: matmul_t(y, table)),
+    }[case]
+
+    def loss():
+        y = make()
+        out = product(y)
+        y.data.fill(7.0)
+        return tsum(mul(out, k))
+
+    _fd(loss, leaves, 1e-6)
+
+
 # -- row-blocked activation ops ----------------------------------------------
 
 def test_float32_normal_cdf_and_gelu_track_float64_ndtr():
@@ -740,6 +782,40 @@ def test_row_blocked_ops_match_whole_array_forms_bitwise(name, shape, dtype, mon
     got, want = results
     assert all(a.dtype == dtype for a in got)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _strided_rows(x):
+    """x as a view whose rows are strided: every row sits inside a wider one."""
+    wide = np.zeros(x.shape[:-1] + (x.shape[-1] + 16,), x.dtype)
+    wide[..., 8:-8] = x
+    return wide[..., 8:-8]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("shape, strided",
+                         [(s, False) for s in BLOCK_SHAPES] + [(BLOCK_SHAPES[0], True)],
+                         ids=["partial-block", "wide-row", "3d", "strided"])
+@pytest.mark.parametrize("name", ["layer_norm", "gelu", "glu_gelu"])
+def test_rebuild_returns_the_forward_output_bytes(name, shape, strided, dtype):
+    op = {"layer_norm": layer_norm, "gelu": gelu, "glu_gelu": glu_gelu}[name]
+    x = (np.random.default_rng(24).normal(size=shape) * 3.0).astype(dtype)
+    if strided:
+        x = _strided_rows(x)
+        assert not x.flags.c_contiguous
+    leaf = Tensor(x, requires_grad=True)
+    leaves = _ln(leaf) if name == "layer_norm" else (leaf,)
+    # Only a recorded output gets a rebuild.
+    assert op(*leaves).rebuild is None
+    with Tape():
+        assert op(*(Tensor(t.data) for t in leaves)).rebuild is None
+        out = op(*leaves)
+        flat = reshape(out, (-1,))
+    rebuilt = out.rebuild()
+    assert rebuilt.dtype == dtype and rebuilt.shape == out.shape
+    assert rebuilt.tobytes() == out.data.tobytes()
+    # Made once, and shared through reshape.
+    assert out.rebuild() is rebuilt
+    assert flat.rebuild().shape == flat.shape and np.shares_memory(flat.rebuild(), rebuilt)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, F64])
