@@ -19,7 +19,7 @@ backward keeps anyway is rebuilt, not kept: layer_norm (x-hat * gain +
 bias), gelu (x * Phi) and glu_gelu (gate * Phi * value) give their
 recorded output a rebuild, a zero-argument closure that holds only
 arrays and returns an array byte-equal to the output, and reshape
-passes it through. The products (matmul, matmul_t, mul) capture an
+passes it through. The products (matmul, matmul_t) capture an
 input's rebuild in place of its .data, so no product keeps a norm or
 activation output; an input without a rebuild is read from .data. A
 rebuild makes its array once per backward, so the q, k and v products
@@ -355,8 +355,8 @@ def mul(a: Tensor, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
     b = _as_tensor(b, a.dtype)
     _check_dtypes("mul", a, b)
-    ad, bd = _reader(a), _reader(b)
-    return _make("mul", a.data * b.data, (a, b), lambda g: (g * bd(), g * ad()))
+    ad, bd = a.data, b.data
+    return _make("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -456,12 +456,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     xhat, out = np.empty((n, d), x.dtype), np.empty((n, d), x.dtype)
     inv = np.empty((n, 1), x.dtype)
     square = np.empty((step, d), x.dtype)
-    x_shape, gd, bd, dt = x.shape, gain.data, bias.data, x.dtype
-
-    def affine(b: slice, y: np.ndarray) -> None:
-        yb = np.multiply(xhat[b], gd, out=y[b])
-        yb += bd
-
     for b in blocks:
         xb, cb, ib = xs[b], xhat[b], inv[b]
         np.mean(xb, axis=-1, keepdims=True, out=ib)
@@ -472,12 +466,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         np.sqrt(ib, out=ib)
         np.divide(1.0, ib, out=ib)
         cb *= ib
-        affine(b, out)
+        np.multiply(cb, gain.data, out=out[b])
+        out[b] += bias.data
+    x_shape, gd, bd, dt = x.shape, gain.data, bias.data, x.dtype
 
     def rebuild():
-        y = np.empty((n, d), dt)
-        for b in blocks:
-            affine(b, y)
+        y = np.multiply(xhat, gd)
+        y += bd
         return y.reshape(x_shape)
 
     def bwd(g):
@@ -583,20 +578,15 @@ def glu_gelu(h: Tensor) -> Tensor:
     step, blocks = row_blocks(len(hs), half)
     phi_cdf, out = np.empty(value.shape, h.dtype), np.empty(value.shape, h.dtype)
     scratch = np.empty((3, step, half), h.dtype)
-    h_shape, out_shape = h.shape, h.shape[:-1] + (half,)
-
-    def product(b: slice, y: np.ndarray) -> None:
-        yb = np.multiply(gate[b], phi_cdf[b], out=y[b])
-        yb *= value[b]
-
     for b in blocks:
         _normal_cdf(gate[b], phi_cdf[b], scratch[:, :b.stop - b.start])
-        product(b, out)
+        ob = np.multiply(gate[b], phi_cdf[b], out=out[b])
+        ob *= value[b]
+    h_shape, out_shape = h.shape, h.shape[:-1] + (half,)
 
     def rebuild():
-        y = np.empty(value.shape, hs.dtype)
-        for b in blocks:
-            product(b, y)
+        y = np.multiply(gate, phi_cdf)
+        y *= value
         return y.reshape(out_shape)
 
     def bwd(g):

@@ -1,5 +1,6 @@
 """Tensor core: frozen numeric examples, gradient oracles, tape rules."""
 
+import collections
 import math
 import tracemalloc
 import weakref
@@ -347,6 +348,10 @@ def test_forward_frees_what_no_backward_reads(preset, monkeypatch):
     cfg = model.config
     assert {name for name, _ in watched} == (
         {"add", "layer_norm", cfg.ffn_kind, "logits"} | ({"gelu"} if cfg.nonlinear_head else set()))
+    # Every residual sum, every block's norms and every FFN is watched.
+    count = collections.Counter(name for name, _ in watched)
+    assert count["add"] > 2 * cfg.num_layers
+    assert count["layer_norm"] >= 2 * cfg.num_layers and count[cfg.ffn_kind] >= cfg.num_layers
     assert [name for name, ref in watched if ref() is not None] == []
     assert [t for _, _, fn in tape._records for t in _closure_slots(fn)] == []
     # The search does find what a closure holds: the composed reference
