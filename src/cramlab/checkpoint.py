@@ -67,22 +67,25 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     config: dict[str, str] = {}
     entries: list[tuple[str, tuple, int]] = []
     stamp: tuple[int, int] | None = None
-    for ln in lines[1:]:
+    for n, ln in enumerate(lines[1:], 2):
         if not ln.strip():
             continue
-        if ln.startswith("config "):
-            body = ln[len("config "):]
-            key, _, value = body.partition(" = ")
-            config[key.strip()] = value.strip()
-        elif ln.startswith("tensor "):
-            _, name, shape_s, offset_s = ln.split(" ")
-            shape = tuple(int(d) for d in shape_s.split("x"))
-            entries.append((name, shape, int(offset_s)))
-        elif ln.startswith("blob "):
-            _, nbytes_s, crc_s = ln.split(" ")
-            stamp = (int(nbytes_s), int(crc_s))
-        else:
-            raise ContractError(f"{path}: unrecognized manifest line {ln!r}")
+        try:
+            if ln.startswith("config "):
+                body = ln[len("config "):]
+                key, _, value = body.partition(" = ")
+                config[key.strip()] = value.strip()
+            elif ln.startswith("tensor "):
+                _, name, shape_s, offset_s = ln.split(" ")
+                shape = tuple(int(d) for d in shape_s.split("x"))
+                entries.append((name, shape, int(offset_s)))
+            elif ln.startswith("blob "):
+                _, nbytes_s, crc_s = ln.split(" ")
+                stamp = (int(nbytes_s), int(crc_s))
+            else:
+                raise ContractError(f"{path}:{n}: unrecognized manifest line {ln!r}")
+        except ValueError:
+            raise ContractError(f"{path}:{n}: malformed manifest line {ln!r}") from None
     with open(blob_path(path), "rb") as fh:
         nbytes = os.fstat(fh.fileno()).st_size
         blob = np.fromfile(fh, dtype="<f4", count=nbytes // 4)

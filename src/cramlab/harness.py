@@ -3,12 +3,12 @@ ablation tables, reports, and SVG loss charts.
 
 A run directory is self-contained: config.txt (full rendered
 configuration), curve.csv, checkpoint (+ .bin blob), dataset-stats.txt
-and report.txt. Prepared vocabularies and datasets live in a shared
-work directory keyed by a content hash of the tokenizer and pipeline
-settings and the corpus entries, not the corpus path, so runs that
-differ only in model or training settings reuse the exact same dataset
-file. Every file is committed whole through `serde.committed`, so
-concurrent runs may share a work directory.
+and report.txt; only run_pretrain writes it. Prepared vocabularies and
+datasets live in a shared work directory keyed by a content hash of the
+tokenizer and pipeline settings and the corpus entries, not the corpus
+path, so runs that differ only in model or training settings reuse the
+exact same dataset file. Every file is committed whole through
+`serde.committed`, so concurrent runs may share a work directory.
 """
 
 from __future__ import annotations
@@ -183,10 +183,10 @@ def run_pretrain(
         budget=budget,
         seed=cfg.train.seed,
         curve_interval=cfg.report.curve_interval,
-        checkpoint_path=art.checkpoint_path,
     )
+    model.save(art.checkpoint_path)
     write_text_atomic(art.curve_path, result.curve.to_csv_text())
-    write_text_atomic(art.report_path, emit_report(run_dir, device_name=cfg.report.device))
+    write_text_atomic(art.report_path, emit_report(run_dir))
     return art, result
 
 

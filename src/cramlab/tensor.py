@@ -16,14 +16,13 @@ all gone before backward starts.
 
 An output one elementwise pass can remake from arrays its producer's
 backward keeps anyway is rebuilt, not kept: layer_norm (x-hat * gain +
-bias), gelu (x * Phi) and glu_gelu (gate * Phi * value) give their
-recorded output a rebuild, a zero-argument closure that holds only
-arrays and returns an array byte-equal to the output, and reshape
-passes it through. The products (matmul, matmul_t) capture an
-input's rebuild in place of its .data, so no product keeps a norm or
-activation output; an input without a rebuild is read from .data. A
-rebuild makes its array once per backward, so the q, k and v products
-share one copy, which dies with the last of their records.
+bias), gelu (x * Phi) and glu_gelu (gate * Phi * value) write that pass
+once, as a zero-argument function over arrays, which the forward calls
+for the output and a recorded output's rebuild replays; reshape passes
+a rebuild through. The products (matmul, matmul_t) capture an input's
+rebuild in place of its .data, so no product keeps a norm or activation
+output. A rebuild makes its array once per backward, so the q, k and v
+products share one copy, which dies with the last of their records.
 
 Tape.backward replays the records newest-first, once, dropping each
 record and its output's gradient as it goes, so only leaf tensors hold
@@ -41,12 +40,12 @@ Passes over an array much larger than the per-core cache stream
 through it in blocks of about STREAM_BLOCK elements: parameter-sized
 passes walk a flat view, and activation ops (gelu, glu_gelu,
 layer_norm, attend) walk whole rows, one sequence at a time for
-attention. Each block runs the op's whole ufunc chain into a
-preallocated output through block-sized scratch, so intermediates stay
-in cache instead of making a new array-sized temporary per step of the
-chain. Every element sees the same ufuncs in the same order as the
-whole-array form, and row reductions see the same rows, so the bytes do
-not depend on the blocking.
+attention. A block runs a long ufunc chain (Phi, x-hat, attention
+scores) through block-sized scratch, so its intermediates stay in
+cache; an output of one or two ufuncs into a fresh array makes no
+temporary and is written whole. Every element sees the same ufuncs in
+the same order as the whole-array form, and row reductions see the same
+rows, so the bytes do not depend on the blocking.
 
 Training runs in float32. The finite-difference oracles in the tests run
 the same code at float64; ops never mix dtypes silently.
@@ -345,14 +344,12 @@ def row_blocks(rows: int, row_size: int) -> tuple[int, list[slice]]:
 
 
 def add(a: Tensor, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
     b = _as_tensor(b, a.dtype)
     _check_dtypes("add", a, b)
     return _make("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_tensor(a, b.dtype)
     b = _as_tensor(b, a.dtype)
     _check_dtypes("mul", a, b)
     ad, bd = a.data, b.data
@@ -402,9 +399,7 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make("matmul_t", data, inputs, lambda g: (g @ bd(), g.T @ ad(), g))
 
 
-def reshape(a: Tensor, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
+def reshape(a: Tensor, shape: tuple) -> Tensor:
     in_shape, remake = a.shape, a.rebuild
     return _make("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(in_shape),),
                  None if remake is None else lambda: remake().reshape(shape))
@@ -442,9 +437,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     """Normalize the last axis to mean 0 / population variance 1, then
     apply elementwise gain and bias.
 
-    Mean, variance, x-hat and output are computed one row block at a
-    time, and so is the input gradient; the gain and bias gradients are
-    whole-array sums over rows. The output is rebuilt from x-hat.
+    Mean, variance and x-hat are computed one row block at a time, and
+    so is the input gradient; the gain and bias gradients are
+    whole-array sums over rows. The output is x-hat * gain + bias.
     """
     if eps <= 0:
         raise ContractError("layer_norm eps must be positive")
@@ -453,8 +448,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     n, d = xs.shape
     eps = np.asarray(eps, dtype=x.dtype)
     step, blocks = row_blocks(n, d)
-    xhat, out = np.empty((n, d), x.dtype), np.empty((n, d), x.dtype)
-    inv = np.empty((n, 1), x.dtype)
+    xhat, inv = np.empty((n, d), x.dtype), np.empty((n, 1), x.dtype)
     square = np.empty((step, d), x.dtype)
     for b in blocks:
         xb, cb, ib = xs[b], xhat[b], inv[b]
@@ -466,11 +460,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         np.sqrt(ib, out=ib)
         np.divide(1.0, ib, out=ib)
         cb *= ib
-        np.multiply(cb, gain.data, out=out[b])
-        out[b] += bias.data
     x_shape, gd, bd, dt = x.shape, gain.data, bias.data, x.dtype
 
-    def rebuild():
+    def output():
         y = np.multiply(xhat, gd)
         y += bd
         return y.reshape(x_shape)
@@ -493,7 +485,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
             np.multiply(inv[b], gxb, out=dx[b])
         return dx.reshape(x_shape), dgain, gs.sum(axis=0)
 
-    return _make("layer_norm", out.reshape(x.shape), (x, gain, bias), bwd, rebuild)
+    return _make("layer_norm", output(), (x, gain, bias), bwd, output)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -547,16 +539,18 @@ def _gelu_grad(x: np.ndarray, phi_cdf: np.ndarray, g: np.ndarray, out: np.ndarra
 
 
 def gelu(x: Tensor) -> Tensor:
-    """x * Phi(x) with the exact Gaussian CDF (erf form), by row blocks;
-    backward keeps Phi, and the output is rebuilt from x and Phi."""
+    """x * Phi(x) with the exact Gaussian CDF (erf form); Phi is
+    computed by row blocks and kept for backward."""
     xs = _as_rows(x.data)
     step, blocks = row_blocks(*xs.shape)
-    phi_cdf, out = np.empty(xs.shape, x.dtype), np.empty(xs.shape, x.dtype)
+    phi_cdf = np.empty(xs.shape, x.dtype)
     scratch = np.empty((3, step, xs.shape[1]), x.dtype)
     for b in blocks:
         _normal_cdf(xs[b], phi_cdf[b], scratch[:, :b.stop - b.start])
-        np.multiply(xs[b], phi_cdf[b], out=out[b])
     x_shape = x.shape
+
+    def output():
+        return np.multiply(xs, phi_cdf).reshape(x_shape)
 
     def bwd(g):
         gs, dx = g.reshape(xs.shape), np.empty(xs.shape, xs.dtype)
@@ -564,27 +558,24 @@ def gelu(x: Tensor) -> Tensor:
             _gelu_grad(xs[b], phi_cdf[b], gs[b], dx[b])
         return (dx.reshape(x_shape),)
 
-    return _make("gelu", out.reshape(x.shape), (x,), bwd,
-                 lambda: np.multiply(xs, phi_cdf).reshape(x_shape))
+    return _make("gelu", output(), (x,), bwd, output)
 
 
 def glu_gelu(h: Tensor) -> Tensor:
     """Gated linear unit value * gelu(gate) over the two halves of the
-    last axis, by row blocks; backward keeps Phi(gate) and recomputes
-    gelu(gate) from it, and the output is rebuilt the same way."""
+    last axis; Phi(gate) is computed by row blocks and kept, and backward
+    recomputes gelu(gate) from it."""
     hs = _as_rows(h.data)
     half = hs.shape[1] // 2
     value, gate = hs[:, :half], hs[:, half:]
     step, blocks = row_blocks(len(hs), half)
-    phi_cdf, out = np.empty(value.shape, h.dtype), np.empty(value.shape, h.dtype)
+    phi_cdf = np.empty(value.shape, h.dtype)
     scratch = np.empty((3, step, half), h.dtype)
     for b in blocks:
         _normal_cdf(gate[b], phi_cdf[b], scratch[:, :b.stop - b.start])
-        ob = np.multiply(gate[b], phi_cdf[b], out=out[b])
-        ob *= value[b]
     h_shape, out_shape = h.shape, h.shape[:-1] + (half,)
 
-    def rebuild():
+    def output():
         y = np.multiply(gate, phi_cdf)
         y *= value
         return y.reshape(out_shape)
@@ -600,7 +591,7 @@ def glu_gelu(h: Tensor) -> Tensor:
             _gelu_grad(gate[b], phi_cdf[b], gvb, dgate[b])
         return (dh.reshape(h_shape),)
 
-    return _make("glu_gelu", out.reshape(out_shape), (h,), bwd, rebuild)
+    return _make("glu_gelu", output(), (h,), bwd, output)
 
 
 def _rotate_half(a: np.ndarray) -> np.ndarray:

@@ -168,13 +168,17 @@ class LossCurve:
     @classmethod
     def from_csv(cls, path: str) -> "LossCurve":
         with open(path, encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or lines[0] != "step,tokens,lr,loss,seconds":
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+        if not lines or lines[0][1] != "step,tokens,lr,loss,seconds":
             raise ContractError(f"{path}: not a curve file")
         curve = cls()
-        for ln in lines[1:]:
-            s, t, lr, loss, sec = ln.split(",")
-            curve.append(CurvePoint(int(s), int(t), float(lr), float(loss), float(sec)))
+        for n, ln in lines[1:]:
+            try:
+                s, t, lr, loss, sec = ln.split(",")
+                point = CurvePoint(int(s), int(t), float(lr), float(loss), float(sec))
+            except ValueError:
+                raise ContractError(f"{path}:{n}: malformed curve row {ln!r}") from None
+            curve.append(point)
         return curve
 
 
@@ -359,11 +363,22 @@ def clip_gradients(grads, clip_norm: float | None) -> float:
 
 @dataclass
 class PretrainResult:
+    """A run's curve and, if it aborted, why. The run's progress is the
+    curve's last point: steps and tokens read it, 0 for an empty curve."""
     curve: LossCurve
-    steps: int
-    tokens: int
-    aborted: bool = False
     abort_reason: str | None = None
+
+    @property
+    def steps(self) -> int:
+        return self.curve.points[-1].step if len(self.curve) else 0
+
+    @property
+    def tokens(self) -> int:
+        return self.curve.points[-1].tokens if len(self.curve) else 0
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
 
 def planned_samples(schedule: ScheduleConfig, ramp: BatchRampConfig) -> int:
@@ -385,15 +400,15 @@ def pretrain(
     budget: Budget,
     seed: int,
     curve_interval: int,
-    checkpoint_path: str | None = None,
 ) -> PretrainResult:
     """Run the pretraining loop until the budget or the data runs out.
 
-    The model is updated in place. A step starts only while the progress
-    clock, read once at its start, is below the budget, and takes its lr
-    and micro-batch count from that reading. In step-budget mode the
-    curve's seconds column is written as 0.0 so identical runs produce
-    byte-identical curve files; wallclock mode records elapsed time.
+    The model is updated in place and no file is written. A step starts
+    only while the progress clock, read once at its start, is below the
+    budget, and takes its lr and micro-batch count from that reading. In
+    step-budget mode the curve's seconds column is written as 0.0 so
+    identical runs produce byte-identical curve files; wallclock mode
+    records elapsed time.
     """
     for c in (schedule, ramp, optimizer, masking, budget):
         c.validate()
@@ -419,7 +434,6 @@ def pretrain(
     cursor = 0
     step = 0
     tokens = 0
-    aborted = False
     abort_reason = None
 
     def elapsed() -> float:
@@ -457,7 +471,6 @@ def pretrain(
         step0_loss = masked_loss(seqs[:ramp.micro_batch], eval_rng).item()
         curve.append(CurvePoint(0, 0, 0.0, step0_loss, curve_seconds()))
     last_good = model.snapshot()
-    last_good_state = (0, 0)
 
     # Steps run with the per-op guard off: the step-loss check and
     # clip_gradients' norm catch a non-finite value once per step, and
@@ -493,7 +506,6 @@ def pretrain(
                 curve.append(CurvePoint(step, tokens, lr, step_loss, curve_seconds()))
                 for name, p in model.params.items():
                     np.copyto(last_good[name], p.data)
-                last_good_state = (step, tokens)
             last_loss = step_loss
             last_lr = lr
     except FloatingPointError as exc:
@@ -501,25 +513,14 @@ def pretrain(
         # the failed step's starting values for the replay.
         reason = failing_op(step_cursor, step_rng_state) or str(exc)
         model.restore(last_good)
-        aborted = True
         abort_reason = f"{reason} at step {step + 1}"
-        step, tokens = last_good_state
     else:
         if step > 0 and step % curve_interval != 0:
             curve.append(CurvePoint(step, tokens, last_lr, last_loss, curve_seconds()))
     finally:
         np.seterr(**err_state)
         set_finite_checks(checks_state)
-
-    if checkpoint_path is not None:
-        model.save(checkpoint_path)
-    return PretrainResult(
-        curve=curve,
-        steps=step,
-        tokens=tokens,
-        aborted=aborted,
-        abort_reason=abort_reason,
-    )
+    return PretrainResult(curve, abort_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -657,6 +657,9 @@ def test_diverging_run_is_reported_not_raised(prepared, tmp_path):
     assert result.aborted
     assert "non-finite" in result.abort_reason
     assert os.path.exists(art.curve_path)
+    # The harness saves the parameters restored at the last curve point.
+    model = Model.load(art.checkpoint_path)
+    assert all(np.isfinite(p.data).all() for p in model.params.values())
 
 
 # -- reports -------------------------------------------------------------------
@@ -1024,6 +1027,26 @@ def test_cli_fit_scaling(finished_run, tmp_path, capsys):
     _, art, _ = finished_run
     assert cli.main(["fit-scaling", "--curve", art.curve_path]) == 3
     assert "analysis error" in capsys.readouterr().err
+
+
+def test_cli_malformed_run_files_are_runtime_errors(finished_run, prepared, task_path,
+                                                    tmp_path, capsys):
+    curve = tmp_path / "bad.csv"
+    curve.write_text("step,tokens,lr,loss,seconds\n0,0,0.0,6.0\n")
+    assert cli.main(["fit-scaling", "--curve", str(curve)]) == 2
+    assert f"runtime error: {curve}:2: malformed curve row" in capsys.readouterr().err
+    # a manifest tensor line without its offset
+    _, art, _ = finished_run
+    with open(art.checkpoint_path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    n = next(i for i, ln in enumerate(lines) if ln.startswith("tensor "))
+    lines[n] = lines[n].rsplit(" ", 1)[0]
+    manifest = tmp_path / "checkpoint"
+    manifest.write_text("\n".join(lines) + "\n", encoding="ascii")
+    assert cli.main(["finetune", "--checkpoint", str(manifest), "--vocab", prepared.vocab_path,
+                     "--task", task_path]) == 2
+    assert (f"runtime error: {manifest}:{n + 1}: malformed manifest line"
+            in capsys.readouterr().err)
 
 
 def test_cli_fit_scaling_svg_of_real_run(prepared, workdir, tmp_path, capsys):

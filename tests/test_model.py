@@ -515,6 +515,19 @@ def test_checkpoint_short_blob_without_blob_line_is_refused(tmp_path):
         Model.load(path)
 
 
+@pytest.mark.parametrize("bad", ["tensor w 2x2", "tensor w 2xa 0", "blob 12"])
+def test_checkpoint_malformed_manifest_line_names_the_file_and_line(tmp_path, bad):
+    path = str(tmp_path / "ck")
+    ckpt.save_checkpoint(path, {"v": np.zeros(3, np.float32)})
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines[:1] + [bad] + lines[1:]) + "\n")
+    with pytest.raises(ContractError) as info:
+        ckpt.load_checkpoint(path)
+    assert str(info.value) == f"{path}:2: malformed manifest line {bad!r}"
+
+
 def test_checkpoint_without_blob_line_still_loads(tmp_path):
     model = build(small_config(), seed=33)
     path = str(tmp_path / "ck")

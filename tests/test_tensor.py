@@ -855,6 +855,15 @@ def test_fd_softmax_cross_entropy_composite():
     _fd(lambda: cross_entropy_from_logits(x, labels), [x], 1e-6)
 
 
+def test_fd_dropout():
+    # Each evaluation draws from a fresh generator with the same seed, so
+    # every one applies the same mask.
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+    k = Tensor(rng.normal(size=(5, 6)))
+    _fd(lambda: tsum(mul(dropout(x, 0.3, np.random.default_rng(17)), k)), [x], 1e-6)
+
+
 # -- dropout and init -------------------------------------------------------
 
 def test_dropout_rate_zero_is_identity_and_uses_no_randomness():

@@ -429,13 +429,23 @@ def test_curve_rejects_foreign_header(tmp_path):
         LossCurve.from_csv(str(path))
 
 
+@pytest.mark.parametrize("row", ["4,512,0.001,5.0", "4.5,512,0.001,5.0,0.0"])
+def test_curve_malformed_row_names_the_file_and_line(tmp_path, row):
+    # Line 3 is blank, so the row is line 4 of the file.
+    path = tmp_path / "curve.csv"
+    path.write_text(f"step,tokens,lr,loss,seconds\n0,0,0.0,6.0,0.0\n\n{row}\n")
+    with pytest.raises(ContractError) as info:
+        LossCurve.from_csv(str(path))
+    assert str(info.value) == f"{path}:4: malformed curve row {row!r}"
+
+
 # ---------------------------------------------------------------------------
 # Pretraining loop
 
 
 def run_small(model, data, total_steps, interval=4, seed=11, micro=8,
               final=None, ramp_end=0.5, peak_lr=1e-3, checkpoint=None):
-    return pretrain(
+    res = pretrain(
         model, data,
         schedule=ScheduleConfig(kind="one_cycle", peak_lr=peak_lr,
                                 total_steps=total_steps),
@@ -446,8 +456,10 @@ def run_small(model, data, total_steps, interval=4, seed=11, micro=8,
         budget=Budget(kind="steps", amount=total_steps),
         seed=seed,
         curve_interval=interval,
-        checkpoint_path=checkpoint,
     )
+    if checkpoint is not None:
+        model.save(checkpoint)
+    return res
 
 
 def test_pretrain_loss_decreases_on_constant_data():
@@ -493,6 +505,37 @@ def test_pretrain_single_epoch_stops_when_data_runs_out():
     assert res.steps == 5  # 40 rows / micro 8, never revisited
     assert res.curve.points[-1].step == 5
     assert res.tokens == 40 * 16
+
+
+# Runs whose progress the curve's last point must state, each with that
+# point's (step, tokens), or None for an empty curve. The aborted run's
+# last point is the last curve point before the failed step.
+PROGRESS_RUNS = {
+    # 10 steps at curve interval 4: the run ends between curve points
+    "off_interval": (lambda: run_small(tiny_model(seed=2), toy_dataset(n_rows=200),
+                                       total_steps=10, interval=4), (10, 10 * 8 * 16)),
+    "aborted": (lambda: run_diverging()[1], None),
+    "zero_budget": (lambda: run_small(tiny_model(seed=2), toy_dataset(n_rows=200),
+                                      total_steps=0), None),
+    # ramp_end 0 asks for all 32 rows of the final batch at step 0, and
+    # there are 16
+    "data_out_before_first_step": (
+        lambda: run_small(tiny_model(seed=2), toy_dataset(n_rows=16), total_steps=5,
+                          final=32, ramp_end=0.0), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", list(PROGRESS_RUNS))
+def test_result_progress_is_the_curves_last_point(case):
+    run, want = PROGRESS_RUNS[case]
+    res = run()
+    last = (res.curve.points[-1].step, res.curve.points[-1].tokens) if len(res.curve) else None
+    assert (res.steps, res.tokens) == (last or (0, 0))
+    assert res.aborted == (case == "aborted") == (res.abort_reason is not None)
+    if case == "aborted":
+        assert last[0] % 5 == 0  # run_diverging's curve interval
+    else:
+        assert last == want
 
 
 def test_pretrain_is_deterministic_bit_for_bit(tmp_path):
