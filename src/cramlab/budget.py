@@ -109,17 +109,17 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
 def memory_estimate(config: ModelConfig, micro_batch: int, mask_rate: float) -> int:
     """Peak bytes a float32 pretraining run at this shape adds to the process.
 
-    Five parameter-sized copies live for the whole run: the parameters,
-    their gradients, Adam's m and v, and the last-good snapshot. On top
-    of them come one micro-batch's activations plus the decoder's (V, d)
-    gradient product, which backward makes while they still live. The
-    prepared dataset is mapped from its file and is not part of it.
+    Four parameter-sized copies live for the whole run: the parameters,
+    their gradients, and Adam's m and v. On top of them come one
+    micro-batch's activations plus the decoder's (V, d) gradient
+    product, which backward makes while they still live. The prepared
+    dataset is mapped from its file and is not part of it.
     """
     if micro_batch < 1:
         raise ConfigurationError("micro_batch must be positive")
     n = param_count(config)
     largest = max(math.prod(shape) for shape, _ in param_layout(config).values())
-    return 4 * (5 * n + micro_batch * _activation_floats(config, mask_rate) + largest)
+    return 4 * (4 * n + micro_batch * _activation_floats(config, mask_rate) + largest)
 
 
 def available_memory() -> int | None:

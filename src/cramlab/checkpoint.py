@@ -21,7 +21,7 @@ import zlib
 import numpy as np
 
 from .errors import ContractError
-from .serde import committed
+from .serde import committed, read_text
 
 _HEADER = "cramlab-checkpoint v1"
 
@@ -60,8 +60,7 @@ def save_checkpoint(path: str, arrays: dict[str, np.ndarray], config: dict | Non
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read back (arrays, config). Arrays come out float32 C-contiguous,
     as writable views into the one copy of the blob that is read."""
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = read_text(path, "ascii").split("\n")
     if not lines or lines[0] != _HEADER:
         raise ContractError(f"{path}: not a checkpoint manifest")
     config: dict[str, str] = {}

@@ -16,7 +16,7 @@ from .budget import Budget
 from .corpus import PipelineConfig
 from .errors import ConfigurationError
 from .model import ModelConfig
-from .serde import dataclass_to_strs, dataclass_update_from_strs
+from .serde import dataclass_to_strs, dataclass_update_from_strs, read_text
 from .trainer import (
     BatchRampConfig, MaskingConfig, OptimizerConfig, ScheduleConfig,
 )
@@ -173,8 +173,7 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_run_config(fh.read())
+    return parse_run_config(read_text(path))
 
 
 def render_run_config(cfg: RunConfig) -> str:

@@ -54,7 +54,7 @@ class TokenizedEntry:
 
     @classmethod
     def from_ids(cls, ids, source_index: int) -> "TokenizedEntry":
-        return cls(ids=list(map(int, ids)), source_index=source_index)
+        return cls(ids=np.asarray(ids).tolist(), source_index=source_index)
 
 
 @dataclass

@@ -32,7 +32,7 @@ from .corpus import curate, load_dataset, save_dataset
 from .errors import AnalysisError, ConfigurationError
 from .model import Model, build
 from .scaling import fit_power_law
-from .serde import write_text_atomic
+from .serde import read_text, write_text_atomic
 from .tokenizer import Vocab, WordPieceModel, train_wordpiece
 from .trainer import (
     FinetuneMetrics, FinetuneProtocol, LossCurve, PretrainResult, finetune, load_task,
@@ -60,8 +60,7 @@ def read_entries(path: str) -> list[str]:
         raise ConfigurationError(f"corpus input not found: {path}")
     entries: list[str] = []
     for name in files:
-        with open(name, encoding="utf-8") as fh:
-            entries.extend(line for line in (ln.strip() for ln in fh) if line)
+        entries.extend(line for line in (ln.strip() for ln in read_text(name).split("\n")) if line)
     if not entries:
         raise ConfigurationError(f"corpus input is empty: {path}")
     return entries
@@ -169,8 +168,7 @@ def run_pretrain(
     os.makedirs(run_dir, exist_ok=True)
     art = _artifacts(run_dir)
     write_text_atomic(art.config_path, render_run_config(cfg))
-    with open(data.stats_path, encoding="utf-8") as fh:
-        write_text_atomic(art.stats_path, fh.read())
+    write_text_atomic(art.stats_path, read_text(data.stats_path))
 
     model = build(cfg.model, seed=cfg.train.seed)
     result = pretrain(
@@ -324,8 +322,7 @@ def emit_report(run_dir: str, device_name: str | None = None,
     _require_artifacts(run_dir, [CONFIG_NAME, CURVE_NAME, STATS_NAME])
     cfg = load_run_config(os.path.join(run_dir, CONFIG_NAME))
     curve = LossCurve.from_csv(os.path.join(run_dir, CURVE_NAME))
-    with open(os.path.join(run_dir, STATS_NAME), encoding="utf-8") as fh:
-        stats_text = fh.read().rstrip("\n")
+    stats_text = read_text(os.path.join(run_dir, STATS_NAME)).rstrip("\n")
 
     device_name = device_name or cfg.report.device
     devices = load_devices()

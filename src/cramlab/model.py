@@ -191,13 +191,6 @@ class Model:
         for p in self.params.values():
             p.zero_grad()
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.params.items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for k, v in self.params.items():
-            v.data[...] = snap[k]
-
     @staticmethod
     def decay_exempt(name: str) -> bool:
         """Layer-norm parameters and the positional scale skip weight decay."""

@@ -1,5 +1,6 @@
 """String <-> dataclass field conversion shared by config files and
-checkpoint manifests, and the one way every artifact file is written."""
+checkpoint manifests, the one way input and run text files are read,
+and the one way every artifact file is written."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import os
 import types
 import typing
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 
 
 def parse_scalar(ftype, text: str):
@@ -83,6 +84,20 @@ def dataclass_update_from_strs(obj, strs: dict[str, str], prefix: str = ""):
             raise ConfigurationError(f"{prefix}{key}: {exc}") from exc
         setattr(obj, key, value)
     return obj
+
+
+def read_text(path: str, encoding: str = "utf-8") -> str:
+    """The text of a file in an ASCII-compatible encoding, with CRLF and
+    CR line ends read as LF, as open() reads them. A byte that does not
+    decode raises ContractError naming path:line."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ContractError(
+            f"{path}:{line}: byte 0x{data[exc.start]:02x} is not {encoding} text") from None
 
 
 @contextlib.contextmanager

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigurationError
-from .serde import committed
+from .serde import committed, read_text
 
 UNK, SEP, MASK, CLS, PAD = "<unk>", "<sep>", "<mask>", "<cls>", "<pad>"
 SPECIAL_TOKENS = (UNK, SEP, MASK, CLS, PAD)
@@ -89,9 +89,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        with open(path, encoding="ascii") as fh:
-            tokens = [ln.rstrip("\n") for ln in fh if ln.rstrip("\n")]
-        return cls(tokens)
+        return cls([ln for ln in read_text(path, "ascii").split("\n") if ln])
 
 
 class WordPieceModel:

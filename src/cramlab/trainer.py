@@ -14,8 +14,8 @@ Divergence handling: the pretraining steps run with the per-op
 finiteness guard off. A non-finite step loss or gradient norm, both
 checked before the optimizer update, aborts the run; the failed step's
 micro-batch forwards are then replayed with the guard on, so the abort
-reason names the op that first produced a non-finite value, and
-parameters are restored from the snapshot taken at the last curve point.
+reason names the op that first produced a non-finite value. The failed
+step never reaches the parameters, so the run keeps its last completed step.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 from .budget import Budget
 from .errors import ConfigurationError, ContractError
 from .model import Model
+from .serde import read_text
 from .tensor import (
     Tape, Tensor, cross_entropy_from_logits, dropout, gather_rows, matmul, mul, reshape,
     row_blocks, set_finite_checks, truncated_normal,
@@ -167,18 +168,19 @@ class LossCurve:
 
     @classmethod
     def from_csv(cls, path: str) -> "LossCurve":
-        with open(path, encoding="ascii") as fh:
-            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+        lines = [(n, ln.strip()) for n, ln in enumerate(read_text(path, "ascii").split("\n"), 1)
+                 if ln.strip()]
         if not lines or lines[0][1] != "step,tokens,lr,loss,seconds":
             raise ContractError(f"{path}: not a curve file")
         curve = cls()
         for n, ln in lines[1:]:
             try:
                 s, t, lr, loss, sec = ln.split(",")
-                point = CurvePoint(int(s), int(t), float(lr), float(loss), float(sec))
+                curve.append(CurvePoint(int(s), int(t), float(lr), float(loss), float(sec)))
             except ValueError:
                 raise ContractError(f"{path}:{n}: malformed curve row {ln!r}") from None
-            curve.append(point)
+            except ContractError as exc:  # out of order
+                raise ContractError(f"{path}:{n}: {exc}") from None
         return curve
 
 
@@ -405,10 +407,11 @@ def pretrain(
 
     The model is updated in place and no file is written. A step starts
     only while the progress clock, read once at its start, is below the
-    budget, and takes its lr and micro-batch count from that reading. In
-    step-budget mode the curve's seconds column is written as 0.0 so
-    identical runs produce byte-identical curve files; wallclock mode
-    records elapsed time.
+    budget, and takes its lr and micro-batch count from that reading.
+    The curve ends at the last completed step, also when a step aborts,
+    and the model holds that step's parameters. In step-budget mode the
+    curve's seconds column is written as 0.0 so identical runs produce
+    byte-identical curve files; wallclock mode records elapsed time.
     """
     for c in (schedule, ramp, optimizer, masking, budget):
         c.validate()
@@ -470,7 +473,6 @@ def pretrain(
     if budget.amount > 0:
         step0_loss = masked_loss(seqs[:ramp.micro_batch], eval_rng).item()
         curve.append(CurvePoint(0, 0, 0.0, step0_loss, curve_seconds()))
-    last_good = model.snapshot()
 
     # Steps run with the per-op guard off: the step-loss check and
     # clip_gradients' norm catch a non-finite value once per step, and
@@ -493,7 +495,6 @@ def pretrain(
                     loss = masked_loss(rows, rng, train_rate)
                     tape.backward(mul(loss, 1.0 / acc))
                 step_loss += loss.item() / acc
-                tokens += rows.size
             if not math.isfinite(step_loss):
                 raise FloatingPointError("non-finite training loss")
             clip_gradients(
@@ -502,24 +503,21 @@ def pretrain(
             lr = lr_at(now, sched)
             adam_step(model.params, state, lr, optimizer, Model.decay_exempt)
             step += 1
+            tokens += (cursor - step_cursor) * seqs.shape[1]
             if step % curve_interval == 0:
                 curve.append(CurvePoint(step, tokens, lr, step_loss, curve_seconds()))
-                for name, p in model.params.items():
-                    np.copyto(last_good[name], p.data)
             last_loss = step_loss
             last_lr = lr
     except FloatingPointError as exc:
         # Both checks run before adam_step, so the parameters still hold
-        # the failed step's starting values for the replay.
+        # the last completed step's values, which the replay starts from.
         reason = failing_op(step_cursor, step_rng_state) or str(exc)
-        model.restore(last_good)
         abort_reason = f"{reason} at step {step + 1}"
-    else:
-        if step > 0 and step % curve_interval != 0:
-            curve.append(CurvePoint(step, tokens, last_lr, last_loss, curve_seconds()))
     finally:
         np.seterr(**err_state)
         set_finite_checks(checks_state)
+    if step > 0 and step % curve_interval != 0:
+        curve.append(CurvePoint(step, tokens, last_lr, last_loss, curve_seconds()))
     return PretrainResult(curve, abort_reason)
 
 
@@ -537,18 +535,16 @@ class TaskExample:
 def load_task(path: str) -> list[TaskExample]:
     """Tab-separated rows: text[<tab>text2]<tab>label."""
     examples: list[TaskExample] = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) == 2:
-                examples.append(TaskExample(cols[0], None, cols[1]))
-            elif len(cols) == 3:
-                examples.append(TaskExample(cols[0], cols[1], cols[2]))
-            else:
-                raise ConfigurationError(f"task row needs 2 or 3 columns: {line!r}")
+    for line in read_text(path).split("\n"):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) == 2:
+            examples.append(TaskExample(cols[0], None, cols[1]))
+        elif len(cols) == 3:
+            examples.append(TaskExample(cols[0], cols[1], cols[2]))
+        else:
+            raise ConfigurationError(f"task row needs 2 or 3 columns: {line!r}")
     return examples
 
 
@@ -602,9 +598,9 @@ def finetune(
 ) -> FinetuneMetrics:
     """Full-model finetuning with a fresh linear head on <cls>.
 
-    Updates the model in place; callers comparing seeds should restore
-    a parameter snapshot between calls. Reports accuracy on
-    eval_examples (train set when absent).
+    Updates the model in place; callers comparing seeds give each call
+    a fresh load of the checkpoint. Reports accuracy on eval_examples
+    (train set when absent).
     """
     protocol.validate()
     if not train_examples:

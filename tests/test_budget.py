@@ -165,9 +165,9 @@ def _train_config(preset: str, **model) -> RunConfig:
 ])
 def test_memory_estimate_bounds_traced_training_peak(preset, model):
     # Two steps of two accumulated micro-batches each take every
-    # allocation a run makes: activations, gradients, Adam state,
-    # snapshots. The estimate must cover the traced peak without
-    # overstating it much, or it would refuse runs that fit.
+    # allocation a run makes: activations, gradients, Adam state. The
+    # estimate must cover the traced peak without overstating it much,
+    # or it would refuse runs that fit.
     cfg = _train_config(preset, **model)
     m = cfg.model
     rng = np.random.default_rng(5)

@@ -20,6 +20,16 @@ def entry(ids, source_index=0):
     return TokenizedEntry.from_ids(ids, source_index)
 
 
+@pytest.mark.parametrize("kind", ["int64", "uint16", "list"])
+def test_from_ids_gives_a_list_of_python_ints(kind):
+    ids = [5, 6, 65535, 9]
+    given = {"int64": np.asarray(ids, dtype=np.int64),
+             "uint16": np.asarray(ids, dtype=np.uint16), "list": ids}[kind]
+    got = TokenizedEntry.from_ids(given, 3).ids
+    assert got == list(map(int, given))
+    assert all(type(i) is int for i in got)
+
+
 # -- compression filter --------------------------------------------------------
 
 def test_filter_arithmetic_at_threshold():

@@ -26,7 +26,7 @@ from cramlab.config import (
     load_run_config, parse_run_config, render_run_config,
 )
 from cramlab.corpus import load_dataset, save_dataset
-from cramlab.errors import AnalysisError, ConfigurationError
+from cramlab.errors import AnalysisError, ConfigurationError, ContractError
 from cramlab.harness import (
     CONFIG_NAME, CURVE_NAME, REPORT_NAME, STATS_NAME, data_key, emit_report, finetune_seeds,
     prepare, read_entries, render_ablation_table, run_ablation, run_pretrain, write_svg,
@@ -35,7 +35,7 @@ from cramlab.harness import (
 from cramlab.model import Model
 from cramlab.serde import render_scalar
 from cramlab.tokenizer import Vocab
-from cramlab.trainer import CurvePoint, FinetuneProtocol, LossCurve, encode_task_batch
+from cramlab.trainer import CurvePoint, FinetuneProtocol, LossCurve, encode_task_batch, load_task
 
 
 def base_cfg() -> RunConfig:
@@ -657,7 +657,7 @@ def test_diverging_run_is_reported_not_raised(prepared, tmp_path):
     assert result.aborted
     assert "non-finite" in result.abort_reason
     assert os.path.exists(art.curve_path)
-    # The harness saves the parameters restored at the last curve point.
+    # The harness saves the parameters of the last completed step.
     model = Model.load(art.checkpoint_path)
     assert all(np.isfinite(p.data).all() for p in model.params.values())
 
@@ -1029,12 +1029,40 @@ def test_cli_fit_scaling(finished_run, tmp_path, capsys):
     assert "analysis error" in capsys.readouterr().err
 
 
+# The readers of the text files the CLI is given, each with its encoding.
+TEXT_READERS = {
+    "curve": (LossCurve.from_csv, "ascii"),
+    "manifest": (ckpt.load_checkpoint, "ascii"),
+    "vocab": (Vocab.load, "ascii"),
+    "task": (load_task, "utf-8"),
+    "config": (load_run_config, "utf-8"),
+    "corpus": (read_entries, "utf-8"),
+}
+
+
+@pytest.mark.parametrize("reader", list(TEXT_READERS))
+def test_undecodable_byte_names_the_file_and_line(tmp_path, reader):
+    read, encoding = TEXT_READERS[reader]
+    path = tmp_path / "file.txt"
+    path.write_bytes(b"first\r\nsecond\ncaf\xe9\n")
+    with pytest.raises(ContractError) as info:
+        read(str(path))
+    assert str(info.value) == f"{path}:3: byte 0xe9 is not {encoding} text"
+
+
 def test_cli_malformed_run_files_are_runtime_errors(finished_run, prepared, task_path,
                                                     tmp_path, capsys):
     curve = tmp_path / "bad.csv"
     curve.write_text("step,tokens,lr,loss,seconds\n0,0,0.0,6.0\n")
     assert cli.main(["fit-scaling", "--curve", str(curve)]) == 2
     assert f"runtime error: {curve}:2: malformed curve row" in capsys.readouterr().err
+    curve.write_bytes(b"step,tokens,lr,loss,seconds\n0,0,0.0,6.\xe9,0.0\n")
+    assert cli.main(["fit-scaling", "--curve", str(curve)]) == 2
+    assert f"runtime error: {curve}:2: byte 0xe9" in capsys.readouterr().err
+    config = tmp_path / "bad.txt"
+    config.write_bytes(b"train.seed = 1 # caf\xe9\n")
+    assert cli.main(["pretrain", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+    assert f"runtime error: {config}:1: byte 0xe9" in capsys.readouterr().err
     # a manifest tensor line without its offset
     _, art, _ = finished_run
     with open(art.checkpoint_path, encoding="ascii") as fh:
@@ -1074,7 +1102,15 @@ def test_cli_report_svg_of_aborted_run(prepared, tmp_path, capsys):
     cfg.train.peak_lr = 1e25
     art, result = run_pretrain(cfg, str(tmp_path / "boom"), data=prepared)
     assert result.aborted
+    # The aborted run charts the steps it completed.
     svg = str(tmp_path / "boom.svg")
+    assert cli.main(["report", "--run-dir", art.run_dir, "--svg", svg]) == 0
+    assert os.path.exists(svg)
+    # A run that completed no step has nothing to chart.
+    cfg.train.budget_steps = 0
+    art, result = run_pretrain(cfg, str(tmp_path / "empty"), data=prepared)
+    svg = str(tmp_path / "empty.svg")
+    capsys.readouterr()
     assert cli.main(["report", "--run-dir", art.run_dir, "--svg", svg]) == 1
     assert "no point after step 0 to chart" in capsys.readouterr().err
 

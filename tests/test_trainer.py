@@ -429,6 +429,15 @@ def test_curve_rejects_foreign_header(tmp_path):
         LossCurve.from_csv(str(path))
 
 
+def test_curve_row_out_of_token_order_names_the_file_and_line(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("step,tokens,lr,loss,seconds\n0,0,0.0,6.0,0.0\n4,512,0.001,5.0,0.0\n"
+                    "8,512,0.001,4.0,0.0\n")
+    with pytest.raises(ContractError) as info:
+        LossCurve.from_csv(str(path))
+    assert str(info.value) == f"{path}:4: curve tokens must be strictly increasing"
+
+
 @pytest.mark.parametrize("row", ["4,512,0.001,5.0", "4.5,512,0.001,5.0,0.0"])
 def test_curve_malformed_row_names_the_file_and_line(tmp_path, row):
     # Line 3 is blank, so the row is line 4 of the file.
@@ -509,7 +518,7 @@ def test_pretrain_single_epoch_stops_when_data_runs_out():
 
 # Runs whose progress the curve's last point must state, each with that
 # point's (step, tokens), or None for an empty curve. The aborted run's
-# last point is the last curve point before the failed step.
+# last point is the step before the failed one.
 PROGRESS_RUNS = {
     # 10 steps at curve interval 4: the run ends between curve points
     "off_interval": (lambda: run_small(tiny_model(seed=2), toy_dataset(n_rows=200),
@@ -533,7 +542,7 @@ def test_result_progress_is_the_curves_last_point(case):
     assert (res.steps, res.tokens) == (last or (0, 0))
     assert res.aborted == (case == "aborted") == (res.abort_reason is not None)
     if case == "aborted":
-        assert last[0] % 5 == 0  # run_diverging's curve interval
+        assert res.abort_reason.endswith(f" at step {last[0] + 1}")
     else:
         assert last == want
 
@@ -553,8 +562,10 @@ def test_pretrain_is_deterministic_bit_for_bit(tmp_path):
 
 def test_curve_point_snapshot_reuses_its_arrays():
     # Parameters outweigh one micro-batch's activations and Adam's
-    # temporaries here, so a second snapshot taken while the first is
-    # held would raise the peak by most of a parameter set.
+    # temporaries here, so a copy of the parameters taken at a curve
+    # point, once or at every point, would raise the peak by most of a
+    # parameter set. The run holds the parameters, their gradients and
+    # Adam's m and v, and no fifth copy.
     data = toy_dataset(n_rows=64, seq_len=8)
     peaks = []
     for interval in (1, 100):
@@ -568,6 +579,7 @@ def test_curve_point_snapshot_reuses_its_arrays():
             tracemalloc.stop()
     param_bytes = sum(p.data.nbytes for p in model.params.values())
     assert peaks[0] - peaks[1] < param_bytes / 4
+    assert max(peaks) < 4 * param_bytes
 
 
 def test_pretrain_on_a_mapped_dataset_matches_the_packed_one(tmp_path):
@@ -591,19 +603,33 @@ def test_pretrain_on_a_mapped_dataset_matches_the_packed_one(tmp_path):
     assert outputs["mapped"] == outputs["packed"] == outputs["int32"]
 
 
-def run_diverging(interval=5, **model_overrides):
+def run_diverging(interval=5, steps=40, **model_overrides):
     model = tiny_model(seed=6, **model_overrides)
     res = pretrain(
         model, toy_dataset(n_rows=800),
-        schedule=ScheduleConfig(kind="constant", peak_lr=1e4, total_steps=40),
+        schedule=ScheduleConfig(kind="constant", peak_lr=1e4, total_steps=steps),
         ramp=BatchRampConfig(micro_batch=8, final_batch=8),
         optimizer=OptimizerConfig(weight_decay=0.5),
         masking=MaskingConfig(),
-        budget=Budget(kind="steps", amount=40),
+        budget=Budget(kind="steps", amount=steps),
         seed=13,
         curve_interval=interval,
     )
     return model, res
+
+
+@pytest.mark.parametrize("interval", [1, 5])
+def test_aborted_run_equals_a_budget_run_of_its_completed_steps(interval):
+    # The failed step never reaches the parameters, so an abort leaves
+    # the curve and the parameters of a run budgeted to stop before it,
+    # whatever the curve interval.
+    model, res = run_diverging(interval)
+    assert res.aborted and res.steps > 0
+    budgeted, done = run_diverging(interval, steps=res.steps)
+    assert not done.aborted
+    assert res.curve.to_csv_text() == done.curve.to_csv_text()
+    for name, p in model.params.items():
+        assert p.data.tobytes() == budgeted.params[name].data.tobytes(), name
 
 
 def test_pretrain_aborts_and_restores_on_divergence():
