@@ -1,7 +1,7 @@
-"""Print a markdown table of each benchmark workload's peak RSS and
-training throughput, read from the last line of `cramlab_bench/run.py`'s
-output. Given a second output, from a run of the base branch, the table
-gains that run's values in columns beside them.
+"""Print a markdown table of each benchmark workload's peak RSS,
+training throughput and setup seconds, read from the last line of
+`cramlab_bench/run.py`'s output. Given a second output, from a run of the
+base branch, the table gains that run's values in columns beside them.
 
     python3 .github/bench_summary.py HEAD_OUTPUT [BASE_OUTPUT]
 
@@ -24,27 +24,31 @@ def read_metrics(path: str) -> dict | None:
     return json.loads(lines[-1])["metrics"]
 
 
+# (metric, unit, format) per column pair, in table order.
+COLUMNS = [("peak_rss_mb", "MiB", ".1f"), ("train_tok_s", "tok/s", ".0f"),
+           ("setup_s", "s", ".3f")]
+
+
 def main(argv: list[str]) -> int:
     head = read_metrics(argv[0])
     if head is None:
         return 0
     with_base = len(argv) > 1
     base = (read_metrics(argv[1]) if with_base else None) or {}
-    header = ["workload", "peak_rss_mb (MiB)", "train_tok_s (tok/s)"]
-    if with_base:
-        header[2:2] = ["base peak_rss_mb (MiB)"]
-        header.append("base train_tok_s (tok/s)")
+    header = ["workload"]
+    for metric, unit, _ in COLUMNS:
+        header.append(f"{metric} ({unit})")
+        if with_base:
+            header.append(f"base {metric} ({unit})")
     print("| " + " | ".join(header) + " |")
     print("|" + "---|" * len(header))
-    for key in sorted(head):
-        name, _, metric = key.partition("/")
-        if metric != "peak_rss_mb":
-            continue
-        tok_s = name + "/train_tok_s"
-        row = [name, f"{head[key]['value']:.1f}", f"{head[tok_s]['value']:.0f}"]
-        if with_base:
-            row[2:2] = [f"{base[key]['value']:.1f}" if key in base else "n/a"]
-            row.append(f"{base[tok_s]['value']:.0f}" if tok_s in base else "n/a")
+    for name in sorted(k.partition("/")[0] for k in head if k.endswith("/peak_rss_mb")):
+        row = [name]
+        for metric, _, fmt in COLUMNS:
+            key = f"{name}/{metric}"
+            row.append(format(head[key]["value"], fmt) if key in head else "n/a")
+            if with_base:
+                row.append(format(base[key]["value"], fmt) if key in base else "n/a")
         print("| " + " | ".join(row) + " |")
     return 0
 

@@ -5,9 +5,13 @@ The pipeline turns raw text entries into fixed-length id sequences:
   normalize+tokenize -> compression filter -> exact-substring dedup
   -> seeded shuffle + pack with <sep> -> optional prevalence sort
 
-Ids are uint16 from `pack` to the trainer, and a saved dataset is its
-file: `load_dataset` maps the id matrix read-only, so a day-scale corpus
-costs reclaimable file-backed pages, not an anonymous copy.
+Ids are machine integers from entry to matrix. An entry holds them in
+an int64 `array.array`, which dedup and `pack` read through numpy as a
+buffer, with no Python int per token; `pack` checks them against the
+vocabulary and casts them once to the uint16 matrix the trainer reads.
+A saved dataset is its file: `load_dataset` maps the id matrix
+read-only, so a day-scale corpus costs reclaimable file-backed pages,
+not an anonymous copy.
 
 Deduplication works on token ids. Every length-L window that also
 occurs earlier in the corpus is excised, which removes exactly the
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import os
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +50,7 @@ class RawEntry:
 
 @dataclass
 class TokenizedEntry:
-    ids: list[int]
+    ids: array  # typecode "q": compares by value, iterates as Python ints
     source_index: int
 
     @property
@@ -54,7 +59,8 @@ class TokenizedEntry:
 
     @classmethod
     def from_ids(cls, ids, source_index: int) -> "TokenizedEntry":
-        return cls(ids=np.asarray(ids).tolist(), source_index=source_index)
+        return cls(ids=array("q", np.asarray(ids, dtype=np.int64).tobytes()),
+                   source_index=source_index)
 
 
 @dataclass
@@ -159,8 +165,9 @@ def dedup_exact(entries: list[TokenizedEntry], L: int) -> list[TokenizedEntry]:
         return []
     # Unique negative separator after each entry: windows crossing
     # entry boundaries can never match anything.
-    concat = np.concatenate([np.asarray(e.ids + [-(i + 1)], dtype=np.int64)
-                             for i, e in enumerate(entries)])
+    ends = np.cumsum(np.fromiter((e.token_count for e in entries), np.int64, len(entries)))
+    concat = np.insert(np.frombuffer(b"".join(e.ids for e in entries), np.int64),
+                       ends, -np.arange(1, len(entries) + 1))
     n = concat.size
 
     covered = np.zeros(n, dtype=bool)
@@ -183,10 +190,9 @@ def dedup_exact(entries: list[TokenizedEntry], L: int) -> list[TokenizedEntry]:
         if keep.all():
             out.append(e)
             continue
-        ids = np.asarray(e.ids, dtype=np.int64)
         boundaries = np.flatnonzero(np.diff(np.r_[0, keep.view(np.int8), 0]))
         for start, stop in zip(boundaries[::2], boundaries[1::2]):
-            out.append(TokenizedEntry.from_ids(ids[start:stop], e.source_index))
+            out.append(TokenizedEntry(e.ids[start:stop], e.source_index))
     return out
 
 
@@ -194,29 +200,25 @@ def pack(entries: list[TokenizedEntry], S: int, seed: int, vocab_size: int) -> P
     """Shuffle entries by seed, join with single <sep> ids, chunk to S.
 
     The trailing remainder shorter than S is discarded. Ids are uint16,
-    so this is where a vocabulary wider than 65536 is refused.
+    so this is where a vocabulary wider than 65536, or an id outside
+    [0, vocab_size), is refused.
     """
     if vocab_size > 65536:
         raise ConfigurationError(f"vocab_size {vocab_size} exceeds the 65536 uint16 ids")
     if not entries:
         raise ConfigurationError("nothing to pack")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(entries))
-    pieces: list[np.ndarray] = []
-    sep = np.asarray([SEP_ID], dtype=ID_DTYPE)
-    for j, idx in enumerate(perm):
-        if j:
-            pieces.append(sep)
-        pieces.append(np.asarray(entries[idx].ids, dtype=ID_DTYPE))
-    stream = np.concatenate(pieces)
+    perm = np.random.default_rng(seed).permutation(len(entries))
+    sep = array("q", [SEP_ID]).tobytes()
+    stream = np.frombuffer(sep.join([entries[i].ids for i in perm]), np.int64)
+    if stream.size and (stream.min() < 0 or stream.max() >= vocab_size):
+        bad = stream[(stream < 0) | (stream >= vocab_size)][0]
+        raise ContractError(f"token id {bad} outside [0, {vocab_size})")
     n_seq = stream.size // S
     if n_seq == 0:
         raise ConfigurationError(
             f"token supply {stream.size} below one sequence of length {S}"
         )
-    ds = PackedDataset(stream[: n_seq * S].reshape(n_seq, S), vocab_size)
-    ds.validate()
-    return ds
+    return PackedDataset(stream[: n_seq * S].astype(ID_DTYPE).reshape(n_seq, S), vocab_size)
 
 
 def sort_by_prevalence(ds: PackedDataset) -> PackedDataset:

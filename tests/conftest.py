@@ -1,14 +1,8 @@
-"""Shared fixtures: synthetic corpora with reusable morphology, trained
-tokenizers, and the desk-scale pretraining runs reused across the
-acceptance tests (session-scoped; they take minutes)."""
-
-import os
+"""Shared fixtures: synthetic corpora with reusable morphology and a
+trained tokenizer."""
 
 import numpy as np
 import pytest
-
-from cramlab.config import RunConfig
-from cramlab.harness import prepare, run_pretrain
 
 SYLLABLES = [
     "ba", "be", "bo", "da", "de", "di", "ga", "go", "ka", "ke", "ki",
@@ -82,86 +76,3 @@ def wp_small(small_corpus):
 
     return train_wordpiece(small_corpus, vocab_size=1024)
 
-
-# -- desk-scale material (used by the acceptance suite) ----------------------
-
-def desk_config() -> RunConfig:
-    cfg = RunConfig()
-    cfg.tokenizer.vocab_size = 4096
-    cfg.pipeline.t = 0.3
-    cfg.pipeline.dedup_min_len = 64
-    # Shuffled packing keeps batch difficulty stationary, so the first
-    # and last curve points are comparable; the prevalence sort is
-    # exercised by its own tests.
-    cfg.pipeline.sort = False
-    cfg.pipeline.seq_len = 128
-    cfg.model.num_layers = 2
-    cfg.model.hidden_dim = 128
-    cfg.model.num_heads = 4
-    cfg.model.ffn_dim = 256
-    cfg.model.vocab_size = 4096
-    cfg.model.seq_len = 128
-    cfg.train.micro_batch = 8
-    cfg.train.final_batch = 8
-    cfg.train.budget_steps = 2000
-    cfg.report.curve_interval = 50
-    return cfg
-
-
-@pytest.fixture(scope="session")
-def desk_corpus_path(tmp_path_factory):
-    """Chain corpus sized so curation yields comfortably over 16k
-    sequences of 128 tokens (~2.4M tokens).
-
-    284 stems put merge exhaustion near 4160, so a 4096-entry vocabulary
-    trains to exactly 4096 while leaving only about a percent of word
-    occurrences unsegmentable. Branching 4 keeps the conditional entropy
-    given a neighbor near ln 4, low enough that a two-layer model makes
-    visible progress inside the step budget."""
-    rng = np.random.default_rng(103)
-    lex = make_lexicon(rng, n_stems=284)
-    path = tmp_path_factory.mktemp("corpus") / "desk.txt"
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in make_chain_corpus(rng, lex, 60000, branching=4):
-            fh.write(line + "\n")
-    return str(path)
-
-
-@pytest.fixture(scope="session")
-def desk_workdir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("desk-work"))
-
-
-@pytest.fixture(scope="session")
-def desk_data(desk_corpus_path, desk_workdir):
-    return prepare(desk_config(), desk_corpus_path, desk_workdir)
-
-
-@pytest.fixture(scope="session")
-def desk_run_pre(desk_data, desk_workdir):
-    cfg = desk_config()
-    run_dir = os.path.join(desk_workdir, "run-pre")
-    art, result = run_pretrain(cfg, run_dir, data=desk_data)
-    assert not result.aborted, result.abort_reason
-    return cfg, art, result
-
-
-@pytest.fixture(scope="session")
-def desk_run_post(desk_data, desk_workdir):
-    cfg = desk_config()
-    cfg.model.norm_placement = "post"
-    run_dir = os.path.join(desk_workdir, "run-post")
-    art, result = run_pretrain(cfg, run_dir, data=desk_data)
-    return cfg, art, result
-
-
-@pytest.fixture(scope="session")
-def desk_run_d256(desk_data, desk_workdir):
-    cfg = desk_config()
-    cfg.model.hidden_dim = 256
-    cfg.model.num_heads = 8
-    cfg.model.ffn_dim = 512
-    run_dir = os.path.join(desk_workdir, "run-d256")
-    art, result = run_pretrain(cfg, run_dir, data=desk_data)
-    assert not result.aborted, result.abort_reason
-    return cfg, art, result

@@ -21,13 +21,18 @@ def entry(ids, source_index=0):
 
 
 @pytest.mark.parametrize("kind", ["int64", "uint16", "list"])
-def test_from_ids_gives_a_list_of_python_ints(kind):
+def test_from_ids_keeps_ids_exact(kind):
     ids = [5, 6, 65535, 9]
     given = {"int64": np.asarray(ids, dtype=np.int64),
              "uint16": np.asarray(ids, dtype=np.uint16), "list": ids}[kind]
-    got = TokenizedEntry.from_ids(given, 3).ids
-    assert got == list(map(int, given))
-    assert all(type(i) is int for i in got)
+    got = TokenizedEntry.from_ids(given, 3)
+    assert list(got.ids) == ids
+    assert all(type(i) is int for i in got.ids)
+    # Entries compare by value whatever form their ids came in, and numpy
+    # reads the ids as they are stored.
+    assert got == TokenizedEntry.from_ids(ids, 3)
+    assert got != TokenizedEntry.from_ids(ids[:-1], 3)
+    assert np.frombuffer(got.ids, np.int64).tolist() == ids
 
 
 # -- compression filter --------------------------------------------------------
@@ -96,7 +101,7 @@ def naive_dedup(entries, L):
 def same_entries(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b):
-        assert x.ids == y.ids and x.source_index == y.source_index
+        assert list(x.ids) == list(y.ids) and x.source_index == y.source_index
 
 
 def test_dedup_removes_exact_copy_keeps_first():
@@ -104,8 +109,8 @@ def test_dedup_removes_exact_copy_keeps_first():
     first = entry(span, 0)
     second = entry([1, 2] + span + [3], 1)
     out = dedup_exact([first, second], L=4)
-    assert out[0].ids == span
-    assert [e.ids for e in out[1:]] == [[1, 2], [3]]
+    assert list(out[0].ids) == span
+    assert [list(e.ids) for e in out[1:]] == [[1, 2], [3]]
     assert all(e.source_index == 1 for e in out[1:])
 
 
@@ -114,20 +119,20 @@ def test_dedup_excises_long_span_entirely():
     # so the whole span goes
     span = [9, 8, 7, 6, 5, 4, 3]
     out = dedup_exact([entry(span), entry(span, 1)], L=4)
-    assert [e.ids for e in out] == [span]
+    assert [list(e.ids) for e in out] == [span]
 
 
 def test_dedup_ignores_spans_crossing_entry_boundaries():
     # [3,4]+[5,6] adjacency exists only across the boundary
     out = dedup_exact([entry([3, 4]), entry([5, 6]), entry([4, 5], 2)], L=2)
-    assert [e.ids for e in out] == [[3, 4], [5, 6], [4, 5]]
+    assert [list(e.ids) for e in out] == [[3, 4], [5, 6], [4, 5]]
 
 
 def test_dedup_overlapping_repeats_within_entry():
     # windows at 1 and 2 both match the window at 0, so their union
     # (positions 1..3) is excised even though it overlaps the original
     out = dedup_exact([entry([7, 7, 7, 7])], L=2)
-    assert [e.ids for e in out] == [[7]]
+    assert [list(e.ids) for e in out] == [[7]]
 
 
 def test_dedup_below_threshold_untouched():
@@ -204,12 +209,25 @@ def test_pack_insufficient_tokens_rejected():
 
 def test_pack_deterministic_by_seed():
     rng = np.random.default_rng(331)
-    entries = [entry(rng.integers(0, 9, size=30).tolist(), i) for i in range(30)]
+    rows = [rng.integers(0, 9, size=30) for _ in range(30)]
+    entries = [entry(r.tolist(), i) for i, r in enumerate(rows)]
     a = pack(entries, S=32, seed=5, vocab_size=9)
     b = pack(entries, S=32, seed=5, vocab_size=9)
     c = pack(entries, S=32, seed=6, vocab_size=9)
     assert np.array_equal(a.sequences, b.sequences)
     assert not np.array_equal(a.sequences, c.sequences)
+    # Ids given as int64 or uint16 arrays pack to the same matrix as lists.
+    for dtype in (np.int64, np.uint16):
+        d = pack([entry(r.astype(dtype), i) for i, r in enumerate(rows)],
+                 S=32, seed=5, vocab_size=9)
+        assert d.sequences.dtype == ID_DTYPE and np.array_equal(d.sequences, a.sequences)
+
+
+@pytest.mark.parametrize("bad", [70000, -1, 9000])
+def test_pack_refuses_an_id_outside_the_vocabulary(bad):
+    # 70000 and -1 do not fit uint16 either, so a cast would wrap them.
+    with pytest.raises(ContractError, match=f"token id {bad} outside"):
+        pack([entry([5] * 8), entry([6, bad, 7], 1)], S=4, seed=0, vocab_size=8192)
 
 
 # -- prevalence sort -----------------------------------------------------------
