@@ -1,7 +1,9 @@
 """Print a markdown table of each benchmark workload's peak RSS,
-training throughput and setup seconds, read from the last line of
-`cramlab_bench/run.py`'s output. Given a second output, from a run of the
-base branch, the table gains that run's values in columns beside them.
+training throughput, setup seconds and final loss, read from the last
+line of `cramlab_bench/run.py`'s output. Given a second output, from a
+run of the base branch, the table gains that run's values in columns
+beside them. The final loss is printed at full precision (repr), so a
+change to the training bytes shows as a differing value.
 
     python3 .github/bench_summary.py HEAD_OUTPUT [BASE_OUTPUT]
 
@@ -24,9 +26,9 @@ def read_metrics(path: str) -> dict | None:
     return json.loads(lines[-1])["metrics"]
 
 
-# (metric, unit, format) per column pair, in table order.
-COLUMNS = [("peak_rss_mb", "MiB", ".1f"), ("train_tok_s", "tok/s", ".0f"),
-           ("setup_s", "s", ".3f")]
+# (metric, unit, formatter) per column pair, in table order.
+COLUMNS = [("peak_rss_mb", "MiB", "{:.1f}".format), ("train_tok_s", "tok/s", "{:.0f}".format),
+           ("setup_s", "s", "{:.3f}".format), ("final_loss", "nats", repr)]
 
 
 def main(argv: list[str]) -> int:
@@ -46,9 +48,9 @@ def main(argv: list[str]) -> int:
         row = [name]
         for metric, _, fmt in COLUMNS:
             key = f"{name}/{metric}"
-            row.append(format(head[key]["value"], fmt) if key in head else "n/a")
+            row.append(fmt(head[key]["value"]) if key in head else "n/a")
             if with_base:
-                row.append(format(base[key]["value"], fmt) if key in base else "n/a")
+                row.append(fmt(base[key]["value"]) if key in base else "n/a")
         print("| " + " | ".join(row) + " |")
     return 0
 

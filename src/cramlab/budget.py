@@ -97,9 +97,10 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
     # The gathered rows a sparse head reads, and a nonlinear head's
     # projection, Phi and norm x-hat.
     head = rows * d * (config.sparse_prediction + 3 * config.nonlinear_head)
-    # Only masked rows are decoded: their logits, which live until the
-    # loss has their exponentials.
-    head += 2 * masked * V
+    # Only masked rows are decoded, into one logits buffer that the
+    # fused loss exponentiates in place and backward turns into their
+    # gradient.
+    head += masked * V
     # The backward pass of the top block runs while its inputs still
     # live: a few gradient buffers of FFN and attention-score width.
     backward = 2 * S * f + 2 * H * S * S
@@ -111,9 +112,11 @@ def memory_estimate(config: ModelConfig, micro_batch: int, mask_rate: float) -> 
 
     Four parameter-sized copies live for the whole run: the parameters,
     their gradients, and Adam's m and v. On top of them come one
-    micro-batch's activations plus the decoder's (V, d) gradient
-    product, which backward makes while they still live. The prepared
-    dataset is mapped from its file and is not part of it.
+    micro-batch's activations, whose largest at a 32k vocabulary is the
+    masked rows' single logits buffer (tensor.decoder_cross_entropy),
+    plus the decoder's (V, d) gradient product, which backward makes
+    while they still live. The prepared dataset is mapped from its file
+    and is not part of it.
     """
     if micro_batch < 1:
         raise ConfigurationError("micro_batch must be positive")

@@ -132,24 +132,27 @@ def compression_filter(entry: TokenizedEntry, raw: RawEntry, t: float) -> bool:
     return entry.token_count <= t * raw.char_count
 
 
-def _window_ranks(arr: np.ndarray, L: int) -> np.ndarray:
-    """Dense equality ranks of the length-L windows of arr.
+def _first_windows(arr: np.ndarray, L: int) -> np.ndarray:
+    """For each length-L window of arr, the start of its first occurrence.
 
     Rank doubling: equal ranks at window length k for positions i and
     i+k combine into ranks at length 2k; the final step overlaps two
-    length-k windows to land exactly on L.
+    length-k windows to land exactly on L, and its np.unique gives each
+    window's first occurrence along with its group.
     """
     _, rank = np.unique(arr, return_inverse=True)
     rank = rank.astype(np.int64)
     k = 1
-    while k < L:
+    while True:
         off = min(k, L - k)
         m = arr.size - (k + off) + 1
         combined = rank[:m] * (rank.max() + 1) + rank[off:off + m]
+        k += off
+        if k == L:
+            _, first, group = np.unique(combined, return_index=True, return_inverse=True)
+            return first[group]
         _, rank = np.unique(combined, return_inverse=True)
         rank = rank.astype(np.int64)
-        k += off
-    return rank
 
 
 def dedup_exact(entries: list[TokenizedEntry], L: int) -> list[TokenizedEntry]:
@@ -172,11 +175,8 @@ def dedup_exact(entries: list[TokenizedEntry], L: int) -> list[TokenizedEntry]:
 
     covered = np.zeros(n, dtype=bool)
     if n - L + 1 > 0:
-        ranks = _window_ranks(concat, L)
-        order = np.argsort(ranks, kind="stable")
-        sorted_r = ranks[order]
-        first_of_group = np.r_[True, sorted_r[1:] != sorted_r[:-1]]
-        dup_positions = order[~first_of_group]
+        first = _first_windows(concat, L)
+        dup_positions = np.flatnonzero(first != np.arange(first.size))
         delta = np.zeros(n + 1, dtype=np.int64)
         delta[dup_positions] += 1
         delta[dup_positions + L] -= 1

@@ -25,8 +25,8 @@ from . import checkpoint as ckpt
 from .errors import ConfigurationError, ContractError
 from .serde import dataclass_to_strs, dataclass_update_from_strs
 from .tensor import (
-    Tensor, add, attend, dropout, gather_rows, gelu, glu_gelu, layer_norm, matmul,
-    matmul_t, mul, reshape, truncated_normal,
+    Tensor, add, attend, decoder_cross_entropy, dropout, gather_rows, gelu, glu_gelu,
+    layer_norm, matmul, matmul_t, mul, reshape, truncated_normal,
 )
 
 FFN_KINDS = ("glu_gelu", "gelu")
@@ -264,14 +264,10 @@ class Model:
                 x = self._ln(x, norm)
         return x
 
-    def logits(
-        self,
-        ids: np.ndarray,
-        masked_positions=None,
-        key_mask: np.ndarray | None = None,
-        dropout_rate: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
+    def _decoded(self, ids, masked_positions, key_mask, dropout_rate,
+                 rng) -> tuple[Tensor, Tensor, Tensor | None]:
+        """The head's output at the rows to decode (masked_positions, or
+        every row when None), the decoder table and its bias."""
         cfg = self.config
         hidden = self.encode(ids, key_mask=key_mask, dropout_rate=dropout_rate, rng=rng)
         B, S, d = hidden.shape
@@ -287,7 +283,25 @@ class Model:
             # the masked rows are decoded.
             h = gather_rows(h, rows)
         dec = self.params.get("decoder", self.params["tok_emb"])
-        return matmul_t(h, dec, self.params.get("decoder_bias"))
+        return h, dec, self.params.get("decoder_bias")
+
+    def logits(
+        self,
+        ids: np.ndarray,
+        masked_positions=None,
+        key_mask: np.ndarray | None = None,
+        dropout_rate: float = 0.0,
+        rng: np.random.Generator | None = None,
+    ) -> Tensor:
+        return matmul_t(*self._decoded(ids, masked_positions, key_mask, dropout_rate, rng))
+
+    def loss(self, ids: np.ndarray, masked_positions, labels, dropout_rate: float = 0.0,
+             rng: np.random.Generator | None = None) -> Tensor:
+        """Masked-LM loss at masked_positions: the bytes of
+        cross_entropy_from_logits(self.logits(...), labels), through one
+        (masked, V) logits buffer instead of two."""
+        h, dec, bias = self._decoded(ids, masked_positions, None, dropout_rate, rng)
+        return decoder_cross_entropy(h, dec, bias, labels)
 
     # -- persistence ------------------------------------------------------
     def save(self, path: str) -> None:

@@ -24,6 +24,12 @@ rebuild in place of its .data, so no product keeps a norm or activation
 output. A rebuild makes its array once per backward, so the q, k and v
 products share one copy, which dies with the last of their records.
 
+decoder_cross_entropy fuses the tied decoder's product (matmul_t) with
+the masked-LM loss (cross_entropy_from_logits): its one (rows, V) buffer
+holds the logits, then their shifted exponentials, and in backward
+their gradient, where the pair holds two. The loss core it shares with
+cross_entropy_from_logits is written once.
+
 Tape.backward replays the records newest-first, once, dropping each
 record and its output's gradient as it goes, so only leaf tensors hold
 .grad afterwards. It alone applies the gradient rules, to each
@@ -356,6 +362,19 @@ def mul(a: Tensor, b) -> Tensor:
     return _make("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
+def _product_inputs(op: str, a: Tensor, b: Tensor, bias: Tensor | None,
+                    inner: int) -> tuple[Tensor, ...]:
+    """The recorded inputs of a 2-D product whose inner axis of b is
+    `inner`: (a, b), or (a, b, bias)."""
+    inputs = (a, b) if bias is None else (a, b, bias)
+    _check_dtypes(op, *inputs)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ContractError(f"{op} expects 2-D operands")
+    if a.shape[1] != b.shape[inner]:
+        raise ContractError(f"{op} inner dims {a.shape} @ {b.shape}{'^T' if inner else ''}")
+    return inputs
+
+
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b (+ bias) for 2-D operands.
 
@@ -364,17 +383,24 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     product's own backward, so a biased projection records one op and
     keeps no pre-bias buffer.
     """
-    inputs = (a, b) if bias is None else (a, b, bias)
-    _check_dtypes("matmul", *inputs)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ContractError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ContractError(f"matmul inner dims {a.shape} @ {b.shape}")
+    inputs = _product_inputs("matmul", a, b, bias, 0)
     ad, bd = _reader(a), _reader(b)
     data = a.data @ b.data
     if bias is not None:
         data += bias.data
     return _make("matmul", data, inputs, lambda g: (g @ bd().T, ad().T @ g, g))
+
+
+def _product_t(op: str, a: Tensor, b: Tensor, bias: Tensor | None):
+    """The inputs, a @ b.T (+ bias) and the backward that maps that
+    product's gradient to its inputs', for matmul_t and
+    decoder_cross_entropy."""
+    inputs = _product_inputs(op, a, b, bias, 1)
+    ad, bd = _reader(a), _reader(b)
+    data = a.data @ b.data.T
+    if bias is not None:
+        data += bias.data
+    return inputs, data, lambda g: (g @ bd(), g.T @ ad(), g)
 
 
 def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -386,17 +412,8 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     Callers that decode only some rows gather them first (gather_rows),
     so no logits the loss would drop are computed.
     """
-    inputs = (a, b) if bias is None else (a, b, bias)
-    _check_dtypes("matmul_t", *inputs)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ContractError("matmul_t expects 2-D operands")
-    if a.shape[1] != b.shape[1]:
-        raise ContractError(f"matmul_t inner dims {a.shape} @ {b.shape}^T")
-    ad, bd = _reader(a), _reader(b)
-    data = a.data @ b.data.T
-    if bias is not None:
-        data += bias.data
-    return _make("matmul_t", data, inputs, lambda g: (g @ bd(), g.T @ ad(), g))
+    inputs, data, bwd = _product_t("matmul_t", a, b, bias)
+    return _make("matmul_t", data, inputs, bwd)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -671,15 +688,23 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
             gs *= p
             gs *= scale
             merged(dq)[b] = unrotate(gs @ np.swapaxes(keys_t(b), -1, -2))
-            gk = (np.swapaxes(rotate(heads_of(qd, b)), -1, -2) @ gs).transpose(0, 1, 3, 2)
-            merged(dk)[b] = unrotate(gk)
+            # gs^T q comes out in dk's (key, dh) layout, so its write is contiguous.
+            merged(dk)[b] = unrotate(np.swapaxes(gs, -1, -2) @ rotate(heads_of(qd, b)))
         return dq, dk, dv
 
     return _make("attend", out, (q, k, v), bwd)
 
 
-def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
-    """Mean over positions of -log softmax(logits)[label], via log-sum-exp."""
+def _softmax_xent(logits: np.ndarray, labels, out: np.ndarray):
+    """Mean over rows of -log softmax(logits)[label], via log-sum-exp,
+    and the function that turns out into the logits' gradient.
+
+    out, of logits' shape and possibly logits itself, is the one
+    logits-sized buffer: it takes the shifted logits, whose picked
+    entries are the only ones of log softmax ever read, then their
+    exponentials in place. The gradient function overwrites it, so it
+    runs at most once, as a tape closure does.
+    """
     labels = np.asarray(labels)
     p, v = logits.shape
     if labels.ndim != 1 or labels.shape[0] != p:
@@ -687,24 +712,42 @@ def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= v):
         raise IndexError("label id outside vocabulary")
     dt, rows = logits.dtype, np.arange(p)
-    # One logits-sized buffer: the shifted logits, whose picked entries
-    # are the only ones of log softmax ever read, then their exponentials
-    # in place.
-    e = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
     picked = e[rows, labels]
     np.exp(e, out=e)
     z = e.sum(axis=1, keepdims=True)
-    loss = -(picked - np.log(z[:, 0])).mean(dtype=dt)
+    loss = np.asarray(-(picked - np.log(z[:, 0])).mean(dtype=dt), dtype=dt)
 
-    def bwd(g):
-        # The closure runs once per tape, so e can become the gradient.
+    def logits_grad(g):
         probs = e
         probs /= z
         probs[rows, labels] -= 1.0
         probs *= g / np.asarray(p, dtype=dt)
-        return (probs,)
+        return probs
 
-    return _make("cross_entropy", np.asarray(loss, dtype=dt), (logits,), bwd)
+    return loss, logits_grad
+
+
+def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
+    """Mean over positions of -log softmax(logits)[label], via log-sum-exp."""
+    x = logits.data
+    loss, logits_grad = _softmax_xent(x, labels, np.empty_like(x))
+    return _make("cross_entropy", loss, (logits,), lambda g: (logits_grad(g),))
+
+
+def decoder_cross_entropy(h: Tensor, table: Tensor, bias: Tensor | None, labels) -> Tensor:
+    """cross_entropy_from_logits(matmul_t(h, table, bias), labels), fused.
+
+    That pair holds two (rows, V) buffers, the logits and their shifted
+    copy; this op holds one. The product is shifted and exponentiated in
+    place, and backward turns it into the logits' gradient, which feeds
+    matmul_t's three products in matmul_t's order, so a tied table
+    accumulates exactly as it does through the pair, and the bytes match.
+    """
+    inputs, e, product_bwd = _product_t("decoder_cross_entropy", h, table, bias)
+    _guard(e, "decoder_cross_entropy")
+    loss, logits_grad = _softmax_xent(e, labels, e)
+    return _make("decoder_cross_entropy", loss, inputs, lambda g: product_bwd(logits_grad(g)))
 
 
 def tsum(x: Tensor) -> Tensor:

@@ -452,9 +452,7 @@ def pretrain(
                     dropout_rate: float = 0.0) -> Tensor:
         # gen draws the masking, then the dropout masks.
         inputs, positions, labels = mask_batch(rows, masking, gen, vocab_size)
-        logits = model.logits(inputs, masked_positions=positions,
-                              dropout_rate=dropout_rate, rng=gen)
-        return cross_entropy_from_logits(logits, labels)
+        return model.loss(inputs, positions, labels, dropout_rate=dropout_rate, rng=gen)
 
     def failing_op(step_cursor: int, rng_state: dict) -> str | None:
         """Replay the failed step's micro-batch forwards (same rows, same

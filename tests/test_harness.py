@@ -627,9 +627,9 @@ def test_pretrain_trains_with_model_dropout_rate(prepared, tmp_path, monkeypatch
     assert dropped[0].splitlines()[:2] == plain[0].splitlines()[:2]  # header, step 0
     assert dropped[0] != plain[0] and dropped[1] != plain[1]
 
-    logits = Model.logits
-    monkeypatch.setattr(Model, "logits", lambda self, ids, masked_positions=None, **_:
-                        logits(self, ids, masked_positions=masked_positions))
+    loss = Model.loss
+    monkeypatch.setattr(Model, "loss", lambda self, ids, masked_positions, labels, **_:
+                        loss(self, ids, masked_positions, labels))
     assert run(0.0, "no-dropout-args") == plain
 
 

@@ -16,9 +16,9 @@ from cramlab.config import PRESETS, RunConfig, apply_overrides
 from cramlab.errors import ContractError
 from cramlab.model import build, rotary_tables
 from cramlab.tensor import (
-    STREAM_BLOCK, Tape, Tensor, add, attend, cross_entropy_from_logits, dropout,
-    gather_rows, gelu, glu_gelu, layer_norm, matmul, matmul_t, mul, reshape,
-    set_finite_checks, softmax, truncated_normal, tsum,
+    STREAM_BLOCK, Tape, Tensor, add, attend, cross_entropy_from_logits,
+    decoder_cross_entropy, dropout, gather_rows, gelu, glu_gelu, layer_norm, matmul,
+    matmul_t, mul, reshape, set_finite_checks, softmax, truncated_normal, tsum,
 )
 
 F64 = np.float64
@@ -429,6 +429,38 @@ def test_backward_peak_stays_near_one_logits_buffer():
         tracemalloc.stop()
     dense_logits = batch * seq_len * vocab * 4
     assert peak - end_of_forward < 2 * dense_logits
+
+
+def test_recorded_masked_loss_holds_one_logits_buffer():
+    # At a vocabulary much wider than the model, the masked rows' logits
+    # are nearly all a recorded forward allocates. The unfused pair holds
+    # the logits and their shifted copy at once; Model.loss holds one
+    # buffer, which backward turns into the logits' gradient.
+    model = _tiny_model("crammed", num_layers=1, vocab_size=16384)
+    ids = np.random.default_rng(13).integers(0, model.config.vocab_size,
+                                             (4, model.config.seq_len))
+    positions = np.arange(0, ids.size, 3)
+    labels = ids.ravel()[positions]
+    logits_bytes = positions.size * model.config.vocab_size * 4
+
+    def forward_peak(forward):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = forward()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        tape.backward(loss)
+        model.zero_grads()
+        return peak, loss.data
+
+    fused, fused_loss = forward_peak(lambda: model.loss(ids, positions, labels))
+    pair, pair_loss = forward_peak(lambda: cross_entropy_from_logits(
+        model.logits(ids, masked_positions=positions), labels))
+    assert fused_loss.tobytes() == pair_loss.tobytes()
+    assert fused < 1.5 * logits_bytes < 2 * logits_bytes <= pair
 
 
 # -- finite-difference oracles (double precision) ----------------------------
@@ -853,6 +885,58 @@ def test_fd_softmax_cross_entropy_composite():
     x = Tensor(rng.normal(size=(4, 9)), requires_grad=True)
     labels = np.array([1, 0, 8, 3])
     _fd(lambda: cross_entropy_from_logits(x, labels), [x], 1e-6)
+
+
+@pytest.mark.parametrize("bias", [False, True], ids=["no_bias", "bias"])
+def test_decoder_cross_entropy_matches_the_unfused_pair_bitwise(bias):
+    # A tied table: the decoded rows are looked up in the table they are
+    # decoded against, so its gradient takes the decoder's product and
+    # then the lookup rows, in the pair's order. Labels repeat.
+    rng = np.random.default_rng(17)
+    labels = np.array([3, 40, 3, 3, 0, 63, 40])
+    idx = rng.integers(0, 64, labels.size)
+
+    def run(fused):
+        init = np.random.default_rng(18)
+        table = Tensor(init.normal(size=(64, 24)).astype(np.float32), requires_grad=True)
+        b = Tensor(init.normal(size=64).astype(np.float32), requires_grad=True) if bias else None
+        with Tape() as tape:
+            h = gather_rows(table, idx)
+            loss = (decoder_cross_entropy(h, table, b, labels) if fused
+                    else cross_entropy_from_logits(matmul_t(h, table, b), labels))
+            tape.backward(mul(loss, 0.5))
+        return [loss.data] + [t.grad for t in (table, b) if t is not None]
+
+    fused, pair = run(True), run(False)
+    assert len(fused) == 2 + bias
+    for f, p in zip(fused, pair):
+        assert f.dtype == np.float32 and f.tobytes() == p.tobytes()
+
+    # The h gradient on its own, through an untied table.
+    h = Tensor(rng.normal(size=(labels.size, 24)).astype(np.float32), requires_grad=True)
+    table = Tensor(rng.normal(size=(64, 24)).astype(np.float32))
+    grads = []
+    for loss_of in (lambda: decoder_cross_entropy(h, table, None, labels),
+                    lambda: cross_entropy_from_logits(matmul_t(h, table), labels)):
+        h.zero_grad()
+        with Tape() as tape:
+            tape.backward(loss_of())
+        grads.append(h.grad.tobytes())
+    assert grads[0] == grads[1]
+
+
+def test_fd_decoder_cross_entropy():
+    rng = np.random.default_rng(19)
+    h = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+    table = Tensor(rng.normal(size=(9, 6)), requires_grad=True)
+    bias = Tensor(rng.normal(size=9), requires_grad=True)
+    labels = np.array([1, 8, 1, 0, 8])
+    _fd(lambda: decoder_cross_entropy(h, table, None, labels), [h, table], 1e-6)
+    _fd(lambda: decoder_cross_entropy(h, table, bias, labels), [h, table, bias], 1e-6)
+    # Tied: the decoded rows come from the table itself.
+    idx = np.array([2, 7, 2, 0, 5])
+    _fd(lambda: decoder_cross_entropy(gather_rows(table, idx), table, bias, labels),
+        [table, bias], 1e-6)
 
 
 def test_fd_dropout():

@@ -651,13 +651,13 @@ def test_pretrain_steps_run_without_op_guard(monkeypatch):
     # step forward without the guard; pretrain restores the caller's
     # setting whether the run finishes or aborts.
     seen = []
-    logits = Model.logits
+    loss = Model.loss
 
-    def recording_logits(self, *args, **kwargs):
+    def recording_loss(self, *args, **kwargs):
         seen.append(tensor._finite_checks)
-        return logits(self, *args, **kwargs)
+        return loss(self, *args, **kwargs)
 
-    monkeypatch.setattr(Model, "logits", recording_logits)
+    monkeypatch.setattr(Model, "loss", recording_loss)
     for setting in (True, False):
         previous = set_finite_checks(setting)
         try:
@@ -742,13 +742,13 @@ def test_wallclock_schedule_ramp_and_stop_read_elapsed_seconds(monkeypatch):
     # the budget's seconds as the horizon, and the run stops at the first
     # step that would start at or after the budget.
     clock = [0.0]
-    logits = Model.logits
+    loss = Model.loss
 
-    def ticking_logits(self, *args, **kwargs):
+    def ticking_loss(self, *args, **kwargs):
         clock[0] += 1.0
-        return logits(self, *args, **kwargs)
+        return loss(self, *args, **kwargs)
 
-    monkeypatch.setattr(Model, "logits", ticking_logits)
+    monkeypatch.setattr(Model, "loss", ticking_loss)
     monkeypatch.setattr(trainer_module, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
     schedule = ScheduleConfig(kind="one_cycle", peak_lr=1e-3)
     ramp = BatchRampConfig(micro_batch=8, final_batch=32, ramp_end_fraction=0.5)
