@@ -5,8 +5,7 @@ training recipe, and scaling-law analysis tools.
 """
 
 from .budget import (
-    Budget, DeviceSpec, load_devices, model_flops_estimate, total_exaflops,
-    utilization,
+    DeviceSpec, load_devices, model_flops_estimate, total_exaflops, utilization,
 )
 from .config import PRESETS, RunConfig, load_run_config, parse_run_config, render_run_config
 from .corpus import (
@@ -27,8 +26,8 @@ from .tokenizer import (
 )
 from .trainer import (
     AdamState, BatchRampConfig, FinetuneProtocol, LossCurve, MaskingConfig,
-    OptimizerConfig, PretrainResult, ScheduleConfig, accumulation_at,
-    adam_step, clip_gradients, finetune, lr_at, mask_batch,
+    OptimizerConfig, PretrainResult, ScheduleConfig, TrainSection,
+    accumulation_at, adam_step, clip_gradients, finetune, lr_at, mask_batch,
     matthews_correlation, planned_samples, pretrain,
 )
 

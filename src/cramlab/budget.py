@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from .errors import ConfigurationError
 from .model import ModelConfig, param_count, param_layout
 
-BUDGET_KINDS = ("steps", "seconds")
-
 
 @dataclass
 class DeviceSpec:
@@ -27,18 +25,6 @@ class DeviceSpec:
     def validate(self) -> None:
         if self.peak_tflops <= 0:
             raise ConfigurationError("peak_tflops must be positive")
-
-
-@dataclass
-class Budget:
-    kind: str = "steps"
-    amount: float = 0.0
-
-    def validate(self) -> None:
-        if self.kind not in BUDGET_KINDS:
-            raise ConfigurationError(f"budget kind must be one of {BUDGET_KINDS}")
-        if self.amount < 0:
-            raise ConfigurationError("budget amount must be nonnegative")
 
 
 def total_exaflops(device: DeviceSpec, hours: float) -> float:

@@ -1,25 +1,25 @@
 """Run configuration: line-oriented `section.key = value` text files.
 
 Every field defaults to the crammed recipe, so an empty file is a
-valid configuration. Ablation presets mirror the recipe-component
-rows of the results table (original data / training / architecture
-and the minimal-modification variants) plus a vocabulary sweep.
+valid configuration. A section is declared beside the code it
+configures (ModelConfig in model, PipelineConfig in corpus,
+TrainSection in trainer); RunConfig.validate runs each section's own
+validate, then the checks that span sections. Ablation presets mirror
+the recipe-component rows of the results table (original data /
+training / architecture and the minimal-modification variants) plus a
+vocabulary sweep.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import Field, dataclass, field, fields, make_dataclass
-from typing import get_type_hints
+from dataclasses import dataclass, field, fields
 
-from .budget import Budget
 from .corpus import PipelineConfig
 from .errors import ConfigurationError
 from .model import ModelConfig
 from .serde import dataclass_to_strs, dataclass_update_from_strs, read_text
-from .trainer import (
-    BatchRampConfig, MaskingConfig, OptimizerConfig, ScheduleConfig,
-)
+from .trainer import TrainSection
 
 
 @dataclass
@@ -27,53 +27,6 @@ class TokenizerSection:
     vocab_size: int = 32768
     input: str = ""
     max_chars_per_word: int = 100
-
-
-# A train.* key is the trainer config field's own name, except these
-# two; ScheduleConfig.total_steps is set from the budget at run time.
-_TRAIN_KEYS = {"kind": "schedule_kind", "rate": "mask_rate"}
-_TRAIN_PARTS = (ScheduleConfig, BatchRampConfig, OptimizerConfig, MaskingConfig)
-
-
-def _train_fields(part) -> list[tuple[Field, str]]:
-    return [(f, _TRAIN_KEYS.get(f.name, f.name)) for f in fields(part) if f.name != "total_steps"]
-
-
-_TrainFields = make_dataclass("_TrainFields", [
-    (key, get_type_hints(part)[f.name], f.default)
-    for part in _TRAIN_PARTS for f, key in _train_fields(part)])
-
-
-@dataclass
-class TrainSection(_TrainFields):
-    """The fields of the _TRAIN_PARTS, as declared there, then the budget and the seed."""
-    budget_steps: int | None = None
-    budget_hours: float | None = None
-    seed: int = 0
-
-    def _build(self, part, **runtime):
-        return part(**{f.name: getattr(self, key) for f, key in _train_fields(part)}, **runtime)
-
-    def schedule(self, total_steps: int = 0) -> ScheduleConfig:
-        return self._build(ScheduleConfig, total_steps=total_steps)
-
-    def ramp(self) -> BatchRampConfig:
-        return self._build(BatchRampConfig)
-
-    def optimizer(self) -> OptimizerConfig:
-        return self._build(OptimizerConfig)
-
-    def masking(self) -> MaskingConfig:
-        return self._build(MaskingConfig)
-
-    def budget(self) -> Budget:
-        if (self.budget_steps is None) == (self.budget_hours is None):
-            raise ConfigurationError(
-                "exactly one of train.budget_steps / train.budget_hours required"
-            )
-        if self.budget_steps is not None:
-            return Budget(kind="steps", amount=float(self.budget_steps))
-        return Budget(kind="seconds", amount=self.budget_hours * 3600.0)
 
 
 @dataclass
@@ -103,10 +56,7 @@ class RunConfig:
     def validate(self) -> None:
         self.pipeline.validate()
         self.model.validate()
-        for part in _TRAIN_PARTS:
-            self.train._build(part).validate()
-        if self.train.seed < 0:
-            raise ConfigurationError("train.seed must be nonnegative")
+        self.train.validate()
         if self.report.curve_interval < 1:
             raise ConfigurationError("report.curve_interval must be positive")
         if self.tokenizer.vocab_size != self.model.vocab_size:

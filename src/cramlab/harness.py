@@ -147,7 +147,8 @@ def run_pretrain(
     """Prepare (or reuse) data from tokenizer.input, pretrain, and write
     the run directory."""
     cfg.validate()
-    budget = cfg.train.budget()
+    # A missing, doubled or negative budget fails before any file is written.
+    cfg.train.schedule(cfg.train.horizon()).validate()
     check_memory(cfg.model, cfg.train.micro_batch, cfg.train.mask_rate)
     if data is None:
         if not cfg.tokenizer.input:
@@ -171,17 +172,7 @@ def run_pretrain(
     write_text_atomic(art.stats_path, read_text(data.stats_path))
 
     model = build(cfg.model, seed=cfg.train.seed)
-    result = pretrain(
-        model,
-        ds,
-        schedule=cfg.train.schedule(),
-        ramp=cfg.train.ramp(),
-        optimizer=cfg.train.optimizer(),
-        masking=cfg.train.masking(),
-        budget=budget,
-        seed=cfg.train.seed,
-        curve_interval=cfg.report.curve_interval,
-    )
+    result = pretrain(model, ds, cfg.train, curve_interval=cfg.report.curve_interval)
     model.save(art.checkpoint_path)
     write_text_atomic(art.curve_path, result.curve.to_csv_text())
     write_text_atomic(art.report_path, emit_report(run_dir))
@@ -225,7 +216,7 @@ def run_ablation(
         apply_overrides(cfg, overrides)
         cfg.tokenizer.input = input_path
         cfg.validate()
-        cfg.train.budget()
+        cfg.train.schedule(cfg.train.horizon()).validate()
         configs[run_dir] = (name, cfg)
 
     results: list[AblationRow] = []

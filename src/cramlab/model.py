@@ -185,6 +185,10 @@ class Model:
         self.dtype = dtype
         self.rot = (rotary_tables(config.seq_len, config.head_dim(), dtype)
                     if config.embedding_kind == "rotary" else None)
+        self.pos_table = None
+        if config.embedding_kind in ("sinusoidal", "scaled_sinusoidal"):
+            self.pos_table = sinusoidal_table(config.seq_len, config.hidden_dim, dtype)
+            self.pos_table.flags.writeable = False
 
     # -- parameter bookkeeping -------------------------------------------
     def zero_grads(self) -> None:
@@ -227,10 +231,9 @@ class Model:
 
         x = reshape(gather_rows(self.params["tok_emb"], ids.ravel()), (B, S, cfg.hidden_dim))
         if cfg.embedding_kind == "scaled_sinusoidal":
-            table = sinusoidal_table(S, cfg.hidden_dim, self.dtype)
-            x = add(x, mul(self.params["pos_scale"], Tensor(table)))
+            x = add(x, mul(self.params["pos_scale"], Tensor(self.pos_table)))
         elif cfg.embedding_kind == "sinusoidal":
-            x = add(x, Tensor(sinusoidal_table(S, cfg.hidden_dim, self.dtype)))
+            x = add(x, Tensor(self.pos_table))
         elif cfg.embedding_kind == "learned":
             x = add(x, self.params["pos_emb"])
         if cfg.embedding_norm:

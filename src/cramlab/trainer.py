@@ -3,12 +3,14 @@
 Pretraining: masked-token objective, bias-corrected Adam with decoupled
 weight decay, global-norm clipping, a one-cycle learning rate and a
 linear micro-batch accumulation ramp, both tied to the budget through one
-progress clock (steps, or seconds under a wallclock budget). The loop is
-single-epoch: sequences are consumed in dataset order and never
-revisited. Training micro-batches apply model.dropout_rate; the step-0
-evaluation runs without dropout. All randomness flows through one
-seeded generator, so a fixed (seed, config, data) triple reproduces
-runs bit for bit in step-budget mode.
+progress clock (steps, or seconds under a wallclock budget). A run
+config's train section, TrainSection, builds the recipe's configs, and
+its horizon() is the budget, which pretrain takes once, as the
+schedule's total_steps. The loop is single-epoch: sequences are
+consumed in dataset order and never revisited. Training micro-batches
+apply model.dropout_rate; the step-0 evaluation runs without dropout.
+All randomness flows through one seeded generator, so a fixed (seed,
+config, data) triple reproduces runs bit for bit in step-budget mode.
 
 Divergence handling: the pretraining steps run with the per-op
 finiteness guard off. A non-finite step loss or gradient norm, both
@@ -22,11 +24,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, dataclass, field, fields, make_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
-from .budget import Budget
 from .errors import ConfigurationError, ContractError
 from .model import Model
 from .serde import read_text
@@ -87,6 +89,8 @@ class ScheduleConfig:
             raise ConfigurationError("peak_lr must be positive")
         if not 0 < self.peak_fraction < 1:
             raise ConfigurationError("peak_fraction must be in (0, 1)")
+        if self.total_steps < 0:
+            raise ConfigurationError("the schedule's horizon must be nonnegative")
 
 
 @dataclass
@@ -105,6 +109,62 @@ class BatchRampConfig:
 
     def factor(self) -> int:
         return max(1, _round_half_up(self.final_batch / self.micro_batch))
+
+
+# A train.* key is the trainer config field's own name, except these
+# two; ScheduleConfig.total_steps is the section's horizon().
+_TRAIN_KEYS = {"kind": "schedule_kind", "rate": "mask_rate"}
+_TRAIN_PARTS = (ScheduleConfig, BatchRampConfig, OptimizerConfig, MaskingConfig)
+
+
+def _train_fields(part) -> list[tuple[Field, str]]:
+    return [(f, _TRAIN_KEYS.get(f.name, f.name)) for f in fields(part) if f.name != "total_steps"]
+
+
+_TrainFields = make_dataclass("_TrainFields", [
+    (key, get_type_hints(part)[f.name], f.default)
+    for part in _TRAIN_PARTS for f, key in _train_fields(part)])
+
+
+@dataclass
+class TrainSection(_TrainFields):
+    """A run's train section: the fields of the _TRAIN_PARTS, as declared
+    there, then the budget and the seed."""
+    budget_steps: int | None = None
+    budget_hours: float | None = None
+    seed: int = 0
+
+    def _build(self, part, **runtime):
+        return part(**{f.name: getattr(self, key) for f, key in _train_fields(part)}, **runtime)
+
+    def schedule(self, total_steps: int = 0) -> ScheduleConfig:
+        return self._build(ScheduleConfig, total_steps=total_steps)
+
+    def ramp(self) -> BatchRampConfig:
+        return self._build(BatchRampConfig)
+
+    def optimizer(self) -> OptimizerConfig:
+        return self._build(OptimizerConfig)
+
+    def masking(self) -> MaskingConfig:
+        return self._build(MaskingConfig)
+
+    def horizon(self) -> float:
+        """The budget in the progress clock's unit: budget_steps as given,
+        or budget_hours in seconds."""
+        if (self.budget_steps is None) == (self.budget_hours is None):
+            raise ConfigurationError(
+                "exactly one of train.budget_steps / train.budget_hours required"
+            )
+        if self.budget_steps is not None:
+            return self.budget_steps
+        return self.budget_hours * 3600.0
+
+    def validate(self) -> None:
+        for part in _TRAIN_PARTS:
+            self._build(part).validate()
+        if self.seed < 0:
+            raise ConfigurationError("train.seed must be nonnegative")
 
 
 @dataclass
@@ -394,17 +454,13 @@ def planned_samples(schedule: ScheduleConfig, ramp: BatchRampConfig) -> int:
 def pretrain(
     model: Model,
     dataset,
+    train: TrainSection,
     *,
-    schedule: ScheduleConfig,
-    ramp: BatchRampConfig,
-    optimizer: OptimizerConfig,
-    masking: MaskingConfig,
-    budget: Budget,
-    seed: int,
     curve_interval: int,
 ) -> PretrainResult:
     """Run the pretraining loop until the budget or the data runs out.
 
+    train is the run's train section, and its horizon() is the budget.
     The model is updated in place and no file is written. A step starts
     only while the progress clock, read once at its start, is below the
     budget, and takes its lr and micro-batch count from that reading.
@@ -413,22 +469,22 @@ def pretrain(
     curve's seconds column is written as 0.0 so identical runs produce
     byte-identical curve files; wallclock mode records elapsed time.
     """
-    for c in (schedule, ramp, optimizer, masking, budget):
+    # One progress clock drives the schedule, the ramp and the stop rule:
+    # completed steps, or elapsed seconds under a wallclock budget.
+    sched = train.schedule(train.horizon())
+    ramp, optimizer, masking = train.ramp(), train.optimizer(), train.masking()
+    for c in (sched, ramp, optimizer, masking):
         c.validate()
     if dataset.sequence_count < ramp.micro_batch:
         raise ConfigurationError("dataset smaller than one micro-batch")
     if curve_interval < 1:
         raise ConfigurationError("curve_interval must be positive")
 
-    rng = np.random.default_rng(seed)
-    eval_rng = np.random.default_rng(seed + 1)
-    wallclock_mode = budget.kind == "seconds"
+    rng = np.random.default_rng(train.seed)
+    eval_rng = np.random.default_rng(train.seed + 1)
+    wallclock_mode = train.budget_hours is not None
     curve = LossCurve()
     state = AdamState()
-    # One progress clock drives the schedule, the ramp and the stop rule:
-    # completed steps, or elapsed seconds under a wallclock budget.
-    sched = replace(schedule, total_steps=budget.amount if wallclock_mode
-                    else int(budget.amount))
 
     start = time.monotonic()
     seqs = dataset.sequences
@@ -468,7 +524,7 @@ def pretrain(
             return str(exc)
         return None
 
-    if budget.amount > 0:
+    if sched.total_steps > 0:
         step0_loss = masked_loss(seqs[:ramp.micro_batch], eval_rng).item()
         curve.append(CurvePoint(0, 0, 0.0, step0_loss, curve_seconds()))
 
@@ -612,6 +668,8 @@ def finetune(
         raise ConfigurationError("task needs at least two classes")
     label_id = {name: i for i, name in enumerate(labels)}
     eval_examples = eval_examples if eval_examples is not None else train_examples
+    if not eval_examples:
+        raise ConfigurationError("empty eval task")
     for ex in eval_examples:
         if ex.label not in label_id:
             raise ConfigurationError(f"eval label {ex.label!r} unseen in training")

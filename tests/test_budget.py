@@ -8,7 +8,6 @@ import pytest
 
 from cramlab import budget
 from cramlab.budget import (
-    Budget,
     DeviceSpec,
     load_devices,
     memory_estimate,
@@ -22,7 +21,7 @@ from cramlab.errors import ConfigurationError
 from cramlab.harness import run_pretrain
 from cramlab.model import ModelConfig, build, param_count
 from cramlab.tokenizer import SPECIAL_TOKENS
-from cramlab.trainer import pretrain
+from cramlab.trainer import ScheduleConfig, pretrain
 
 
 def test_device_table_ships_published_peaks():
@@ -111,12 +110,18 @@ def test_utilization_stays_below_one_for_real_runs():
     assert 0.0 < u < 1.0
 
 
-def test_budget_validation():
-    with pytest.raises(ConfigurationError):
-        Budget(kind="epochs", amount=1).validate()
-    with pytest.raises(ConfigurationError):
-        Budget(kind="steps", amount=-5).validate()
-    Budget(kind="seconds", amount=0.0).validate()
+def test_budget_validation(tmp_path):
+    # The budget reaches the schedule as its horizon, which may be zero
+    # but not negative; a run refuses a negative one before any work.
+    with pytest.raises(ConfigurationError, match="horizon"):
+        ScheduleConfig(total_steps=-5).validate()
+    ScheduleConfig(total_steps=0.0).validate()
+    cfg = RunConfig()
+    cfg.train.budget_steps = -5
+    cfg.tokenizer.input = str(tmp_path / "missing.txt")
+    with pytest.raises(ConfigurationError, match="horizon"):
+        run_pretrain(cfg, str(tmp_path / "run"))
+    assert not (tmp_path / "run").exists()
 
 
 def test_load_devices_custom_file(tmp_path):
@@ -176,9 +181,7 @@ def test_memory_estimate_bounds_traced_training_peak(preset, model):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        pretrain(build(m, seed=0), ds, schedule=cfg.train.schedule(), ramp=cfg.train.ramp(),
-                 optimizer=cfg.train.optimizer(), masking=cfg.train.masking(),
-                 budget=cfg.train.budget(), seed=cfg.train.seed, curve_interval=1)
+        pretrain(build(m, seed=0), ds, cfg.train, curve_interval=1)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -22,8 +22,8 @@ from conftest import make_lexicon, make_sentences
 from cramlab import checkpoint as ckpt
 from cramlab import cli, harness
 from cramlab.config import (
-    PRESETS, RunConfig, TokenizerSection, TrainSection, apply_overrides, config_diff,
-    load_run_config, parse_run_config, render_run_config,
+    PRESETS, RunConfig, TokenizerSection, apply_overrides, config_diff, load_run_config,
+    parse_run_config, render_run_config,
 )
 from cramlab.corpus import load_dataset, save_dataset
 from cramlab.errors import AnalysisError, ConfigurationError, ContractError
@@ -35,7 +35,9 @@ from cramlab.harness import (
 from cramlab.model import Model
 from cramlab.serde import render_scalar
 from cramlab.tokenizer import Vocab
-from cramlab.trainer import CurvePoint, FinetuneProtocol, LossCurve, encode_task_batch, load_task
+from cramlab.trainer import (
+    CurvePoint, FinetuneProtocol, LossCurve, TrainSection, encode_task_batch, load_task,
+)
 
 
 def base_cfg() -> RunConfig:
@@ -272,15 +274,19 @@ def test_config_diff_names_changed_keys():
 
 
 def test_budget_requires_exactly_one_kind():
+    # The horizon is the budget in the progress clock's unit: steps as
+    # given, or hours in seconds.
     cfg = RunConfig()
     with pytest.raises(ConfigurationError, match="exactly one"):
-        cfg.train.budget()
+        cfg.train.horizon()
     cfg.train.budget_steps = 10
     cfg.train.budget_hours = 1.0
     with pytest.raises(ConfigurationError, match="exactly one"):
-        cfg.train.budget()
+        cfg.train.horizon()
     cfg.train.budget_hours = None
-    assert cfg.train.budget().kind == "steps"
+    assert cfg.train.horizon() == 10 and isinstance(cfg.train.horizon(), int)
+    cfg.train.budget_steps, cfg.train.budget_hours = None, 0.5
+    assert cfg.train.horizon() == 1800.0
 
 
 def test_validate_catches_cross_section_mismatches():
@@ -943,6 +949,17 @@ def test_cli_finetune(finished_run, prepared, task_path, capsys):
     out = capsys.readouterr().out
     assert "median accuracy" in out
     assert "matthews" in out
+
+
+def test_cli_finetune_refuses_an_eval_file_of_blank_lines(
+        finished_run, prepared, task_path, tmp_path, capsys):
+    _, art, _ = finished_run
+    blank = tmp_path / "blank.tsv"
+    blank.write_text("\n  \n\n", encoding="utf-8")
+    assert cli.main(["finetune", "--checkpoint", art.checkpoint_path,
+                     "--vocab", prepared.vocab_path, "--task", task_path,
+                     "--eval", str(blank), "--epochs", "1"]) == 1
+    assert "empty eval task" in capsys.readouterr().err
 
 
 def test_cli_zero_finetune_seeds_is_a_configuration_error(

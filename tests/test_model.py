@@ -11,6 +11,7 @@ import pytest
 
 import composed_ops
 from cramlab import checkpoint as ckpt
+from cramlab import model as model_module
 from cramlab.config import PRESETS, RunConfig, apply_overrides
 from cramlab.errors import ConfigurationError, ContractError
 from cramlab.model import (
@@ -132,6 +133,20 @@ def test_scaled_sinusoidal_initial_scale():
     model = build(small_config(), seed=0)
     assert model.params["pos_scale"].data.shape == (1,)
     assert abs(float(model.params["pos_scale"].data[0]) - 1 / math.sqrt(32)) < 1e-7
+
+
+@pytest.mark.parametrize("kind", ["sinusoidal", "scaled_sinusoidal"])
+def test_position_table_is_built_once_per_model(kind, monkeypatch):
+    model = build(small_config(embedding_kind=kind), seed=0)
+    assert model.pos_table.tobytes() == sinusoidal_table(16, 32).tobytes()
+    assert not model.pos_table.flags.writeable
+
+    def rebuilt(*args):
+        raise AssertionError("encode rebuilt the position table")
+
+    monkeypatch.setattr(model_module, "sinusoidal_table", rebuilt)
+    ids = np.random.default_rng(3).integers(6, 64, size=(2, 16))
+    assert model.encode(ids).data.tobytes() == model.encode(ids).data.tobytes()
 
 
 # -- attention and ffn against numpy ---------------------------------------------

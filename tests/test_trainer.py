@@ -13,7 +13,6 @@ import composed_ops
 from cramlab import model as model_module
 from cramlab import tensor
 from cramlab import trainer as trainer_module
-from cramlab.budget import Budget
 from cramlab.corpus import PackedDataset, TokenizedEntry, load_dataset, pack, save_dataset
 from cramlab.errors import ConfigurationError, ContractError
 from cramlab.harness import write_text_atomic
@@ -30,6 +29,7 @@ from cramlab.trainer import (
     OptimizerConfig,
     ScheduleConfig,
     TaskExample,
+    TrainSection,
     accumulation_at,
     adam_step,
     clip_gradients,
@@ -454,18 +454,9 @@ def test_curve_malformed_row_names_the_file_and_line(tmp_path, row):
 
 def run_small(model, data, total_steps, interval=4, seed=11, micro=8,
               final=None, ramp_end=0.5, peak_lr=1e-3, checkpoint=None):
-    res = pretrain(
-        model, data,
-        schedule=ScheduleConfig(kind="one_cycle", peak_lr=peak_lr,
-                                total_steps=total_steps),
-        ramp=BatchRampConfig(micro_batch=micro, final_batch=final or micro,
-                             ramp_end_fraction=ramp_end),
-        optimizer=OptimizerConfig(),
-        masking=MaskingConfig(),
-        budget=Budget(kind="steps", amount=total_steps),
-        seed=seed,
-        curve_interval=interval,
-    )
+    train = TrainSection(peak_lr=peak_lr, micro_batch=micro, final_batch=final or micro,
+                         ramp_end_fraction=ramp_end, budget_steps=total_steps, seed=seed)
+    res = pretrain(model, data, train, curve_interval=interval)
     if checkpoint is not None:
         model.save(checkpoint)
     return res
@@ -605,16 +596,9 @@ def test_pretrain_on_a_mapped_dataset_matches_the_packed_one(tmp_path):
 
 def run_diverging(interval=5, steps=40, **model_overrides):
     model = tiny_model(seed=6, **model_overrides)
-    res = pretrain(
-        model, toy_dataset(n_rows=800),
-        schedule=ScheduleConfig(kind="constant", peak_lr=1e4, total_steps=steps),
-        ramp=BatchRampConfig(micro_batch=8, final_batch=8),
-        optimizer=OptimizerConfig(weight_decay=0.5),
-        masking=MaskingConfig(),
-        budget=Budget(kind="steps", amount=steps),
-        seed=13,
-        curve_interval=interval,
-    )
+    train = TrainSection(schedule_kind="constant", peak_lr=1e4, micro_batch=8, final_batch=8,
+                         weight_decay=0.5, budget_steps=steps, seed=13)
+    res = pretrain(model, toy_dataset(n_rows=800), train, curve_interval=interval)
     return model, res
 
 
@@ -720,16 +704,8 @@ def test_pretrain_wallclock_mode_records_elapsed_seconds():
     model = tiny_model(seed=8)
     data = toy_dataset(n_rows=4000)
     start = time.monotonic()
-    res = pretrain(
-        model, data,
-        schedule=ScheduleConfig(kind="one_cycle", peak_lr=1e-3),
-        ramp=BatchRampConfig(micro_batch=8, final_batch=8),
-        optimizer=OptimizerConfig(),
-        masking=MaskingConfig(),
-        budget=Budget(kind="seconds", amount=1.0),
-        seed=21,
-        curve_interval=10,
-    )
+    train = TrainSection(micro_batch=8, final_batch=8, budget_hours=1 / 3600, seed=21)
+    res = pretrain(model, data, train, curve_interval=10)
     elapsed = time.monotonic() - start
     assert res.steps > 0
     assert res.curve.points[-1].seconds > 0.0
@@ -750,20 +726,16 @@ def test_wallclock_schedule_ramp_and_stop_read_elapsed_seconds(monkeypatch):
 
     monkeypatch.setattr(Model, "loss", ticking_loss)
     monkeypatch.setattr(trainer_module, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
-    schedule = ScheduleConfig(kind="one_cycle", peak_lr=1e-3)
-    ramp = BatchRampConfig(micro_batch=8, final_batch=32, ramp_end_fraction=0.5)
-    res = pretrain(
-        tiny_model(seed=8), toy_dataset(n_rows=400),
-        schedule=schedule, ramp=ramp, optimizer=OptimizerConfig(), masking=MaskingConfig(),
-        budget=Budget(kind="seconds", amount=20.0), seed=21, curve_interval=1,
-    )
+    train = TrainSection(micro_batch=8, final_batch=32, ramp_end_fraction=0.5,
+                         budget_hours=20 / 3600, seed=21)
+    res = pretrain(tiny_model(seed=8), toy_dataset(n_rows=400), train, curve_interval=1)
     pts = res.curve.points
     # A curve point's seconds is the elapsed time at the next step's start.
     starts = [p.seconds for p in pts[:-1]]
     horizon = ScheduleConfig(kind="one_cycle", peak_lr=1e-3, total_steps=20.0)
     assert [p.lr for p in pts[1:]] == [lr_at(t, horizon) for t in starts]
     micro_batches = [(b.tokens - a.tokens) // (8 * 16) for a, b in zip(pts, pts[1:])]
-    assert micro_batches == sorted(micro_batches) and micro_batches[-1] == ramp.factor()
+    assert micro_batches == sorted(micro_batches) and micro_batches[-1] == train.ramp().factor()
     assert starts[-1] < 20.0 <= pts[-1].seconds
     assert res.steps == len(starts)
 
@@ -880,6 +852,9 @@ def test_finetune_validation_errors(wp_small):
     stray = [TaskExample("misty", None, "c")]
     with pytest.raises(ConfigurationError):
         finetune(model, wp_small, train, FinetuneProtocol(), eval_examples=stray)
+    # An empty eval set has no accuracy to report.
+    with pytest.raises(ConfigurationError, match="empty eval task"):
+        finetune(model, wp_small, train, FinetuneProtocol(), eval_examples=[])
 
 
 @pytest.mark.parametrize("extra", [-8, 8])
