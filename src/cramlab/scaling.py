@@ -12,11 +12,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import AnalysisError
 
 GRID_LO, GRID_HI, GRID_POINTS = 0.01, 2.0, 1025
+# Elements of one (exponents x points) block of the fit: a long curve
+# takes the grid a few exponents at a time, so its temporaries stay a
+# few hundred KiB however many points it has.
+FIT_BLOCK = 1 << 15
 
 
 @dataclass
@@ -53,9 +56,36 @@ def _apply_burn_in(tokens, losses, burn_in):
     return tokens[keep], losses[keep], float(burn_in)
 
 
+def _nonnegative_fits(x: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares (a, c) >= 0 of L ~ a*x + c for each row of x.
+
+    The centred least-squares pair is the answer where both are
+    nonnegative. Elsewhere the optimum lies on a face of the feasible
+    quadrant, a = 0 with c = max(mean L, 0) or c = 0 with
+    a = max(x.L / x.x, 0), and the face that fits better wins.
+    """
+    L_mean = L.mean()
+    x_mean = x.mean(axis=1)
+    xc = x - x_mean[:, None]
+    sxx = np.einsum("ij,ij->i", xc, xc)
+    a = np.divide(xc @ (L - L_mean), sxx, out=np.full_like(sxx, np.nan), where=sxx > 0)
+    c = L_mean - a * x_mean
+    xx = np.einsum("ij,ij->i", x, x)
+    a_face = np.maximum(np.divide(x @ L, xx, out=np.zeros_like(xx), where=xx > 0), 0.0)
+    c_face = max(L_mean, 0.0)
+    resid = np.multiply(x, a_face[:, None], out=xc)
+    resid -= L
+    on_c0 = np.einsum("ij,ij->i", resid, resid) < np.sum((c_face - L) ** 2)
+    inside = (a >= 0) & (c >= 0)
+    return (np.where(inside, a, np.where(on_c0, a_face, 0.0)),
+            np.where(inside, c, np.where(on_c0, 0.0, c_face)))
+
+
 def fit_power_law(curve, burn_in: float | None = None) -> PowerLawFit:
-    """Fit c + a*n^(-b) by a geometric grid over b with nonnegative
-    closed-form (a, c) at each gridpoint, minimizing linear-space RMS."""
+    """Fit c + a*n^(-b) by a geometric grid over b, minimizing
+    linear-space RMS with the closed-form nonnegative (a, c) of each
+    gridpoint (see _nonnegative_fits); the first of equal minima wins.
+    The grid is taken in blocks of FIT_BLOCK elements."""
     tokens, losses = _curve_arrays(curve)
     order = np.argsort(tokens)
     tokens, losses = tokens[order], losses[order]
@@ -65,15 +95,20 @@ def fit_power_law(curve, burn_in: float | None = None) -> PowerLawFit:
     if (n <= 0).any() or (L <= 0).any():
         raise AnalysisError("power-law fit requires positive tokens and losses")
 
+    grid = np.geomspace(GRID_LO, GRID_HI, GRID_POINTS)
+    rows = max(1, FIT_BLOCK // n.size)
     best = None
-    ones = np.ones_like(n)
-    for b in np.geomspace(GRID_LO, GRID_HI, GRID_POINTS):
-        x = n ** (-b)
-        design = np.column_stack([x, ones])
-        (a, c), rnorm = nnls(design, L)
-        rms = rnorm / math.sqrt(n.size)
-        if best is None or rms < best[0]:
-            best = (rms, float(a), float(b), float(c))
+    for start in range(0, grid.size, rows):
+        b = grid[start:start + rows]
+        x = n ** -b[:, None]
+        a, c = _nonnegative_fits(x, L)
+        x *= a[:, None]
+        x += c[:, None]
+        x -= L
+        rss = np.einsum("ij,ij->i", x, x)
+        i = int(np.argmin(rss))
+        if best is None or rss[i] < best[0]:
+            best = (rss[i], float(a[i]), float(b[i]), float(c[i]))
     _, a, b, c = best
     pred = np.maximum(c + a * n ** (-b), 1e-300)
     log_resid = float(np.sqrt(np.mean((np.log(L) - np.log(pred)) ** 2)))

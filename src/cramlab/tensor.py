@@ -63,11 +63,11 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ContractError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 # Elements per block when a pass walks a parameter-sized flat array
 # (initialization here, the Adam update in trainer.py) or the rows of an
@@ -520,9 +520,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def _normal_cdf(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Phi(x) into out. float32 takes (1 + erf(x / sqrt 2)) / 2 through
     the rational erf above, in float32 throughout, using three scratch
-    buffers of out's shape; any other dtype takes scipy's ndtr."""
+    buffers of out's shape; any other dtype (the float64 test oracles)
+    takes erfc(-x / sqrt 2) / 2 element by element through math.erfc,
+    which keeps the far left tail's relative precision. out may alias x."""
     if x.dtype != np.float32:
-        ndtr(x, out=out)
+        np.multiply(x, -math.sqrt(0.5), out=out)
+        out[...] = _ERFC(out)
+        out *= 0.5
         return
     z, z2, den = scratch
     np.multiply(x, _F32_SQRT_HALF, out=z)

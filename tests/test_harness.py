@@ -12,7 +12,9 @@ import hashlib
 import importlib
 import os
 import shutil
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -1111,6 +1113,43 @@ def test_cli_fit_scaling_svg_of_real_run(prepared, workdir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out == fit_lines + f"wrote chart -> {svg}\n"
     assert os.path.exists(svg)
+
+
+# Run in a fresh interpreter: training, the report's power-law fit and
+# the fit-scaling command, after which sys.modules must hold no scipy.
+NUMPY_ONLY_SCRIPT = textwrap.dedent("""
+    import sys
+    import cramlab
+    from cramlab import cli, harness
+    from cramlab.config import load_run_config
+
+    config_path, run_dir, workdir = sys.argv[1:]
+    art, result = harness.run_pretrain(load_run_config(config_path), run_dir, workdir=workdir)
+    assert not result.aborted
+    with open(art.report_path, encoding="utf-8") as fh:
+        assert "power law: loss =" in fh.read()
+    assert cli.main(["fit-scaling", "--curve", art.curve_path]) == 0
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+
+
+def test_training_and_fits_import_numpy_only(corpus_path, prepared, workdir, tmp_path):
+    cfg = base_cfg()
+    cfg.tokenizer.input = corpus_path
+    cfg.train.budget_steps = 16
+    cfg.report.curve_interval = 1
+    config_path = tmp_path / "run.txt"
+    config_path.write_text(render_run_config(cfg), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(config_path),
+         str(tmp_path / "run"), workdir],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_report_svg_of_aborted_run(prepared, tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Curve-analysis tests: power-law recovery and token-shift estimation
 on synthetic trajectories with known parameters."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from cramlab.errors import AnalysisError
+from cramlab import scaling
 from cramlab.scaling import ShiftEstimate, estimate_shift, fit_power_law
 from cramlab.trainer import CurvePoint, LossCurve
 
@@ -75,6 +79,60 @@ def test_fit_rejects_nonpositive_values():
     bad[-1] = 0.0
     with pytest.raises(AnalysisError):
         fit_power_law((tokens, bad), burn_in=0.0)
+
+
+def nnls_reference_fit(tokens, losses):
+    """(a, b, c) by scipy's nnls at every exponent of the fit's grid,
+    the first of equal minima winning; burn-in is left to the caller."""
+    best = None
+    for b in np.geomspace(scaling.GRID_LO, scaling.GRID_HI, scaling.GRID_POINTS):
+        design = np.column_stack([tokens ** (-b), np.ones_like(tokens)])
+        (a, c), rnorm = nnls(design, losses)
+        if best is None or rnorm < best[0]:
+            best = (rnorm, a, b, c)
+    return best[1:]
+
+
+def reference_curves():
+    """Curves whose best fit lies inside the quadrant, on a = 0 (rising
+    losses) and on c = 0 (a negative offset), plus noisy ones."""
+    rng = np.random.default_rng(29)
+    tokens = np.geomspace(3e3, 4e7, 50)
+    yield pytest.param(tokens, 1.5 + 3.0 * tokens ** (-0.3), "interior", id="interior")
+    yield pytest.param(tokens, 2.0 + 0.1 * np.log(tokens), "a=0", id="rising")
+    power = 4.0 * tokens ** (-0.25)
+    yield pytest.param(tokens, power - 0.5 * power[-1], "c=0", id="negative-offset")
+    for i in range(12):
+        n = np.geomspace(10 ** rng.uniform(2, 4), 10 ** rng.uniform(5, 9),
+                         int(rng.integers(12, 200)))
+        clean = rng.uniform(0.5, 5.0) + rng.uniform(0.5, 20.0) * n ** -rng.uniform(0.05, 1.0)
+        yield pytest.param(n, clean * np.exp(rng.normal(0.0, 0.02, n.size)), None,
+                           id=f"noisy-{i}")
+
+
+@pytest.mark.parametrize("tokens, losses, face", reference_curves())
+def test_fit_matches_an_nnls_reference_on_every_active_set(tokens, losses, face):
+    a, b, c = nnls_reference_fit(tokens, losses)
+    fit = fit_power_law((tokens, losses), burn_in=0.0)
+    assert fit.b == b
+    assert fit.a == pytest.approx(a, rel=1e-9, abs=0.0)
+    assert fit.c == pytest.approx(c, rel=1e-9, abs=0.0)
+    if face is not None:
+        assert face == {(False, False): "interior", (True, False): "a=0",
+                        (False, True): "c=0"}[(fit.a == 0.0, fit.c == 0.0)]
+
+
+def test_fit_temporaries_stay_bounded_on_a_long_curve():
+    tokens, losses = synthetic_curve(n_points=8000)
+    tracemalloc.start()
+    try:
+        fit = fit_power_law((tokens, losses), burn_in=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.b == pytest.approx(0.3, rel=0.01)
+    # one (1025, 8000) float64 temporary of the whole grid is 62.6 MiB
+    assert peak < 8 * 2**20
 
 
 def test_shift_of_identical_curves_is_one():

@@ -779,6 +779,23 @@ def test_float32_normal_cdf_and_gelu_track_float64_ndtr():
     assert np.isnan(phi[:3]).all()
 
 
+def test_float64_normal_cdf_tracks_ndtr_into_the_far_left_tail():
+    x = np.concatenate([np.linspace(-40.0, 10.0, 500_001), [-np.inf, np.inf, -0.0]])
+    want = ndtr(x)
+    phi = np.empty_like(x)
+    tensor._normal_cdf(x, phi, None)
+    assert np.abs(phi - want).max() <= 2.3e-16
+    normal = want > np.finfo(F64).tiny
+    assert (np.abs(phi - want)[normal] / want[normal]).max() <= 1e-9
+    assert phi[-3] == 0.0 and phi[-2] == 1.0 and phi[-1] == 0.5
+    aliased = x.copy()
+    tensor._normal_cdf(aliased, aliased, None)
+    assert np.array_equal(aliased, phi)
+    nan = np.full(3, np.nan)
+    tensor._normal_cdf(nan, nan, None)
+    assert np.isnan(nan).all()
+
+
 def _ln(x):
     d = x.shape[-1]
     rng = np.random.default_rng(21)
