@@ -2,8 +2,10 @@
 training throughput, setup seconds and final loss, read from the last
 line of `cramlab_bench/run.py`'s output. Given a second output, from a
 run of the base branch, the table gains that run's values in columns
-beside them. The final loss is printed at full precision (repr), so a
-change to the training bytes shows as a differing value.
+beside them, each followed by the relative change head / base - 1 in
+percent (n/a when either side lacks the value). The final loss is
+printed at full precision (repr), so a change to the training bytes
+shows as a differing value.
 
     python3 .github/bench_summary.py HEAD_OUTPUT [BASE_OUTPUT]
 
@@ -31,6 +33,12 @@ COLUMNS = [("peak_rss_mb", "MiB", "{:.1f}".format), ("train_tok_s", "tok/s", "{:
            ("setup_s", "s", "{:.3f}".format), ("final_loss", "nats", repr)]
 
 
+def relative_change(head: dict, base: dict, key: str) -> str:
+    if key not in head or key not in base or not base[key]["value"]:
+        return "n/a"
+    return f"{(head[key]['value'] / base[key]['value'] - 1) * 100:+.2f}%"
+
+
 def main(argv: list[str]) -> int:
     head = read_metrics(argv[0])
     if head is None:
@@ -41,7 +49,7 @@ def main(argv: list[str]) -> int:
     for metric, unit, _ in COLUMNS:
         header.append(f"{metric} ({unit})")
         if with_base:
-            header.append(f"base {metric} ({unit})")
+            header += [f"base {metric} ({unit})", f"{metric} change"]
     print("| " + " | ".join(header) + " |")
     print("|" + "---|" * len(header))
     for name in sorted(k.partition("/")[0] for k in head if k.endswith("/peak_rss_mb")):
@@ -50,7 +58,8 @@ def main(argv: list[str]) -> int:
             key = f"{name}/{metric}"
             row.append(fmt(head[key]["value"]) if key in head else "n/a")
             if with_base:
-                row.append(fmt(base[key]["value"]) if key in base else "n/a")
+                row += [fmt(base[key]["value"]) if key in base else "n/a",
+                        relative_change(head, base, key)]
         print("| " + " | ".join(row) + " |")
     return 0
 

@@ -72,9 +72,10 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
     per_sd = 6 + 2 * dropout
     # The FFN input projection, plus Phi (half width for the gated unit).
     per_sf = 1.5 if config.ffn_kind == "glu_gelu" else 2.0
-    # The attention probabilities.
-    per_ss = H * S
-    blocks = config.num_layers * S * (per_sd * d + per_sf * f + per_ss)
+    # Attention's per-row score max and sum, one each per head; backward
+    # recomputes the probabilities from them.
+    per_sh = 2 * H
+    blocks = config.num_layers * S * (per_sd * d + per_sf * f + per_sh)
     # The embedding and final norms' x-hat, and the embedding dropout's
     # mask and output (post-norm, the first block's q/k/v keep it).
     embed_sd = config.embedding_norm + config.final_norm + 2 * dropout
@@ -101,8 +102,9 @@ def memory_estimate(config: ModelConfig, micro_batch: int, mask_rate: float) -> 
     micro-batch's activations, whose largest at a 32k vocabulary is the
     masked rows' single logits buffer (tensor.decoder_cross_entropy),
     plus the decoder's (V, d) gradient product, which backward makes
-    while they still live. The prepared dataset is mapped from its file
-    and is not part of it.
+    while they still live. Attention keeps two floats per score row
+    (tensor.attend), not its (S, S) probabilities per head. The
+    prepared dataset is mapped from its file and is not part of it.
     """
     if micro_batch < 1:
         raise ConfigurationError("micro_batch must be positive")

@@ -49,9 +49,11 @@ layer_norm, attend) walk whole rows, one sequence at a time for
 attention. A block runs a long ufunc chain (Phi, x-hat, attention
 scores) through block-sized scratch, so its intermediates stay in
 cache; an output of one or two ufuncs into a fresh array makes no
-temporary and is written whole. Every element sees the same ufuncs in
-the same order as the whole-array form, and row reductions see the same
-rows, so the bytes do not depend on the blocking.
+temporary and is written whole. attend keeps only each score row's max
+and sum for backward, which recomputes the probabilities block by block
+in scratch. Every element sees the same ufuncs in the same order as the
+whole-array form, and row reductions see the same rows, so the bytes do
+not depend on the blocking.
 
 Training runs in float32. The finite-difference oracles in the tests run
 the same code at float64; ops never mix dtypes silently.
@@ -633,7 +635,11 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
 
     Both passes walk whole sequences in row blocks (one sequence at a
     time at model shapes), building each block's per-head q, k^T and v
-    from the projections, so backward keeps only the probabilities.
+    from the projections and its probabilities in one block-sized
+    scratch. No (B, H, S, S) array exists: backward keeps q, k, v and
+    each score row's max and sum, and recomputes a block's probabilities
+    with the forward's ops in the forward's order, so they match byte
+    for byte.
     """
     _check_dtypes("attend", q, k, v)
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -667,33 +673,45 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
         """(B, H, S, dh) heads view of a (B*S, d) array."""
         return a.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
 
-    qd, kd, vd = q.data, k.data, v.data
-    probs = np.empty((B, H, S, S), q.dtype)
-    out = np.empty((rows, d), q.dtype)
-    for b in blocks:
-        p = np.matmul(rotate(heads_of(qd, b)), keys_t(b), out=probs[b])
+    def probs(b: slice, qh: np.ndarray, kt: np.ndarray, scratch: np.ndarray,
+              fresh: bool) -> np.ndarray:
+        """Sequences b's probabilities in scratch: the scaled, biased scores
+        less their row max, exponentiated and over their row sum. The
+        forward's fresh pass writes the two row statistics; backward reads
+        them back, so its probabilities equal the forward's byte for byte."""
+        p = np.matmul(qh, kt, out=scratch[:b.stop - b.start])
         p *= scale
         if key_bias is not None:
             p += key_bias[b]
-        p -= p.max(axis=-1, keepdims=True)
+        p -= np.max(p, axis=-1, keepdims=True, out=row_max[b]) if fresh else row_max[b]
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
+        p /= np.sum(p, axis=-1, keepdims=True, out=row_sum[b]) if fresh else row_sum[b]
+        return p
+
+    qd, kd, vd = q.data, k.data, v.data
+    row_max, row_sum = (np.empty((B, H, S, 1), q.dtype) for _ in range(2))
+    out = np.empty((rows, d), q.dtype)
+    scratch = np.empty((step, H, S, S), q.dtype)
+    for b in blocks:
+        p = probs(b, rotate(heads_of(qd, b)), keys_t(b), scratch, fresh=True)
         merged(out)[b] = p @ heads_of(vd, b)
 
     def bwd(g):
         g = merged(g)
         dq, dk, dv = (np.empty((rows, d), qd.dtype) for _ in range(3))
+        scratch = np.empty((step, H, S, S), qd.dtype)
         for b in blocks:
-            p, gb = probs[b], g[b]
+            qh, kt, gb = rotate(heads_of(qd, b)), keys_t(b), g[b]
+            p = probs(b, qh, kt, scratch, fresh=False)
             merged(dv)[b] = np.swapaxes(p, -1, -2) @ gb
             # Softmax backward, then the score scale, in place.
             gs = gb @ np.swapaxes(heads_of(vd, b), -1, -2)
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= scale
-            merged(dq)[b] = unrotate(gs @ np.swapaxes(keys_t(b), -1, -2))
+            merged(dq)[b] = unrotate(gs @ np.swapaxes(kt, -1, -2))
             # gs^T q comes out in dk's (key, dh) layout, so its write is contiguous.
-            merged(dk)[b] = unrotate(np.swapaxes(gs, -1, -2) @ rotate(heads_of(qd, b)))
+            merged(dk)[b] = unrotate(np.swapaxes(gs, -1, -2) @ qh)
         return dq, dk, dv
 
     return _make("attend", out, (q, k, v), bwd)

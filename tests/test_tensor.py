@@ -687,11 +687,10 @@ def test_fd_attend(rot, bias):
     _fd(lambda: tsum(mul(attend(*qkv, *args), k)), qkv, 1e-6)
 
 
-@pytest.mark.parametrize("rot, bias", ATTEND_CASES, ids=ATTEND_IDS)
-def test_attend_matches_composed_reference_bitwise(rot, bias):
+def _check_attend_against_composed_bitwise(rot, bias, B):
     results = []
     for op in (attend, composed_ops.attend):
-        qkv, args, k = _attend_inputs(np.float32, rot, bias, B=3, S=16, H=4, dh=8, spread=3.0)
+        qkv, args, k = _attend_inputs(np.float32, rot, bias, B=B, S=16, H=4, dh=8, spread=3.0)
         with Tape() as tape:
             out = op(*qkv, *args)
             records = len(tape)
@@ -702,6 +701,46 @@ def test_attend_matches_composed_reference_bitwise(rot, bias):
     assert np.array_equal(out, ref_out)
     assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
     assert records == 1 and ref_records > 1
+
+
+@pytest.mark.parametrize("rot, bias", ATTEND_CASES, ids=ATTEND_IDS)
+def test_attend_matches_composed_reference_bitwise(rot, bias):
+    _check_attend_against_composed_bitwise(rot, bias, B=3)
+
+
+def test_attend_reads_each_blocks_own_row_statistics(monkeypatch):
+    # Blocks of two sequences and a short last one of one: backward must
+    # recompute each block's probabilities from that block's row max and sum.
+    def two_sequence_blocks(S, H):
+        monkeypatch.setattr(tensor, "STREAM_BLOCK", 2 * H * S * S)
+        assert [b.stop - b.start for b in tensor.row_blocks(5, H * S * S)[1]] == [2, 2, 1]
+
+    two_sequence_blocks(S=4, H=2)
+    qkv, args, k = _attend_inputs(F64, True, True, B=5)
+    _fd(lambda: tsum(mul(attend(*qkv, *args), k)), qkv, 1e-6)
+    two_sequence_blocks(S=16, H=4)
+    _check_attend_against_composed_bitwise(True, True, B=5)
+
+
+def test_recorded_attend_holds_no_probability_buffer():
+    # With few features per head, one (B, H, S, S) probability array is
+    # 16 times each of q, k and v. A recorded forward keeps only q, k, v
+    # and each score row's max and sum; the probabilities stay in block
+    # scratch, gone once attend returns.
+    B, S, H, dh = 8, 128, 8, 8
+    qkv, args, k = _attend_inputs(np.float32, True, True, B=B, S=S, H=H, dh=dh)
+    probs_bytes = B * H * S * S * 4
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            out = attend(*qkv, *args)
+            held = tracemalloc.get_traced_memory()[0] - start - out.data.nbytes
+            tape.backward(tsum(mul(out, k)))
+    finally:
+        tracemalloc.stop()
+    assert held < probs_bytes / 16
+    assert all(t.grad.shape == t.shape for t in qkv)
 
 
 def _forward_and_input_grad(op, x):
