@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .model import ModelConfig, param_count, param_layout
+from .tensor import STREAM_BLOCK
 
 
 @dataclass
@@ -54,7 +55,7 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
 
     Counts the buffers each op keeps for backward at the end of the
     forward pass (the tape frees them as backward proceeds), plus the
-    loss head's and the top block's backward temporaries. Checked
+    loss head's and the top block's FFN backward temporaries. Checked
     against tracemalloc peaks of whole runs in tests/test_budget.py.
     """
     S, d, f, H, V = (config.seq_len, config.hidden_dim, config.ffn_dim,
@@ -89,28 +90,32 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
     # gradient.
     head += masked * V
     # The backward pass of the top block runs while its inputs still
-    # live: a few gradient buffers of FFN and attention-score width.
-    backward = 2 * S * f + 2 * H * S * S
-    return math.ceil(blocks + S * d * embed_sd + head + backward)
+    # live: two gradient buffers of FFN width. Attention's backward
+    # scratch is one row block per run, counted in memory_estimate.
+    return math.ceil(blocks + S * d * embed_sd + head + 2 * S * f)
 
 
 def memory_estimate(config: ModelConfig, micro_batch: int, mask_rate: float) -> int:
     """Peak bytes a float32 pretraining run at this shape adds to the process.
 
-    Four parameter-sized copies live for the whole run: the parameters,
-    their gradients, and Adam's m and v. On top of them come one
-    micro-batch's activations, whose largest at a 32k vocabulary is the
-    masked rows' single logits buffer (tensor.decoder_cross_entropy),
-    plus the decoder's (V, d) gradient product, which backward makes
-    while they still live. Attention keeps two floats per score row
-    (tensor.attend), not its (S, S) probabilities per head. The
-    prepared dataset is mapped from its file and is not part of it.
+    A line in the micro-batch. Per run: four parameter-sized copies (the
+    parameters, their gradients, Adam's m and v), the largest parameter's
+    gradient product, which backward makes while the activations live,
+    and attention's backward scratch: tensor.attend keeps two floats per
+    score row and recomputes one row block's probabilities at a time, so
+    its scratch does not grow with the micro-batch. Per sequence: its
+    activations, the largest at a 32k vocabulary being the masked rows'
+    one logits buffer (tensor.decoder_cross_entropy). The prepared
+    dataset is mapped from its file and is not part of it.
     """
     if micro_batch < 1:
         raise ConfigurationError("micro_batch must be positive")
-    n = param_count(config)
-    largest = max(math.prod(shape) for shape, _ in param_layout(config).values())
-    return 4 * (4 * n + micro_batch * _activation_floats(config, mask_rate) + largest)
+    sizes = [math.prod(shape) for shape, _ in param_layout(config).values()]
+    # tensor.attend's backward holds one row block (row_blocks' step) of
+    # probabilities, their score gradient and its product with them.
+    scores = config.num_heads * config.seq_len ** 2
+    run = 4 * sum(sizes) + max(sizes) + 3 * max(1, STREAM_BLOCK // scores) * scores
+    return 4 * (run + micro_batch * _activation_floats(config, mask_rate))
 
 
 def available_memory() -> int | None:
@@ -137,14 +142,13 @@ def available_memory() -> int | None:
 
 def check_memory(config: ModelConfig, micro_batch: int, mask_rate: float) -> None:
     """Raise ConfigurationError when the run cannot fit in available memory,
-    naming the largest micro-batch that would."""
+    naming the largest micro-batch that would, solved on the estimate's line."""
     free = available_memory()
     need = memory_estimate(config, micro_batch, mask_rate)
     if free is None or need <= free:
         return
-    fits = 0
-    while memory_estimate(config, fits + 1, mask_rate) <= free:
-        fits += 1
+    one = memory_estimate(config, 1, mask_rate)
+    fits = max(0, (free - one) // (memory_estimate(config, 2, mask_rate) - one) + 1)
     hint = (f"the largest micro-batch that fits is {fits}" if fits
             else "no micro-batch fits at this model shape")
     raise ConfigurationError(

@@ -108,7 +108,7 @@ def cmd_finetune(args) -> int:
     tok = (load_run_config(run_config) if os.path.exists(run_config) else RunConfig()).tokenizer
     runs = finetune_seeds(args.checkpoint, args.vocab, args.task, protocol, args.seeds,
                           max_chars_per_word=tok.max_chars_per_word,
-                          eval_path=args.eval, compute_matthews=args.matthews)
+                          eval_path=args.eval)
     for seed, metrics in enumerate(runs):
         line = f"seed {seed}: accuracy {metrics.accuracy:.4f}"
         if args.matthews:

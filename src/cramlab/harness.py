@@ -258,7 +258,6 @@ def finetune_seeds(
     *,
     max_chars_per_word: int,
     eval_path: str | None = None,
-    compute_matthews: bool = False,
 ) -> list[FinetuneMetrics]:
     """Finetune a fresh load of the checkpoint once for each seed in
     range(seeds); eval_path defaults to the training task."""
@@ -267,7 +266,7 @@ def finetune_seeds(
     eval_examples = load_task(eval_path) if eval_path else None
     wp = WordPieceModel(Vocab.load(vocab_path), max_chars_per_word)
     return [finetune(Model.load(checkpoint_path), wp, examples, protocol, seed=seed,
-                     eval_examples=eval_examples, compute_matthews=compute_matthews)
+                     eval_examples=eval_examples)
             for seed in range(seeds)]
 
 

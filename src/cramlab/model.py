@@ -267,12 +267,12 @@ class Model:
                 x = self._ln(x, norm)
         return x
 
-    def _decoded(self, ids, masked_positions, key_mask, dropout_rate,
+    def _decoded(self, ids, masked_positions, dropout_rate,
                  rng) -> tuple[Tensor, Tensor, Tensor | None]:
         """The head's output at the rows to decode (masked_positions, or
         every row when None), the decoder table and its bias."""
         cfg = self.config
-        hidden = self.encode(ids, key_mask=key_mask, dropout_rate=dropout_rate, rng=rng)
+        hidden = self.encode(ids, dropout_rate=dropout_rate, rng=rng)
         B, S, d = hidden.shape
         h = reshape(hidden, (B * S, d))
         rows = masked_positions
@@ -292,18 +292,17 @@ class Model:
         self,
         ids: np.ndarray,
         masked_positions=None,
-        key_mask: np.ndarray | None = None,
         dropout_rate: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        return matmul_t(*self._decoded(ids, masked_positions, key_mask, dropout_rate, rng))
+        return matmul_t(*self._decoded(ids, masked_positions, dropout_rate, rng))
 
     def loss(self, ids: np.ndarray, masked_positions, labels, dropout_rate: float = 0.0,
              rng: np.random.Generator | None = None) -> Tensor:
         """Masked-LM loss at masked_positions: the bytes of
         cross_entropy_from_logits(self.logits(...), labels), through one
         (masked, V) logits buffer instead of two."""
-        h, dec, bias = self._decoded(ids, masked_positions, None, dropout_rate, rng)
+        h, dec, bias = self._decoded(ids, masked_positions, dropout_rate, rng)
         return decoder_cross_entropy(h, dec, bias, labels)
 
     # -- persistence ------------------------------------------------------

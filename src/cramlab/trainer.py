@@ -619,7 +619,7 @@ def encode_task_batch(
 @dataclass
 class FinetuneMetrics:
     accuracy: float
-    matthews: float | None
+    matthews: float
     n_train: int
     n_eval: int
     label_names: list[str] = field(default_factory=list)
@@ -648,7 +648,6 @@ def finetune(
     protocol: FinetuneProtocol,
     seed: int = 0,
     eval_examples: list[TaskExample] | None = None,
-    compute_matthews: bool = False,
 ) -> FinetuneMetrics:
     """Full-model finetuning with a fresh linear head on <cls>.
 
@@ -730,10 +729,9 @@ def finetune(
         logits = class_logits(x_eval[b:b + 64], train_mode=False)
         preds[b:b + 64] = np.argmax(logits.data, axis=1)
     accuracy = float(np.mean(preds == y_eval))
-    mcc = matthews_correlation(y_eval, preds, n_classes) if compute_matthews else None
     return FinetuneMetrics(
         accuracy=accuracy,
-        matthews=mcc,
+        matthews=matthews_correlation(y_eval, preds, n_classes),
         n_train=n,
         n_eval=len(eval_examples),
         label_names=labels,

@@ -145,7 +145,7 @@ def test_load_devices_rejects_malformed_line(tmp_path):
 GiB = 2 ** 30
 
 
-def _train_config(preset: str, **model) -> RunConfig:
+def _train_config(preset: str, micro_batch: int = 8, **model) -> RunConfig:
     cfg = RunConfig()
     apply_overrides(cfg, PRESETS[preset])
     shape = dict(num_layers=2, hidden_dim=64, num_heads=2, ffn_dim=256,
@@ -154,29 +154,39 @@ def _train_config(preset: str, **model) -> RunConfig:
     for key, value in shape.items():
         setattr(cfg.model, key, value)
     cfg.tokenizer.vocab_size, cfg.pipeline.seq_len = cfg.model.vocab_size, cfg.model.seq_len
-    cfg.train.micro_batch, cfg.train.final_batch = 8, 16
+    cfg.train.micro_batch, cfg.train.final_batch = micro_batch, 2 * micro_batch
     cfg.train.budget_steps = 2
     cfg.validate()
     return cfg
 
 
-@pytest.mark.parametrize("preset, model", [
-    ("crammed", {}),
-    ("crammed", {"embedding_kind": "rotary"}),
-    ("minimal_arch", {}),
-    ("original_arch", {}),
-    ("original_train", {}),
-    ("original_arch", {"hidden_dim": 128, "vocab_size": 8192, "seq_len": 128}),
-])
-def test_memory_estimate_bounds_traced_training_peak(preset, model):
+MANY_HEADS = {"num_heads": 8, "seq_len": 128}
+
+
+@pytest.mark.parametrize("preset, model, micro_batch", [
+    ("crammed", {}, 8),
+    ("crammed", {"embedding_kind": "rotary"}, 8),
+    ("minimal_arch", {}, 8),
+    ("original_arch", {}, 8),
+    ("original_train", {}, 8),
+    ("original_arch", {"hidden_dim": 128, "vocab_size": 8192, "seq_len": 128}, 8),
+    # Many heads over a small width: attention's (S, S) backward scratch
+    # outweighs a sequence's other activations, and counts once per run.
+    ("crammed", MANY_HEADS, 8),
+    ("crammed", MANY_HEADS, 32),
+], ids=["crammed-model0", "crammed-model1", "minimal_arch-model2", "original_arch-model3",
+        "original_train-model4", "original_arch-model5", "crammed-many_heads-8",
+        "crammed-many_heads-32"])
+def test_memory_estimate_bounds_traced_training_peak(preset, model, micro_batch):
     # Two steps of two accumulated micro-batches each take every
     # allocation a run makes: activations, gradients, Adam state. The
     # estimate must cover the traced peak without overstating it much,
     # or it would refuse runs that fit.
-    cfg = _train_config(preset, **model)
+    cfg = _train_config(preset, micro_batch, **model)
     m = cfg.model
     rng = np.random.default_rng(5)
-    seqs = rng.integers(len(SPECIAL_TOKENS), m.vocab_size, (64, m.seq_len)).astype(np.int32)
+    seqs = rng.integers(len(SPECIAL_TOKENS), m.vocab_size,
+                        (8 * micro_batch, m.seq_len)).astype(np.int32)
     ds = PackedDataset(seqs, m.vocab_size)
     tracemalloc.start()
     try:
@@ -185,7 +195,7 @@ def test_memory_estimate_bounds_traced_training_peak(preset, model):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    estimate = memory_estimate(m, cfg.train.micro_batch, cfg.train.mask_rate)
+    estimate = memory_estimate(m, micro_batch, cfg.train.mask_rate)
     assert peak <= estimate <= 1.3 * peak
 
 
@@ -210,9 +220,33 @@ def test_default_paper_config_is_refused_at_8_gib(monkeypatch, tmp_path):
     assert not run_dir.exists()  # refused before any work
 
 
+DESK = dict(num_layers=4, hidden_dim=256, num_heads=4, ffn_dim=1024, vocab_size=8192,
+            seq_len=128)
+
+
+@pytest.mark.parametrize("model", [
+    RunConfig().model,  # the paper shape
+    _train_config("crammed", **DESK).model,
+    _train_config("crammed", **MANY_HEADS).model,
+], ids=["paper", "desk", "many_heads"])
+def test_check_memory_names_the_searched_micro_batch(monkeypatch, model):
+    # check_memory solves the estimate's line; a search over
+    # memory_estimate itself must name the same micro-batch at every
+    # free byte count, the edges around micro-batch 1 included.
+    searched = [memory_estimate(model, b, 0.15) for b in range(1, 401)]
+    one, per_sequence = searched[0], searched[1] - searched[0]
+    rng = np.random.default_rng(31)
+    frees = [one - 1, one, one + 1, *rng.integers(0, one + 300 * per_sequence, 300)]
+    for free in frees:
+        monkeypatch.setattr(budget, "available_memory", lambda: int(free))
+        fits = max((b for b, need in enumerate(searched, 1) if need <= free), default=0)
+        hint = f"the largest micro-batch that fits is {fits}$" if fits else "no micro-batch fits"
+        with pytest.raises(ConfigurationError, match=hint):
+            budget.check_memory(model, 400, 0.15)
+
+
 @pytest.mark.parametrize("preset, shape, micro_batch", [
-    ("crammed", dict(num_layers=4, hidden_dim=256, num_heads=4, ffn_dim=1024,
-                     vocab_size=8192, seq_len=128), 16),
+    ("crammed", DESK, 16),
     ("original_arch", dict(num_layers=2, hidden_dim=512, num_heads=8, ffn_dim=2048,
                            vocab_size=32768, seq_len=128), 8),
 ])
