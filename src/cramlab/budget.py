@@ -18,19 +18,18 @@ from .model import ModelConfig, param_count, param_layout
 from .tensor import STREAM_BLOCK
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeviceSpec:
     name: str
     peak_tflops: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.peak_tflops <= 0:
             raise ConfigurationError("peak_tflops must be positive")
 
 
 def total_exaflops(device: DeviceSpec, hours: float) -> float:
     """Device-peak budget over a wallclock interval, in 10^18 FLOP."""
-    device.validate()
     if hours <= 0:
         raise ConfigurationError("hours must be positive")
     return device.peak_tflops * 1e12 * hours * 3600.0 / 1e18
@@ -173,6 +172,5 @@ def load_devices(path: str | None = None) -> dict[str, DeviceSpec]:
             if len(parts) != 2:
                 raise ConfigurationError(f"bad device line: {raw.rstrip()}")
             spec = DeviceSpec(name=parts[0], peak_tflops=float(parts[1]))
-            spec.validate()
             out[spec.name] = spec
     return out

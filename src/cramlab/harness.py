@@ -148,7 +148,7 @@ def run_pretrain(
     the run directory."""
     cfg.validate()
     # A missing, doubled or negative budget fails before any file is written.
-    cfg.train.schedule(cfg.train.horizon()).validate()
+    cfg.train.schedule(cfg.train.horizon())
     check_memory(cfg.model, cfg.train.micro_batch, cfg.train.mask_rate)
     if data is None:
         if not cfg.tokenizer.input:
@@ -216,7 +216,7 @@ def run_ablation(
         apply_overrides(cfg, overrides)
         cfg.tokenizer.input = input_path
         cfg.validate()
-        cfg.train.schedule(cfg.train.horizon()).validate()
+        cfg.train.schedule(cfg.train.horizon())
         configs[run_dir] = (name, cfg)
 
     results: list[AblationRow] = []

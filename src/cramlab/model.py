@@ -288,14 +288,8 @@ class Model:
         dec = self.params.get("decoder", self.params["tok_emb"])
         return h, dec, self.params.get("decoder_bias")
 
-    def logits(
-        self,
-        ids: np.ndarray,
-        masked_positions=None,
-        dropout_rate: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        return matmul_t(*self._decoded(ids, masked_positions, dropout_rate, rng))
+    def logits(self, ids: np.ndarray, masked_positions=None) -> Tensor:
+        return matmul_t(*self._decoded(ids, masked_positions, 0.0, None))
 
     def loss(self, ids: np.ndarray, masked_positions, labels, dropout_rate: float = 0.0,
              rng: np.random.Generator | None = None) -> Tensor:

@@ -699,14 +699,14 @@ def attend(q: Tensor, k: Tensor, v: Tensor, seq_len: int, heads: int,
     def bwd(g):
         g = merged(g)
         dq, dk, dv = (np.empty((rows, d), qd.dtype) for _ in range(3))
-        scratch = np.empty((step, H, S, S), qd.dtype)
+        scratch, gsp = (np.empty((step, H, S, S), qd.dtype) for _ in range(2))
         for b in blocks:
             qh, kt, gb = rotate(heads_of(qd, b)), keys_t(b), g[b]
             p = probs(b, qh, kt, scratch, fresh=False)
             merged(dv)[b] = np.swapaxes(p, -1, -2) @ gb
             # Softmax backward, then the score scale, in place.
             gs = gb @ np.swapaxes(heads_of(vd, b), -1, -2)
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs -= np.multiply(gs, p, out=gsp[:len(p)]).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= scale
             merged(dq)[b] = unrotate(gs @ np.swapaxes(kt, -1, -2))

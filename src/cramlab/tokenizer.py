@@ -34,8 +34,8 @@ CONTINUATION_PREFIX = "##"
 def normalize(text: str) -> str:
     out = []
     for ch in unicodedata.normalize("NFD", text.lower()):
-        if unicodedata.combining(ch):
-            continue
+        # Every combining mark NFD splits off lies above U+007E, so this
+        # drops the accents with the rest of non-ASCII.
         if ord(ch) > 126:
             continue
         out.append(ch)
@@ -277,7 +277,7 @@ def train_wordpiece(
         scores = np.divide(
             counts, denom, out=np.full(n, -1.0), where=counts > 0
         )
-        best = scores.max() if n else -1.0
+        best = scores.max()
         if best <= 0:
             break
         cand = np.flatnonzero(scores == best)

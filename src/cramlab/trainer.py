@@ -3,12 +3,14 @@
 Pretraining: masked-token objective, bias-corrected Adam with decoupled
 weight decay, global-norm clipping, a one-cycle learning rate and a
 linear micro-batch accumulation ramp, both tied to the budget through one
-progress clock (steps, or seconds under a wallclock budget). A run
-config's train section, TrainSection, builds the recipe's configs, and
-its horizon() is the budget, which pretrain takes once, as the
-schedule's total_steps. The loop is single-epoch: sequences are
-consumed in dataset order and never revisited. Training micro-batches
-apply model.dropout_rate; the step-0 evaluation runs without dropout.
+progress clock (steps, or seconds under a wallclock budget). The
+recipe's configs are frozen values that check themselves when built, so
+the code that takes one never checks it again. A run config's train
+section, TrainSection, builds them, and its horizon() is the budget,
+which pretrain takes once, as the schedule's total_steps. The loop is
+single-epoch: sequences are consumed in dataset order and never
+revisited. Training micro-batches apply model.dropout_rate; the step-0
+evaluation runs without dropout.
 All randomness flows through one seeded generator, so a fixed (seed,
 config, data) triple reproduces runs bit for bit in step-budget mode.
 
@@ -41,13 +43,13 @@ from .tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, WordPieceModel
 SCHEDULE_KINDS = ("one_cycle", "cosine_decay", "linear_decay", "constant")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaskingConfig:
     rate: float = 0.15
     p_mask: float = 0.8
     p_random: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
             raise ConfigurationError("masking rate must be within [0, 1]")
         if min(self.p_mask, self.p_random) < 0:
@@ -56,7 +58,7 @@ class MaskingConfig:
             raise ConfigurationError("p_mask + p_random must be at most 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     beta1: float = 0.9
     beta2: float = 0.98
@@ -64,7 +66,7 @@ class OptimizerConfig:
     weight_decay: float = 0.01
     clip_norm: float | None = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigurationError("betas must be in [0, 1)")
         if self.eps <= 0:
@@ -75,14 +77,14 @@ class OptimizerConfig:
             raise ConfigurationError("clip_norm must be positive when set")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleConfig:
     kind: str = "one_cycle"
     peak_lr: float = 1e-3
     peak_fraction: float = 0.5
     total_steps: float = 0  # the horizon: steps, or seconds under a wallclock budget
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in SCHEDULE_KINDS:
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
         if self.peak_lr <= 0:
@@ -93,13 +95,13 @@ class ScheduleConfig:
             raise ConfigurationError("the schedule's horizon must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchRampConfig:
     micro_batch: int = 128
     final_batch: int = 4096
     ramp_end_fraction: float = 0.6
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.micro_batch < 1:
             raise ConfigurationError("micro_batch must be positive")
         if self.final_batch < self.micro_batch:
@@ -162,19 +164,19 @@ class TrainSection(_TrainFields):
 
     def validate(self) -> None:
         for part in _TRAIN_PARTS:
-            self._build(part).validate()
+            self._build(part)  # a part checks itself when built
         if self.seed < 0:
             raise ConfigurationError("train.seed must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FinetuneProtocol:
     epochs: int = 5
     batch_size: int = 16
     lr: float = 4e-5
     dropout: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 1 <= self.epochs <= 5:
             raise ConfigurationError("epochs must be within [1, 5]")
         if self.batch_size < 1:
@@ -262,7 +264,6 @@ def mask_batch(
     rate-draw selects nothing gets one forced label position whose
     input stays unchanged.
     """
-    cfg.validate()
     seqs = np.asarray(seqs)
     if (seqs == MASK_ID).any():
         raise ContractError("input sequences already contain <mask>")
@@ -298,7 +299,6 @@ def mask_batch(
 
 def lr_at(step: float, cfg: ScheduleConfig) -> float:
     """Learning rate at a point of the schedule, in total_steps' unit."""
-    cfg.validate()
     T = cfg.total_steps
     if T <= 0:
         raise ContractError("schedule total_steps not set")
@@ -320,7 +320,6 @@ def lr_at(step: float, cfg: ScheduleConfig) -> float:
 def accumulation_at(step: float, cfg: BatchRampConfig, total_steps: float) -> int:
     """Micro-batches accumulated at a point of the budget: 1 rising
     linearly to final/micro by ramp_end_fraction of it, constant after."""
-    cfg.validate()
     if total_steps <= 0:
         raise ContractError("total_steps not set")
     factor = cfg.factor()
@@ -358,7 +357,6 @@ def adam_step(
     `p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)`, so the result is bit for
     bit that form's.
     """
-    cfg.validate()
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
@@ -473,8 +471,6 @@ def pretrain(
     # completed steps, or elapsed seconds under a wallclock budget.
     sched = train.schedule(train.horizon())
     ramp, optimizer, masking = train.ramp(), train.optimizer(), train.masking()
-    for c in (sched, ramp, optimizer, masking):
-        c.validate()
     if dataset.sequence_count < ramp.micro_batch:
         raise ConfigurationError("dataset smaller than one micro-batch")
     if curve_interval < 1:
@@ -655,7 +651,6 @@ def finetune(
     a fresh load of the checkpoint. Reports accuracy on eval_examples
     (train set when absent).
     """
-    protocol.validate()
     if not train_examples:
         raise ConfigurationError("empty task")
     if wp.vocab_size != model.config.vocab_size:

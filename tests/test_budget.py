@@ -114,8 +114,8 @@ def test_budget_validation(tmp_path):
     # The budget reaches the schedule as its horizon, which may be zero
     # but not negative; a run refuses a negative one before any work.
     with pytest.raises(ConfigurationError, match="horizon"):
-        ScheduleConfig(total_steps=-5).validate()
-    ScheduleConfig(total_steps=0.0).validate()
+        ScheduleConfig(total_steps=-5)
+    ScheduleConfig(total_steps=0.0)
     cfg = RunConfig()
     cfg.train.budget_steps = -5
     cfg.tokenizer.input = str(tmp_path / "missing.txt")

@@ -241,7 +241,7 @@ def test_every_train_key_reaches_its_trainer_config_field():
         "peak_lr": ("schedule", "peak_lr", "0.002"),
         "peak_fraction": ("schedule", "peak_fraction", "0.3"),
         "micro_batch": ("ramp", "micro_batch", "16"),
-        "final_batch": ("ramp", "final_batch", "64"),
+        "final_batch": ("ramp", "final_batch", "8192"),
         "ramp_end_fraction": ("ramp", "ramp_end_fraction", "0.25"),
         "beta1": ("optimizer", "beta1", "0.8"),
         "beta2": ("optimizer", "beta2", "0.999"),

@@ -1,6 +1,8 @@
 """WordPiece: normalization rules, training score arithmetic, greedy
 segmentation, round trips, determinism."""
 
+import unicodedata
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,11 @@ def test_normalize_lowercase_and_whitespace():
 
 def test_normalize_drops_non_ascii():
     assert normalize("naïve café — 你好") == "naive cafe"
+
+
+def test_every_combining_mark_lies_above_ascii():
+    # normalize drops the accents NFD splits off by its ASCII filter alone.
+    assert min(cp for cp in range(0x110000) if unicodedata.combining(chr(cp))) > 0x7E
 
 
 def test_normalize_empty_permitted():

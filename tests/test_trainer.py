@@ -1,6 +1,7 @@
 """Trainer tests: masking statistics, schedule values, the accumulation
 ramp, Adam, the pretraining loop contract, and finetuning."""
 
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -13,6 +14,7 @@ import composed_ops
 from cramlab import model as model_module
 from cramlab import tensor
 from cramlab import trainer as trainer_module
+from cramlab.budget import DeviceSpec
 from cramlab.corpus import PackedDataset, TokenizedEntry, load_dataset, pack, save_dataset
 from cramlab.errors import ConfigurationError, ContractError
 from cramlab.harness import write_text_atomic
@@ -165,9 +167,9 @@ def test_masking_deterministic_for_fixed_seed():
 
 def test_masking_config_rejects_bad_split():
     with pytest.raises(ConfigurationError):
-        MaskingConfig(p_mask=0.8, p_random=0.3).validate()
+        MaskingConfig(p_mask=0.8, p_random=0.3)
     with pytest.raises(ConfigurationError):
-        MaskingConfig(rate=1.5).validate()
+        MaskingConfig(rate=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +214,9 @@ def test_lr_at_range_and_config_errors():
     with pytest.raises(ConfigurationError):
         lr_at(0, ScheduleConfig(kind="warmup_decay", total_steps=10))
     with pytest.raises(ConfigurationError):
-        ScheduleConfig(peak_fraction=1.0, total_steps=10).validate()
+        ScheduleConfig(peak_fraction=1.0, total_steps=10)
     with pytest.raises(ConfigurationError):
-        ScheduleConfig(peak_lr=0.0, total_steps=10).validate()
+        ScheduleConfig(peak_lr=0.0, total_steps=10)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +254,9 @@ def test_planned_samples_hand_value():
 
 def test_ramp_config_errors():
     with pytest.raises(ConfigurationError):
-        BatchRampConfig(micro_batch=0).validate()
+        BatchRampConfig(micro_batch=0)
     with pytest.raises(ConfigurationError):
-        BatchRampConfig(micro_batch=16, final_batch=8).validate()
+        BatchRampConfig(micro_batch=16, final_batch=8)
     with pytest.raises(ContractError):
         accumulation_at(0, BatchRampConfig(), 0)
 
@@ -379,11 +381,22 @@ def test_clip_rejects_non_finite_gradient():
 
 def test_optimizer_config_errors():
     with pytest.raises(ConfigurationError):
-        OptimizerConfig(beta1=1.0).validate()
+        OptimizerConfig(beta1=1.0)
     with pytest.raises(ConfigurationError):
-        OptimizerConfig(eps=0.0).validate()
+        OptimizerConfig(eps=0.0)
     with pytest.raises(ConfigurationError):
-        OptimizerConfig(clip_norm=0.0).validate()
+        OptimizerConfig(clip_norm=0.0)
+
+
+@pytest.mark.parametrize("config", [
+    MaskingConfig(), OptimizerConfig(), ScheduleConfig(), BatchRampConfig(),
+    FinetuneProtocol(), DeviceSpec("unit", peak_tflops=1.0),
+], ids=lambda c: type(c).__name__)
+def test_recipe_configs_are_frozen_values(config):
+    # Checked once when built, so no field may change afterwards.
+    for f in dataclasses.fields(config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +713,12 @@ def test_pretrain_rejects_dataset_smaller_than_micro_batch():
         run_small(model, data, total_steps=5)
 
 
+def test_pretrain_refuses_a_final_batch_below_the_micro_batch_before_any_step(monkeypatch):
+    monkeypatch.setattr(trainer_module, "mask_batch", lambda *a: pytest.fail("a batch ran"))
+    with pytest.raises(ConfigurationError, match="final_batch must be >= micro_batch"):
+        run_small(tiny_model(seed=7), toy_dataset(), total_steps=5, micro=8, final=4)
+
+
 def test_pretrain_wallclock_mode_records_elapsed_seconds():
     model = tiny_model(seed=8)
     data = toy_dataset(n_rows=4000)
@@ -870,8 +889,8 @@ def test_finetune_refuses_a_vocabulary_the_model_was_not_built_for(wp_small, ext
 
 def test_finetune_protocol_bounds():
     with pytest.raises(ConfigurationError):
-        FinetuneProtocol(epochs=6).validate()
+        FinetuneProtocol(epochs=6)
     with pytest.raises(ConfigurationError):
-        FinetuneProtocol(epochs=0).validate()
+        FinetuneProtocol(epochs=0)
     with pytest.raises(ConfigurationError):
-        FinetuneProtocol(dropout=1.0).validate()
+        FinetuneProtocol(dropout=1.0)
