@@ -38,9 +38,10 @@ from .corpus import curate, save_dataset
 from .errors import AnalysisError, ConfigurationError, ContractError
 from .harness import (
     CONFIG_NAME, CURVE_NAME, emit_report, finetune_seeds, read_entries, run_ablation,
-    run_pretrain, write_svg, write_text_atomic,
+    run_pretrain, write_svg,
 )
 from .scaling import estimate_shift, fit_power_law
+from .serde import write_text_atomic
 from .tokenizer import Vocab, WordPieceModel, train_wordpiece
 from .trainer import FinetuneProtocol, LossCurve
 

@@ -19,10 +19,13 @@ backward keeps anyway is rebuilt, not kept: layer_norm (x-hat * gain +
 bias), gelu (x * Phi) and glu_gelu (gate * Phi * value) write that pass
 once, as a zero-argument function over arrays, which the forward calls
 for the output and a recorded output's rebuild replays; reshape passes
-a rebuild through. The products (matmul, matmul_t) capture an input's
-rebuild in place of its .data, so no product keeps a norm or activation
-output. A rebuild makes its array once per backward, so the q, k and v
-products share one copy, which dies with the last of their records.
+a rebuild through. The products (matmul, matmul_t and the decoder in
+decoder_cross_entropy) share one core, _product, which checks the
+operands, adds the bias, builds the backward and captures an input's
+rebuild in place of its .data, so no product keeps a norm or
+activation output. A rebuild makes its array once per backward, so the
+q, k and v products share one copy, which dies with the last of their
+records.
 
 decoder_cross_entropy fuses the tied decoder's product (matmul_t) with
 the masked-LM loss (cross_entropy_from_logits): its one (rows, V) buffer
@@ -364,45 +367,38 @@ def mul(a: Tensor, b) -> Tensor:
     return _make("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
-def _product_inputs(op: str, a: Tensor, b: Tensor, bias: Tensor | None,
-                    inner: int) -> tuple[Tensor, ...]:
-    """The recorded inputs of a 2-D product whose inner axis of b is
-    `inner`: (a, b), or (a, b, bias)."""
+def _product(op: str, a: Tensor, b: Tensor, bias: Tensor | None, transposed: bool):
+    """a @ b (+ bias) for 2-D operands, or a @ b.T without materializing
+    the transpose: the product, its recorded inputs, (a, b) or
+    (a, b, bias), and the backward that maps its gradient to theirs.
+
+    Every product takes one bias rule: the optional bias is added in
+    place into the fresh product, and its gradient is summed in the
+    product's own backward, so a biased projection records one op and
+    keeps no pre-bias buffer. Each op fixes its form: matmul the plain
+    one, matmul_t and decoder_cross_entropy the transposed one.
+    """
     inputs = (a, b) if bias is None else (a, b, bias)
     _check_dtypes(op, *inputs)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ContractError(f"{op} expects 2-D operands")
-    if a.shape[1] != b.shape[inner]:
-        raise ContractError(f"{op} inner dims {a.shape} @ {b.shape}{'^T' if inner else ''}")
-    return inputs
+    if a.shape[1] != b.shape[transposed]:
+        raise ContractError(f"{op} inner dims {a.shape} @ {b.shape}{'^T' if transposed else ''}")
+    ad, bd = _reader(a), _reader(b)
+    if transposed:
+        data = a.data @ b.data.T
+        bwd = lambda g: (g @ bd(), g.T @ ad(), g)
+    else:
+        data = a.data @ b.data
+        bwd = lambda g: (g @ bd().T, ad().T @ g, g)
+    if bias is not None:
+        data += bias.data
+    return data, inputs, bwd
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """a @ b (+ bias) for 2-D operands.
-
-    Both products take the same bias rule: the optional bias is added in
-    place into the fresh product, and its gradient is summed in the
-    product's own backward, so a biased projection records one op and
-    keeps no pre-bias buffer.
-    """
-    inputs = _product_inputs("matmul", a, b, bias, 0)
-    ad, bd = _reader(a), _reader(b)
-    data = a.data @ b.data
-    if bias is not None:
-        data += bias.data
-    return _make("matmul", data, inputs, lambda g: (g @ bd().T, ad().T @ g, g))
-
-
-def _product_t(op: str, a: Tensor, b: Tensor, bias: Tensor | None):
-    """The inputs, a @ b.T (+ bias) and the backward that maps that
-    product's gradient to its inputs', for matmul_t and
-    decoder_cross_entropy."""
-    inputs = _product_inputs(op, a, b, bias, 1)
-    ad, bd = _reader(a), _reader(b)
-    data = a.data @ b.data.T
-    if bias is not None:
-        data += bias.data
-    return inputs, data, lambda g: (g @ bd(), g.T @ ad(), g)
+    """a @ b (+ bias) for 2-D operands, under _product's bias rule."""
+    return _make("matmul", *_product("matmul", a, b, bias, False))
 
 
 def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -410,12 +406,11 @@ def matmul_t(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
     The decoder shares storage with the (V, d) embedding table, so the
     tied head is a matmul against its transpose. The bias follows
-    matmul's rule, so the head holds one logits buffer instead of two.
+    _product's rule, so the head holds one logits buffer instead of two.
     Callers that decode only some rows gather them first (gather_rows),
     so no logits the loss would drop are computed.
     """
-    inputs, data, bwd = _product_t("matmul_t", a, b, bias)
-    return _make("matmul_t", data, inputs, bwd)
+    return _make("matmul_t", *_product("matmul_t", a, b, bias, True))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -766,7 +761,7 @@ def decoder_cross_entropy(h: Tensor, table: Tensor, bias: Tensor | None, labels)
     matmul_t's three products in matmul_t's order, so a tied table
     accumulates exactly as it does through the pair, and the bytes match.
     """
-    inputs, e, product_bwd = _product_t("decoder_cross_entropy", h, table, bias)
+    e, inputs, product_bwd = _product("decoder_cross_entropy", h, table, bias, True)
     _guard(e, "decoder_cross_entropy")
     loss, logits_grad = _softmax_xent(e, labels, e)
     return _make("decoder_cross_entropy", loss, inputs, lambda g: product_bwd(logits_grad(g)))

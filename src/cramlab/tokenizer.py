@@ -30,6 +30,11 @@ SPECIAL_TOKENS = (UNK, SEP, MASK, CLS, PAD)
 UNK_ID, SEP_ID, MASK_ID, CLS_ID, PAD_ID = range(5)
 CONTINUATION_PREFIX = "##"
 
+# The pair table's starting capacity, and how many merge rounds pass
+# between checks for dead rows to compact. Only tests change them.
+PAIR_TABLE_CAPACITY = 1 << 12
+COMPACT_EVERY = 1024
+
 
 def normalize(text: str) -> str:
     out = []
@@ -168,10 +173,9 @@ class _PairTable:
     """
 
     def __init__(self):
-        cap = 1 << 12
-        self.count = np.zeros(cap, np.int64)
-        self.left = np.zeros(cap, np.int32)
-        self.right = np.zeros(cap, np.int32)
+        self.count = np.zeros(PAIR_TABLE_CAPACITY, np.int64)
+        self.left = np.zeros(PAIR_TABLE_CAPACITY, np.int32)
+        self.right = np.zeros(PAIR_TABLE_CAPACITY, np.int32)
         self.index: dict[tuple[int, int], int] = {}
         self.words: list[set[int]] = []
         self.n = 0
@@ -232,7 +236,9 @@ def train_wordpiece(
 
     syms: list[str] = []
     sym_id: dict[str, int] = {}
-    sym_count_list: list[float] = []
+    # The words start from at most c and ##c per alphabet character, and
+    # each merge round interns at most one new symbol, its new token.
+    sym_count = np.zeros(2 * len(alphabet) + vocab_size, np.float64)
 
     def intern(s: str) -> int:
         got = sym_id.get(s)
@@ -240,7 +246,6 @@ def train_wordpiece(
             got = len(syms)
             sym_id[s] = got
             syms.append(s)
-            sym_count_list.append(0.0)
         return got
 
     words: list[list[int]] = []
@@ -252,20 +257,11 @@ def train_wordpiece(
         words.append(wsyms)
         freqs.append(freq)
         for s in wsyms:
-            sym_count_list[s] += freq
+            sym_count[s] += freq
         for a, b in zip(wsyms, wsyms[1:]):
             pid = pairs.pid(a, b)
             pairs.count[pid] += freq
             pairs.words[pid].add(wi)
-
-    sym_count = np.array(sym_count_list, np.float64)
-
-    def grow_sym_count(n: int) -> None:
-        nonlocal sym_count
-        if n > sym_count.size:
-            arr = np.zeros(max(n, sym_count.size * 2), np.float64)
-            arr[: sym_count.size] = sym_count
-            sym_count = arr
 
     rounds_since_compact = 0
     while len(tokens) < vocab_size:
@@ -294,7 +290,6 @@ def train_wordpiece(
             right_str = right_str[len(CONTINUATION_PREFIX):]
         merged_str = syms[l] + right_str
         merged = intern(merged_str)
-        grow_sym_count(len(syms))
         if merged_str not in token_set:
             token_set.add(merged_str)
             tokens.append(merged_str)
@@ -332,7 +327,7 @@ def train_wordpiece(
                     pairs.words[qid].discard(wi)
 
         rounds_since_compact += 1
-        if rounds_since_compact >= 1024:
+        if rounds_since_compact >= COMPACT_EVERY:
             rounds_since_compact = 0
             if np.count_nonzero(pairs.count[: pairs.n] > 0) < pairs.n // 2:
                 pairs.compact()

@@ -442,3 +442,15 @@ def test_dataset_load_rejects_corruption(tmp_path):
         (tmp_path / name).write_bytes(bad)
         with pytest.raises(ContractError):
             load_dataset(str(tmp_path / name))
+
+
+@pytest.mark.parametrize("sequences, message", [
+    (np.zeros(16, np.uint16), "sequences must be a 2-D uint16 id matrix"),
+    (np.zeros((2, 8), np.int32), "sequences must be a 2-D uint16 id matrix"),
+    (np.full((2, 8), 300, np.uint16), "token id outside vocab_size"),
+], ids=["1-D", "int32", "id-range"])
+def test_save_dataset_refuses_an_invalid_dataset(tmp_path, sequences, message):
+    with pytest.raises(ContractError) as info:
+        save_dataset(str(tmp_path / "d.bin"), PackedDataset(sequences, 300))
+    assert str(info.value) == message
+    assert list(tmp_path.iterdir()) == []

@@ -543,6 +543,34 @@ def test_checkpoint_malformed_manifest_line_names_the_file_and_line(tmp_path, ba
     assert str(info.value) == f"{path}:2: malformed manifest line {bad!r}"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: ["cramlab-checkpoint v2"] + lines[1:], "{path}: not a checkpoint manifest"),
+    (lambda lines: lines[:1] + ["weights v 3 0"] + lines[1:],
+     "{path}:2: unrecognized manifest line 'weights v 3 0'"),
+    (lambda lines: [ln.replace("tensor v 3 0", "tensor v 3 2") for ln in lines],
+     "{path}: misaligned offset for v"),
+], ids=["header", "unknown-line", "misaligned"])
+def test_checkpoint_foreign_manifest_is_refused(tmp_path, edit, message):
+    path = str(tmp_path / "ck")
+    ckpt.save_checkpoint(path, {"v": np.zeros(3, np.float32)})
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ContractError) as info:
+        ckpt.load_checkpoint(path)
+    assert str(info.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("name", ["", "two words"])
+def test_checkpoint_save_refuses_an_invalid_tensor_name(tmp_path, name):
+    path = tmp_path / "ck"
+    with pytest.raises(ContractError) as info:
+        ckpt.save_checkpoint(str(path), {"v": np.zeros(3, np.float32), name: np.ones(2)})
+    assert str(info.value) == f"invalid tensor name {name!r}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_without_blob_line_still_loads(tmp_path):
     model = build(small_config(), seed=33)
     path = str(tmp_path / "ck")

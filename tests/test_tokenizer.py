@@ -6,6 +6,7 @@ import unicodedata
 import numpy as np
 import pytest
 
+from cramlab import tokenizer
 from cramlab.errors import ConfigurationError
 from cramlab.tokenizer import (
     CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, UNK_ID, Vocab,
@@ -84,6 +85,35 @@ def test_train_exact_size_and_determinism(small_corpus):
     b = train_wordpiece(list(small_corpus), vocab_size=512)
     assert len(a.vocab) == 512
     assert a.vocab.tokens == b.vocab.tokens
+
+
+def test_pair_table_growth_and_compaction_keep_the_vocabulary(monkeypatch, small_corpus,
+                                                              wp_small):
+    # A tiny table and cadence make the small corpus grow the pair table
+    # and compact it, which the default sizes never do at this scale.
+    monkeypatch.setattr(tokenizer, "PAIR_TABLE_CAPACITY", 16)
+    monkeypatch.setattr(tokenizer, "COMPACT_EVERY", 8)
+    table = tokenizer._PairTable
+    pid, compact = table.pid, table.compact
+    calls = {"grow": 0, "compact": 0}
+
+    def counting_pid(self, l, r):
+        cap = self.count.size
+        got = pid(self, l, r)
+        calls["grow"] += self.count.size > cap
+        return got
+
+    def counting_compact(self):
+        calls["compact"] += 1
+        compact(self)
+
+    monkeypatch.setattr(table, "pid", counting_pid)
+    monkeypatch.setattr(table, "compact", counting_compact)
+    compacted = train_wordpiece(small_corpus, vocab_size=1024)
+    assert calls["grow"] >= 2 and calls["compact"] >= 2, calls
+    monkeypatch.setattr(table, "compact", lambda self: None)
+    uncompacted = train_wordpiece(small_corpus, vocab_size=1024)
+    assert compacted.vocab.tokens == uncompacted.vocab.tokens == wp_small.vocab.tokens
 
 
 # -- encoding -----------------------------------------------------------------
