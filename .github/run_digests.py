@@ -8,8 +8,8 @@ The first form imports TREE/src and TREE/cramlab_bench/workloads.py and
 writes nothing in TREE. For each workload at seeds 1 and 3 it runs one
 step-budget run_pretrain on the workload's config and set-up data in a
 temporary directory, and prints one line: the workload, the seed, the
-sha256 prefixes of the curve, the checkpoint manifest and its blob, and
-the repr of the final loss.
+sha256 prefixes of the curve, the checkpoint manifest and its blob,
+config.txt and report.txt, and the repr of the final loss.
 
 The second form reads such outputs and prints a markdown table. Given a
 second output, from the base tree, the table gains its values beside
@@ -22,6 +22,7 @@ import sys
 import tempfile
 
 SEEDS = (1, 3)
+DIGESTS = "curve / manifest / blob / config / report"
 
 
 def sha256_prefix(path: str) -> str:
@@ -47,7 +48,8 @@ def digest_lines(tree: str) -> list[str]:
                 cfg = workload.config(seed)
                 data = workloads.setup_train(cfg, seed, work)
                 art, res = run_pretrain(cfg, os.path.join(work, "run"), data=data)
-                paths = (art.curve_path, art.checkpoint_path, blob_path(art.checkpoint_path))
+                paths = (art.curve_path, art.checkpoint_path, blob_path(art.checkpoint_path),
+                         art.config_path, art.report_path)
                 digests = " ".join(sha256_prefix(p) for p in paths)
                 lines.append(f"{name} {seed} {digests} {res.curve.points[-1].loss!r}")
     return lines
@@ -60,8 +62,8 @@ def read_runs(path: str) -> dict[tuple[str, str], tuple[str, str]]:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 fields = line.split()
-                if len(fields) == 6:
-                    runs[fields[0], fields[1]] = (" / ".join(fields[2:5]), fields[5])
+                if len(fields) == 8:
+                    runs[fields[0], fields[1]] = (" / ".join(fields[2:7]), fields[7])
     except OSError:
         pass
     return runs
@@ -69,10 +71,10 @@ def read_runs(path: str) -> dict[tuple[str, str], tuple[str, str]]:
 
 def summary_lines(head_path: str, base_path: str | None) -> list[str]:
     head = read_runs(head_path)
-    header = ["workload", "seed", "curve / manifest / blob", "final_loss"]
+    header = ["workload", "seed", DIGESTS, "final_loss"]
     if base_path is not None:
         base = read_runs(base_path)
-        header += ["base curve / manifest / blob", "base final_loss", "bytes"]
+        header += [f"base {DIGESTS}", "base final_loss", "bytes"]
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     for key, values in head.items():
         row = [*key, *values]

@@ -4,7 +4,10 @@ Every field defaults to the crammed recipe, so an empty file is a
 valid configuration. A section is declared beside the code it
 configures (ModelConfig in model, PipelineConfig in corpus,
 TrainSection in trainer); RunConfig.validate runs each section's own
-validate, then the checks that span sections. Ablation presets mirror
+validate, then the checks that span sections. RunConfig.rendered() is
+the one text view of a config, each dotted key's value in file order:
+config.txt, config diffs, the read-back check, the report's [run]
+section and the prepared-data key all read it. Ablation presets mirror
 the recipe-component rows of the results table (original data /
 training / architecture and the minimal-modification variants) plus a
 vocabulary sweep.
@@ -46,6 +49,12 @@ class RunConfig:
     def sections(self) -> dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def rendered(self) -> dict[str, str]:
+        """Each dotted key -> its rendered value, in file order."""
+        return {f"{name}.{key}": value
+                for name, section in self.sections().items()
+                for key, value in dataclass_to_strs(section).items()}
+
     def set(self, dotted_key: str, value: str) -> None:
         section_name, _, key = dotted_key.partition(".")
         section = self.sections().get(section_name)
@@ -70,19 +79,12 @@ class RunConfig:
                 f"({self.pipeline.seq_len} vs {self.model.seq_len})"
             )
         # config.txt must give the run back: every value reads back as rendered.
-        for name, section in self.sections().items():
-            for key, value in dataclass_to_strs(section).items():
-                line = f"{name}.{key} = {value}"
-                if line.splitlines() != [line] or split_assignment(_strip_comment(line), "")[1] != value:
-                    raise ConfigurationError(
-                        f"{name}.{key} = {value!r} would not read back from a config file "
-                        "(a line break, space at either end, or '#' after whitespace)")
-
-
-def parse_run_config(text: str) -> RunConfig:
-    cfg = RunConfig()
-    apply_config_text(cfg, text)
-    return cfg
+        for key, value in self.rendered().items():
+            line = f"{key} = {value}"
+            if line.splitlines() != [line] or split_assignment(_strip_comment(line), "")[1] != value:
+                raise ConfigurationError(
+                    f"{key} = {value!r} would not read back from a config file "
+                    "(a line break, space at either end, or '#' after whitespace)")
 
 
 # A `#` at the start of a line or after whitespace starts a comment; one
@@ -94,7 +96,8 @@ def _strip_comment(raw: str) -> str:
     return _COMMENT.sub("", raw, count=1).strip()
 
 
-def apply_config_text(cfg: RunConfig, text: str) -> RunConfig:
+def parse_run_config(text: str) -> RunConfig:
+    cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if line:
@@ -128,23 +131,13 @@ def load_run_config(path: str) -> RunConfig:
 
 def render_run_config(cfg: RunConfig) -> str:
     """Full dump, one line per field, defaults included."""
-    lines = []
-    for name, section in cfg.sections().items():
-        for key, value in dataclass_to_strs(section).items():
-            lines.append(f"{name}.{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value}\n" for key, value in cfg.rendered().items())
 
 
 def config_diff(a: RunConfig, b: RunConfig) -> dict[str, tuple[str, str]]:
     """Dotted keys whose rendered values differ, key -> (a, b)."""
-    out: dict[str, tuple[str, str]] = {}
-    for name, section_a in a.sections().items():
-        section_b = b.sections()[name]
-        sa, sb = dataclass_to_strs(section_a), dataclass_to_strs(section_b)
-        for key in sa:
-            if sa[key] != sb[key]:
-                out[f"{name}.{key}"] = (sa[key], sb[key])
-    return out
+    ra, rb = a.rendered(), b.rendered()
+    return {key: (ra[key], rb[key]) for key in ra if ra[key] != rb[key]}
 
 
 # Recipe-component ablation presets. Each maps dotted keys to values

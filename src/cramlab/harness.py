@@ -71,9 +71,9 @@ def data_key(cfg: RunConfig, entries: list[str]) -> str:
     the tokenizer and pipeline settings but tokenizer.input, and the
     corpus entries."""
     h = hashlib.sha256()
-    for line in render_run_config(cfg).splitlines(keepends=True):
-        if line.startswith(("tokenizer.", "pipeline.")) and not line.startswith("tokenizer.input "):
-            h.update(line.encode())
+    for key, value in cfg.rendered().items():
+        if key.startswith(("tokenizer.", "pipeline.")) and key != "tokenizer.input":
+            h.update(f"{key} = {value}\n".encode())
     for entry in entries:
         h.update(entry.encode())
         h.update(b"\n")
@@ -137,6 +137,15 @@ def _artifacts(run_dir: str) -> RunArtifacts:
     )
 
 
+def check_run(cfg: RunConfig) -> None:
+    """A run's pre-flight: the config's own checks, then its budget and
+    its memory estimate. A missing, doubled or negative budget, or a
+    micro-batch that cannot fit, fails before any file is written."""
+    cfg.validate()
+    cfg.train.schedule(cfg.train.horizon())
+    check_memory(cfg.model, cfg.train.micro_batch, cfg.train.mask_rate)
+
+
 def run_pretrain(
     cfg: RunConfig,
     run_dir: str,
@@ -146,10 +155,7 @@ def run_pretrain(
 ) -> tuple[RunArtifacts, PretrainResult]:
     """Prepare (or reuse) data from tokenizer.input, pretrain, and write
     the run directory."""
-    cfg.validate()
-    # A missing, doubled or negative budget fails before any file is written.
-    cfg.train.schedule(cfg.train.horizon())
-    check_memory(cfg.model, cfg.train.micro_batch, cfg.train.mask_rate)
+    check_run(cfg)
     if data is None:
         if not cfg.tokenizer.input:
             raise ConfigurationError("no corpus input given (tokenizer.input)")
@@ -201,8 +207,9 @@ def run_ablation(
     """Run one pretraining per row, all sharing the base seed and
     budget. Rows that abort are marked failed; the rest still run.
 
-    Row overrides, run directories and the seed count are validated up
-    front so a typo or a repeated name cannot waste the earlier runs.
+    Every row passes check_run, and the run directories and the seed
+    count are checked, up front, so a typo, a row that cannot fit in
+    memory or a repeated name cannot waste the earlier runs.
     """
     if task_path is not None:
         _require_seeds(task_seeds)
@@ -215,8 +222,7 @@ def run_ablation(
         cfg = parse_run_config(render_run_config(base))
         apply_overrides(cfg, overrides)
         cfg.tokenizer.input = input_path
-        cfg.validate()
-        cfg.train.schedule(cfg.train.horizon())
+        check_run(cfg)
         configs[run_dir] = (name, cfg)
 
     results: list[AblationRow] = []
@@ -318,15 +324,14 @@ def emit_report(run_dir: str, device_name: str | None = None,
     devices = load_devices()
     device = devices.get(device_name)
 
+    rendered = cfg.rendered()
     lines = ["[run]"]
     for key in ("model.num_layers", "model.hidden_dim", "model.num_heads",
                 "model.ffn_dim", "model.vocab_size", "model.seq_len",
                 "model.norm_placement", "model.ffn_kind",
                 "model.embedding_kind", "train.schedule_kind",
                 "train.peak_lr", "train.final_batch", "train.seed"):
-        section, _, name = key.partition(".")
-        value = getattr(getattr(cfg, section), name)
-        lines.append(f"{key} = {value}")
+        lines.append(f"{key} = {rendered[key]}")
 
     lines.append("")
     lines.append("[dataset]")

@@ -306,8 +306,6 @@ def train_wordpiece(
                 else:
                     new.append(old[i])
                     i += 1
-            if len(new) == len(old):
-                continue
             words[wi] = new
             for s in old:
                 sym_count[s] -= freq

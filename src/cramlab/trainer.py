@@ -45,12 +45,12 @@ SCHEDULE_KINDS = ("one_cycle", "cosine_decay", "linear_decay", "constant")
 
 @dataclass(frozen=True)
 class MaskingConfig:
-    rate: float = 0.15
+    mask_rate: float = 0.15
     p_mask: float = 0.8
     p_random: float = 0.1
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
+        if not 0.0 <= self.mask_rate <= 1.0:
             raise ConfigurationError("masking rate must be within [0, 1]")
         if min(self.p_mask, self.p_random) < 0:
             raise ConfigurationError("treatment probabilities must be nonnegative")
@@ -79,14 +79,14 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    kind: str = "one_cycle"
+    schedule_kind: str = "one_cycle"
     peak_lr: float = 1e-3
     peak_fraction: float = 0.5
     total_steps: float = 0  # the horizon: steps, or seconds under a wallclock budget
 
     def __post_init__(self) -> None:
-        if self.kind not in SCHEDULE_KINDS:
-            raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
+        if self.schedule_kind not in SCHEDULE_KINDS:
+            raise ConfigurationError(f"unknown schedule kind {self.schedule_kind!r}")
         if self.peak_lr <= 0:
             raise ConfigurationError("peak_lr must be positive")
         if not 0 < self.peak_fraction < 1:
@@ -113,19 +113,18 @@ class BatchRampConfig:
         return max(1, _round_half_up(self.final_batch / self.micro_batch))
 
 
-# A train.* key is the trainer config field's own name, except these
-# two; ScheduleConfig.total_steps is the section's horizon().
-_TRAIN_KEYS = {"kind": "schedule_kind", "rate": "mask_rate"}
+# A train.* key is the trainer config field's own name;
+# ScheduleConfig.total_steps is the section's horizon().
 _TRAIN_PARTS = (ScheduleConfig, BatchRampConfig, OptimizerConfig, MaskingConfig)
 
 
-def _train_fields(part) -> list[tuple[Field, str]]:
-    return [(f, _TRAIN_KEYS.get(f.name, f.name)) for f in fields(part) if f.name != "total_steps"]
+def _train_fields(part) -> list[Field]:
+    return [f for f in fields(part) if f.name != "total_steps"]
 
 
 _TrainFields = make_dataclass("_TrainFields", [
-    (key, get_type_hints(part)[f.name], f.default)
-    for part in _TRAIN_PARTS for f, key in _train_fields(part)])
+    (f.name, get_type_hints(part)[f.name], f.default)
+    for part in _TRAIN_PARTS for f in _train_fields(part)])
 
 
 @dataclass
@@ -137,7 +136,7 @@ class TrainSection(_TrainFields):
     seed: int = 0
 
     def _build(self, part, **runtime):
-        return part(**{f.name: getattr(self, key) for f, key in _train_fields(part)}, **runtime)
+        return part(**{f.name: getattr(self, f.name) for f in _train_fields(part)}, **runtime)
 
     def schedule(self, total_steps: int = 0) -> ScheduleConfig:
         return self._build(ScheduleConfig, total_steps=total_steps)
@@ -261,7 +260,7 @@ def mask_batch(
     Returns (inputs, flat_positions, labels). Positions index the
     flattened batch row-major; labels hold the original ids there.
     <sep> and <pad> are never selected. A row in which the independent
-    rate-draw selects nothing gets one forced label position whose
+    mask_rate draw selects nothing gets one forced label position whose
     input stays unchanged.
     """
     seqs = np.asarray(seqs)
@@ -270,7 +269,7 @@ def mask_batch(
     B, S = seqs.shape
     u_sel = rng.random((B, S))
     eligible = (seqs != SEP_ID) & (seqs != PAD_ID)
-    selected = (u_sel < cfg.rate) & eligible
+    selected = (u_sel < cfg.mask_rate) & eligible
 
     forced: list[int] = []
     empty_rows = np.flatnonzero(~selected.any(axis=1))
@@ -304,11 +303,11 @@ def lr_at(step: float, cfg: ScheduleConfig) -> float:
         raise ContractError("schedule total_steps not set")
     if step < 0 or step > T:
         raise ContractError(f"step {step} outside [0, {T}]")
-    if cfg.kind == "constant":
+    if cfg.schedule_kind == "constant":
         return cfg.peak_lr
-    if cfg.kind == "cosine_decay":
+    if cfg.schedule_kind == "cosine_decay":
         return cfg.peak_lr * 0.5 * (1.0 + math.cos(math.pi * step / T))
-    if cfg.kind == "linear_decay":
+    if cfg.schedule_kind == "linear_decay":
         return cfg.peak_lr * (T - step) / T
     # one_cycle: linear up to the peak, linear down to 0.
     peak_step = cfg.peak_fraction * T
@@ -687,7 +686,7 @@ def finetune(
     bs = protocol.batch_size
     batches_per_epoch = (n + bs - 1) // bs
     total_steps = protocol.epochs * batches_per_epoch
-    sched = ScheduleConfig(kind="cosine_decay", peak_lr=protocol.lr,
+    sched = ScheduleConfig(schedule_kind="cosine_decay", peak_lr=protocol.lr,
                            total_steps=total_steps)
     state = AdamState()
 

@@ -22,7 +22,7 @@ import pytest
 import composed_ops
 from conftest import make_lexicon, make_sentences
 from cramlab import checkpoint as ckpt
-from cramlab import cli, harness
+from cramlab import budget, cli, harness
 from cramlab.config import (
     PRESETS, RunConfig, TokenizerSection, apply_overrides, config_diff, load_run_config,
     parse_run_config, render_run_config,
@@ -237,7 +237,7 @@ def test_every_train_key_reaches_its_trainer_config_field():
     # train.* key -> (TrainSection builder, trainer config field, a value
     # other than the default)
     routes = {
-        "schedule_kind": ("schedule", "kind", "cosine_decay"),
+        "schedule_kind": ("schedule", "schedule_kind", "cosine_decay"),
         "peak_lr": ("schedule", "peak_lr", "0.002"),
         "peak_fraction": ("schedule", "peak_fraction", "0.3"),
         "micro_batch": ("ramp", "micro_batch", "16"),
@@ -248,7 +248,7 @@ def test_every_train_key_reaches_its_trainer_config_field():
         "eps": ("optimizer", "eps", "1e-06"),
         "weight_decay": ("optimizer", "weight_decay", "0.05"),
         "clip_norm": ("optimizer", "clip_norm", "none"),
-        "mask_rate": ("masking", "rate", "0.2"),
+        "mask_rate": ("masking", "mask_rate", "0.2"),
         "p_mask": ("masking", "p_mask", "0.7"),
         "p_random": ("masking", "p_random", "0.2"),
     }
@@ -772,7 +772,10 @@ def test_ablation_row_config_reruns_the_row(corpus_path, workdir, tmp_path):
         assert a.read() == b.read()
 
 
-def test_ablation_validates_every_row_before_running(corpus_path, tmp_path):
+def test_ablation_validates_every_row_before_running(corpus_path, tmp_path, monkeypatch):
+    # The memory check reads a fixed 8 GiB, so the row that cannot fit
+    # is refused on any host.
+    monkeypatch.setattr(budget, "available_memory", lambda: 8 * 2 ** 30)
     bad_rows = [
         (("bad", {"model.nope": "1"}), "unknown config key"),
         (("bad", {"train.peak_lr": "-1"}), "peak_lr"),
@@ -782,6 +785,8 @@ def test_ablation_validates_every_row_before_running(corpus_path, tmp_path):
         (("bad", {"train.p_mask": "0.95"}), "p_mask"),
         (("bad", {"train.seed": "-1"}), "train.seed"),
         (("bad", {"pipeline.shuffle_seed": "-1"}), "shuffle_seed"),
+        (("bad", {"train.micro_batch": "10000000", "train.final_batch": "10000000"}),
+         "needs about"),
         # "Fine" is a fine config, but its run directory is run-fine too.
         (("Fine", {}), "share the run directory"),
     ]

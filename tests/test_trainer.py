@@ -97,7 +97,7 @@ def test_masking_never_selects_sep_or_pad():
     seqs = rng.integers(5, 64, size=(50, 32), dtype=np.int64)
     seqs[:, 7] = SEP_ID
     seqs[:, 20:] = PAD_ID
-    inputs, positions, _ = mask_batch(seqs, MaskingConfig(rate=1.0), rng, 64)
+    inputs, positions, _ = mask_batch(seqs, MaskingConfig(mask_rate=1.0), rng, 64)
     cols = positions % 32
     assert not np.any(cols == 7)
     assert not np.any(cols >= 20)
@@ -108,7 +108,7 @@ def test_masking_never_selects_sep_or_pad():
 def test_masking_rate_one_selects_every_eligible_position():
     rng = np.random.default_rng(3)
     seqs = rng.integers(5, 64, size=(10, 16), dtype=np.int64)
-    _, positions, labels = mask_batch(seqs, MaskingConfig(rate=1.0), rng, 64)
+    _, positions, labels = mask_batch(seqs, MaskingConfig(mask_rate=1.0), rng, 64)
     assert positions.size == seqs.size
     np.testing.assert_array_equal(labels, seqs.ravel())
 
@@ -116,7 +116,7 @@ def test_masking_rate_one_selects_every_eligible_position():
 def test_masking_rate_zero_forces_one_untouched_position_per_row():
     rng = np.random.default_rng(4)
     seqs = rng.integers(5, 64, size=(12, 16), dtype=np.int64)
-    inputs, positions, labels = mask_batch(seqs, MaskingConfig(rate=0.0), rng, 64)
+    inputs, positions, labels = mask_batch(seqs, MaskingConfig(mask_rate=0.0), rng, 64)
     assert positions.size == 12
     rows = positions // 16
     np.testing.assert_array_equal(np.sort(rows), np.arange(12))
@@ -128,7 +128,7 @@ def test_masking_skips_rows_with_no_eligible_slot():
     seqs = np.full((2, 8), SEP_ID, dtype=np.int64)
     seqs[1] = np.arange(5, 13)
     rng = np.random.default_rng(5)
-    _, positions, _ = mask_batch(seqs, MaskingConfig(rate=0.0), rng, 64)
+    _, positions, _ = mask_batch(seqs, MaskingConfig(mask_rate=0.0), rng, 64)
     assert positions.size == 1
     assert positions[0] // 8 == 1
 
@@ -169,7 +169,7 @@ def test_masking_config_rejects_bad_split():
     with pytest.raises(ConfigurationError):
         MaskingConfig(p_mask=0.8, p_random=0.3)
     with pytest.raises(ConfigurationError):
-        MaskingConfig(rate=1.5)
+        MaskingConfig(mask_rate=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_masking_config_rejects_bad_split():
 
 
 def test_one_cycle_frozen_values():
-    cfg = ScheduleConfig(kind="one_cycle", peak_lr=1e-3, peak_fraction=0.5,
+    cfg = ScheduleConfig(schedule_kind="one_cycle", peak_lr=1e-3, peak_fraction=0.5,
                          total_steps=100)
     assert lr_at(0, cfg) == 0.0
     assert lr_at(25, cfg) == 1e-3 * 0.5
@@ -187,7 +187,7 @@ def test_one_cycle_frozen_values():
 
 
 def test_cosine_decay_values():
-    cfg = ScheduleConfig(kind="cosine_decay", peak_lr=1e-3, total_steps=100)
+    cfg = ScheduleConfig(schedule_kind="cosine_decay", peak_lr=1e-3, total_steps=100)
     assert lr_at(0, cfg) == pytest.approx(1e-3, abs=0)
     assert lr_at(50, cfg) == pytest.approx(5e-4, rel=1e-12)
     assert lr_at(100, cfg) == pytest.approx(0.0, abs=1e-19)
@@ -195,11 +195,11 @@ def test_cosine_decay_values():
 
 
 def test_linear_decay_and_constant():
-    lin = ScheduleConfig(kind="linear_decay", peak_lr=8e-4, total_steps=200)
+    lin = ScheduleConfig(schedule_kind="linear_decay", peak_lr=8e-4, total_steps=200)
     assert lr_at(0, lin) == 8e-4
     assert lr_at(50, lin) == pytest.approx(6e-4, rel=1e-12)
     assert lr_at(200, lin) == 0.0
-    const = ScheduleConfig(kind="constant", peak_lr=3e-4, total_steps=10)
+    const = ScheduleConfig(schedule_kind="constant", peak_lr=3e-4, total_steps=10)
     assert all(lr_at(s, const) == 3e-4 for s in range(11))
 
 
@@ -212,7 +212,7 @@ def test_lr_at_range_and_config_errors():
     with pytest.raises(ContractError):
         lr_at(0, ScheduleConfig(total_steps=0))
     with pytest.raises(ConfigurationError):
-        lr_at(0, ScheduleConfig(kind="warmup_decay", total_steps=10))
+        lr_at(0, ScheduleConfig(schedule_kind="warmup_decay", total_steps=10))
     with pytest.raises(ConfigurationError):
         ScheduleConfig(peak_fraction=1.0, total_steps=10)
     with pytest.raises(ConfigurationError):
@@ -490,7 +490,7 @@ def test_pretrain_curve_steps_lr_tokens_and_seconds():
     res = run_small(model, data, total_steps=10, interval=4)
     pts = res.curve.points
     assert [p.step for p in pts] == [0, 4, 8, 10]
-    sched = ScheduleConfig(kind="one_cycle", peak_lr=1e-3, total_steps=10)
+    sched = ScheduleConfig(schedule_kind="one_cycle", peak_lr=1e-3, total_steps=10)
     # the recorded lr is the one used by the most recent update
     for p in pts[1:]:
         assert p.lr == lr_at(p.step - 1, sched)
@@ -686,6 +686,30 @@ def test_pretrain_aborts_on_divergence_without_op_guard():
         assert np.all(np.isfinite(p.data))
 
 
+@pytest.mark.parametrize("setting", [True, False])
+def test_abort_falls_back_to_the_step_check_message(monkeypatch, setting):
+    # When the guarded replay finds every forward output finite, the
+    # abort reason is the step check's own message.
+    clip = trainer_module.clip_gradients
+    calls = []
+
+    def clip_failing_at_step_2(grads, clip_norm):
+        calls.append(clip_norm)
+        if len(calls) == 2:
+            raise FloatingPointError("non-finite gradient norm")
+        return clip(grads, clip_norm)
+
+    monkeypatch.setattr(trainer_module, "clip_gradients", clip_failing_at_step_2)
+    previous = set_finite_checks(setting)
+    try:
+        res = run_small(tiny_model(seed=1), toy_dataset(n_rows=200), total_steps=6)
+        assert tensor._finite_checks is setting
+    finally:
+        set_finite_checks(previous)
+    assert res.abort_reason == "non-finite gradient norm at step 2"
+    assert res.steps == 1
+
+
 def test_divergence_replay_draws_the_failed_step_dropout_masks(monkeypatch):
     # With dropout on, the guarded replay must draw the masks the failed
     # step drew, so it runs the forward that failed.
@@ -751,7 +775,7 @@ def test_wallclock_schedule_ramp_and_stop_read_elapsed_seconds(monkeypatch):
     pts = res.curve.points
     # A curve point's seconds is the elapsed time at the next step's start.
     starts = [p.seconds for p in pts[:-1]]
-    horizon = ScheduleConfig(kind="one_cycle", peak_lr=1e-3, total_steps=20.0)
+    horizon = ScheduleConfig(schedule_kind="one_cycle", peak_lr=1e-3, total_steps=20.0)
     assert [p.lr for p in pts[1:]] == [lr_at(t, horizon) for t in starts]
     micro_batches = [(b.tokens - a.tokens) // (8 * 16) for a, b in zip(pts, pts[1:])]
     assert micro_batches == sorted(micro_batches) and micro_batches[-1] == train.ramp().factor()
