@@ -1,5 +1,6 @@
-"""Print the training bytes of each benchmark workload for one source
-tree, so two trees' runs can be compared digest by digest.
+"""Print the training and corpus-preparation bytes of each benchmark
+workload for one source tree, so two trees' runs can be compared digest
+by digest.
 
     python3 .github/run_digests.py TREE
     python3 .github/run_digests.py --summary HEAD_OUTPUT [BASE_OUTPUT]
@@ -9,11 +10,16 @@ writes nothing in TREE. For each workload at seeds 1 and 3 it runs one
 step-budget run_pretrain on the workload's config and set-up data in a
 temporary directory, and prints one line: the workload, the seed, the
 sha256 prefixes of the curve, the checkpoint manifest and its blob,
-config.txt and report.txt, and the repr of the final loss.
+config.txt and report.txt, and the repr of the final loss. For each
+workload whose traced run times corpus preparation, it also runs one
+cold harness.prepare on that workload's set-up corpus at each seed and
+prints the workload, the seed, the data key and the sha256 prefixes of
+the vocabulary, the dataset and the stats.
 
-The second form reads such outputs and prints a markdown table. Given a
-second output, from the base tree, the table gains its values beside
-them and a column that says whether each run's bytes are the same.
+The second form reads such outputs and prints a markdown table of the
+training lines and one of the preparation lines. Given a second output,
+from the base tree, each table gains its values beside them and a
+column that says whether each run's bytes are the same.
 """
 
 import hashlib
@@ -22,7 +28,10 @@ import sys
 import tempfile
 
 SEEDS = (1, 3)
-DIGESTS = "curve / manifest / blob / config / report"
+# Each table's line fields after workload and seed: the digests, shown
+# in one column joined by " / ", then the other fields.
+TABLES = ((("curve", "manifest", "blob", "config", "report"), ("final_loss",)),
+          (("prepare key", "vocab", "data", "stats"), ()))
 
 
 def sha256_prefix(path: str) -> str:
@@ -37,7 +46,7 @@ def digest_lines(tree: str) -> list[str]:
     import cramlab
     import workloads
     from cramlab.checkpoint import blob_path
-    from cramlab.harness import run_pretrain
+    from cramlab.harness import prepare, run_pretrain
 
     if not os.path.abspath(cramlab.__file__).startswith(src + os.sep):
         raise SystemExit(f"cramlab was imported from {cramlab.__file__}, not from {src}")
@@ -52,38 +61,52 @@ def digest_lines(tree: str) -> list[str]:
                          art.config_path, art.report_path)
                 digests = " ".join(sha256_prefix(p) for p in paths)
                 lines.append(f"{name} {seed} {digests} {res.curve.points[-1].loss!r}")
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        for seed in SEEDS if workload.prepare else ():
+            with tempfile.TemporaryDirectory() as work:
+                corpus = workloads.setup_prepare(workload.prepare, seed, work)
+                pd = prepare(workload.prepare.config(seed), corpus, os.path.join(work, "cache"))
+                digests = " ".join(sha256_prefix(p) for p in (pd.vocab_path, pd.data_path,
+                                                               pd.stats_path))
+                lines.append(f"{name} {seed} {pd.key} {digests}")
     return lines
 
 
-def read_runs(path: str) -> dict[tuple[str, str], tuple[str, str]]:
-    """(workload, seed) -> (digests joined by ' / ', final loss)."""
+def read_runs(path: str, digests: tuple[str, ...],
+              others: tuple[str, ...]) -> dict[tuple[str, str], tuple[str, ...]]:
+    """(workload, seed) -> (digests joined by ' / ', *others), for the
+    lines of path with exactly those fields."""
     runs = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 fields = line.split()
-                if len(fields) == 8:
-                    runs[fields[0], fields[1]] = (" / ".join(fields[2:7]), fields[7])
+                if len(fields) == 2 + len(digests) + len(others):
+                    runs[fields[0], fields[1]] = (" / ".join(fields[2:2 + len(digests)]),
+                                                  *fields[2 + len(digests):])
     except OSError:
         pass
     return runs
 
 
 def summary_lines(head_path: str, base_path: str | None) -> list[str]:
-    head = read_runs(head_path)
-    header = ["workload", "seed", DIGESTS, "final_loss"]
-    if base_path is not None:
-        base = read_runs(base_path)
-        header += [f"base {DIGESTS}", "base final_loss", "bytes"]
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for key, values in head.items():
-        row = [*key, *values]
+    lines = []
+    for digests, others in TABLES:
+        head = read_runs(head_path, digests, others)
+        columns = [" / ".join(digests), *others]
+        header = ["workload", "seed", *columns]
         if base_path is not None:
-            other = base.get(key)
-            row += [*(other or ("n/a", "n/a")),
-                    "n/a" if other is None else "same" if other == values else "differs"]
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
+            base = read_runs(base_path, digests, others)
+            header += [f"base {c}" for c in columns] + ["bytes"]
+        lines += ["", "| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        for key, values in head.items():
+            row = [*key, *values]
+            if base_path is not None:
+                other = base.get(key)
+                row += [*(other or ["n/a"] * len(columns)),
+                        "n/a" if other is None else "same" if other == values else "differs"]
+            lines.append("| " + " | ".join(row) + " |")
+    return lines[1:]
 
 
 def main(argv: list[str]) -> int:

@@ -24,8 +24,8 @@ class DeviceSpec:
     peak_tflops: float
 
     def __post_init__(self) -> None:
-        if self.peak_tflops <= 0:
-            raise ConfigurationError("peak_tflops must be positive")
+        if not 0 < self.peak_tflops < math.inf:
+            raise ConfigurationError("peak_tflops must be positive and finite")
 
 
 def total_exaflops(device: DeviceSpec, hours: float) -> float:
@@ -168,9 +168,10 @@ def load_devices(path: str | None = None) -> dict[str, DeviceSpec]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigurationError(f"bad device line: {raw.rstrip()}")
-            spec = DeviceSpec(name=parts[0], peak_tflops=float(parts[1]))
+            try:
+                name, peak = line.split()
+                spec = DeviceSpec(name=name, peak_tflops=float(peak))
+            except ValueError as exc:
+                raise ConfigurationError(f"bad device line: {raw.rstrip()} ({exc})") from None
             out[spec.name] = spec
     return out

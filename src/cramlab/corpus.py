@@ -312,30 +312,23 @@ def curate(
     """Run the full curation pipeline over an iterable of raw texts."""
     cfg.validate()
     report = PipelineReport()
-    raws: list[RawEntry] = []
     tokenized: list[TokenizedEntry] = []
+    ratios: list[float] = []
     for i, text in enumerate(texts):
         report.entries_in += 1
         norm = normalize(text)
         if not norm:
             report.dropped_empty += 1
             continue
-        ids = wp.encode_normalized(norm)
-        raws.append(RawEntry(text=text, char_count=len(norm)))
-        tokenized.append(TokenizedEntry.from_ids(ids, source_index=i))
-
-    if cfg.t is not None:
-        kept = [(r, e) for r, e in zip(raws, tokenized) if compression_filter(e, r, cfg.t)]
-        report.dropped_filter = len(tokenized) - len(kept)
-        raws, tokenized = [r for r, _ in kept], [e for _, e in kept]
+        entry = TokenizedEntry.from_ids(wp.encode_normalized(norm), source_index=i)
+        if cfg.t is not None and not compression_filter(entry, RawEntry(text, len(norm)), cfg.t):
+            report.dropped_filter += 1
+            continue
+        tokenized.append(entry)
+        ratios.append(entry.token_count / len(norm))
     report.entries_after_filter = len(tokenized)
     report.tokens_before_dedup = sum(e.token_count for e in tokenized)
-
-    ratio = None
-    if tokenized:
-        ratio = float(
-            np.mean([e.token_count / r.char_count for e, r in zip(tokenized, raws)])
-        )
+    ratio = float(np.mean(ratios)) if ratios else None
 
     if cfg.dedup_min_len is not None:
         tokenized = dedup_exact(tokenized, cfg.dedup_min_len)

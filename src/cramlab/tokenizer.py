@@ -1,9 +1,10 @@
 """Text normalization and WordPiece vocabulary training/encoding.
 
-Normalization lower-cases, strips accents via NFD decomposition, drops
-every remaining non-ASCII character and collapses whitespace. Word
-boundaries are whitespace after normalization, with punctuation split
-into single-character words; alphanumeric runs stay together.
+Normalization lower-cases, decomposes to NFD, keeps what the ASCII
+codec keeps but DEL (so U+0000..U+007E survive and accents go with the
+rest of non-ASCII), and collapses each whitespace run to one space.
+Pre-tokenization splits normalized text into str.isalnum runs and any
+other non-space character as a single-character word.
 
 Training is iterative pair merging: at each round the adjacent symbol
 pair maximizing pair_count / (left_count * right_count) is merged into
@@ -15,6 +16,7 @@ than max_chars_per_word) becomes <unk>.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 import warnings
 from collections import Counter
@@ -37,32 +39,22 @@ COMPACT_EVERY = 1024
 
 
 def normalize(text: str) -> str:
-    out = []
-    for ch in unicodedata.normalize("NFD", text.lower()):
-        # Every combining mark NFD splits off lies above U+007E, so this
-        # drops the accents with the rest of non-ASCII.
-        if ord(ch) > 126:
-            continue
-        out.append(ch)
-    return " ".join("".join(out).split())
+    """Lower-case, NFD, drop every character above U+007E, then join the
+    whitespace-split words with single spaces."""
+    # Every combining mark NFD splits off lies above U+007E, so the ASCII
+    # codec drops the accents with the rest of non-ASCII; DEL is ASCII too.
+    ascii_text = unicodedata.normalize("NFD", text.lower()).encode("ascii", "ignore")
+    return " ".join(ascii_text.decode("ascii").replace("\x7f", "").split())
+
+
+# [^\W_] is exactly str.isalnum: \w is alnum plus the underscore.
+_WORDS = re.compile(r"[^\W_]+|[^ ]")
 
 
 def pre_tokenize(normalized: str) -> list[str]:
-    """Split normalized text into words: alnum runs and single punctuation."""
-    words = []
-    for chunk in normalized.split(" "):
-        run = []
-        for ch in chunk:
-            if ch.isalnum():
-                run.append(ch)
-            else:
-                if run:
-                    words.append("".join(run))
-                    run = []
-                words.append(ch)
-        if run:
-            words.append("".join(run))
-    return [w for w in words if w]
+    """Split normalized text into words: each run of str.isalnum
+    characters, and each other character but the space on its own."""
+    return _WORDS.findall(normalized)
 
 
 class Vocab:
@@ -276,14 +268,8 @@ def train_wordpiece(
         best = scores.max()
         if best <= 0:
             break
-        cand = np.flatnonzero(scores == best)
-        pid = int(cand[0])
-        if cand.size > 1:
-            key = (syms[pairs.left[pid]], syms[pairs.right[pid]])
-            for c in cand[1:]:
-                k = (syms[pairs.left[c]], syms[pairs.right[c]])
-                if k < key:
-                    key, pid = k, int(c)
+        pid = min(np.flatnonzero(scores == best).tolist(),
+                  key=lambda c: (syms[pairs.left[c]], syms[pairs.right[c]]))
         l, r = int(pairs.left[pid]), int(pairs.right[pid])
         right_str = syms[r]
         if right_str.startswith(CONTINUATION_PREFIX):
@@ -311,18 +297,14 @@ def train_wordpiece(
                 sym_count[s] -= freq
             for s in new:
                 sym_count[s] += freq
-            old_pairs = Counter(zip(old, old[1:]))
-            new_pairs = Counter(zip(new, new[1:]))
-            for pr in old_pairs.keys() | new_pairs.keys():
-                delta = new_pairs.get(pr, 0) - old_pairs.get(pr, 0)
-                if delta == 0:
-                    continue
+            for pr in zip(old, old[1:]):
                 qid = pairs.pid(*pr)
-                pairs.count[qid] += delta * freq
-                if new_pairs.get(pr, 0):
-                    pairs.words[qid].add(wi)
-                else:
-                    pairs.words[qid].discard(wi)
+                pairs.count[qid] -= freq
+                pairs.words[qid].discard(wi)
+            for pr in zip(new, new[1:]):
+                qid = pairs.pid(*pr)
+                pairs.count[qid] += freq
+                pairs.words[qid].add(wi)
 
         rounds_since_compact += 1
         if rounds_since_compact >= COMPACT_EVERY:

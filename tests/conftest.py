@@ -60,6 +60,39 @@ def make_chain_corpus(rng: np.random.Generator, lexicon: list[str], n_lines: int
     return lines
 
 
+ACCENTED = {"a": "àáâä", "c": "ç", "e": "éèêë", "i": "íï", "n": "ñ", "o": "óôö", "u": "úü"}
+NON_ASCII_WORDS = ["日本語", "straße", "Ωmega", "œuvre", "½", "n°5", "—", "naïve"]
+PUNCTUATION = list(",.;:!?'\"()-/_&%#@")
+
+
+def add_noise(rng: np.random.Generator, sentences: list[str]) -> list[str]:
+    """The sentences with seeded accents, capitals, DEL inside words,
+    attached punctuation, non-ASCII words and tab or DEL separators, so
+    every rule of normalize and pre_tokenize reaches the words; every
+    tenth noisy line is repeated at the end for deduplication to find."""
+    out = []
+    for sentence in sentences:
+        words = []
+        for w in sentence.split():
+            kind = rng.integers(8)
+            if kind == 0:
+                w = "".join(str(rng.choice(list(ACCENTED[c]))) if c in ACCENTED and
+                            rng.random() < 0.5 else c for c in w)
+            elif kind == 1:
+                w = w.title() if rng.random() < 0.5 else w.upper()
+            elif kind == 2:
+                k = int(rng.integers(1, len(w)))
+                w = w[:k] + "\x7f" + w[k:]
+            elif kind == 3:
+                w = w + str(rng.choice(PUNCTUATION))
+            elif kind == 4:
+                w = str(rng.choice(NON_ASCII_WORDS)) + " " + w
+            words.append(w)
+            words.append(str(rng.choice([" ", " ", " ", "\t", "  ", " \x7f "])))
+        out.append("".join(words[:-1]))
+    return out + out[::10]
+
+
 @pytest.fixture(scope="session")
 def lexicon():
     return make_lexicon(np.random.default_rng(101), n_stems=300)
@@ -76,3 +109,15 @@ def wp_small(small_corpus):
 
     return train_wordpiece(small_corpus, vocab_size=1024)
 
+
+
+@pytest.fixture(scope="session")
+def noisy_corpus(small_corpus):
+    return add_noise(np.random.default_rng(103), small_corpus)
+
+
+@pytest.fixture(scope="session")
+def wp_noisy(noisy_corpus):
+    from cramlab.tokenizer import train_wordpiece
+
+    return train_wordpiece(noisy_corpus, vocab_size=1024)

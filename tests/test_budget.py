@@ -36,6 +36,14 @@ def test_device_table_ships_published_peaks():
     assert peaks["titanrtx"] == 130.5
 
 
+@pytest.mark.parametrize("peak", ["abc", "nan", "inf", "-1"])
+def test_device_table_refuses_a_bad_peak_naming_its_line(tmp_path, peak):
+    path = tmp_path / "devices.txt"
+    path.write_text(f"# name  peak TFLOP/s\ngood 10\nodd {peak}\n", encoding="ascii")
+    with pytest.raises(ConfigurationError, match=f"bad device line: odd {peak}"):
+        load_devices(str(path))
+
+
 @pytest.mark.parametrize(
     "device,count,hours,expected",
     [

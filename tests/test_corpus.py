@@ -1,6 +1,7 @@
 """Curation pipeline tests: filter arithmetic, dedup against a naive
 quadratic reference, packing, prevalence sort, stats, binary format."""
 
+import hashlib
 import os
 import tracemalloc
 
@@ -344,6 +345,18 @@ def test_curate_report_accounting(wp_small, lexicon):
     assert rep.stats is not None
     assert ds.seq_len == 32
     ds.validate()
+
+
+def test_curated_bytes_are_pinned(wp_noisy, noisy_corpus):
+    # With every stage on, over text that normalize changes and with
+    # repeated lines for dedup to excise.
+    cfg = PipelineConfig(t=0.3, dedup_min_len=8, sort=True, seq_len=32)
+    ds, rep = curate(noisy_corpus, wp_noisy, cfg)
+    assert rep.tokens_after_dedup < rep.tokens_before_dedup
+    assert hashlib.sha256(ds.sequences.tobytes()).hexdigest() == \
+        "29c3f856d2f880cf452093ad0ddefa3cf3d4e721d22611bf2faace10b3387faf"
+    assert hashlib.sha256(rep.to_text().encode()).hexdigest() == \
+        "9aa8160fe10cc46b5169190af159f9c409abf0ad6f10f9708c34202fe17084b5"
 
 
 def test_curate_without_optional_stages(wp_small, lexicon):

@@ -1,6 +1,7 @@
 """WordPiece: normalization rules, training score arithmetic, greedy
 segmentation, round trips, determinism."""
 
+import hashlib
 import unicodedata
 
 import numpy as np
@@ -12,6 +13,7 @@ from cramlab.tokenizer import (
     CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, UNK_ID, Vocab,
     WordPieceModel, normalize, pre_tokenize, train_wordpiece,
 )
+import reference_text
 from conftest import make_sentences
 
 
@@ -34,6 +36,34 @@ def test_normalize_drops_non_ascii():
 def test_every_combining_mark_lies_above_ascii():
     # normalize drops the accents NFD splits off by its ASCII filter alone.
     assert min(cp for cp in range(0x110000) if unicodedata.combining(chr(cp))) > 0x7E
+
+
+ALL_CODE_POINTS = "".join(map(chr, range(0x110000)))
+
+
+@pytest.mark.parametrize("sep", ["", " ", "x"], ids=["joined", "spaced", "between-letters"])
+def test_normalize_matches_the_reference_on_every_code_point(sep):
+    text = sep.join(ALL_CODE_POINTS)
+    assert normalize(text) == reference_text.normalize(text)
+
+
+def test_pre_tokenize_matches_the_reference_on_every_code_point():
+    # Between letters, each code point either joins the letters' run or
+    # stands alone, so the split shows how every one is classified.
+    text = "x".join(ALL_CODE_POINTS)
+    assert pre_tokenize(text) == reference_text.pre_tokenize(text)
+
+
+def test_text_rules_match_the_reference_on_random_text():
+    pool = [chr(c) for c in [*range(0x80), *range(0xA0, 0x100), *range(0x300, 0x370),
+                             *range(0x4E00, 0x4E40)]]
+    rng = np.random.default_rng(30)
+    for _ in range(300):
+        text = "".join(rng.choice(pool, size=rng.integers(0, 40)))
+        norm = normalize(text)
+        assert norm == reference_text.normalize(text)
+        assert pre_tokenize(text) == reference_text.pre_tokenize(text)
+        assert pre_tokenize(norm) == reference_text.pre_tokenize(norm)
 
 
 def test_normalize_empty_permitted():
@@ -85,6 +115,15 @@ def test_train_exact_size_and_determinism(small_corpus):
     b = train_wordpiece(list(small_corpus), vocab_size=512)
     assert len(a.vocab) == 512
     assert a.vocab.tokens == b.vocab.tokens
+
+
+def test_vocabulary_bytes_are_pinned(wp_noisy):
+    # The merge order over a corpus with accents, capitals, punctuation,
+    # tabs, DEL and non-ASCII words; a change to any text rule or to the
+    # merge bookkeeping moves this digest.
+    digest = hashlib.sha256("\n".join(wp_noisy.vocab.tokens).encode()).hexdigest()
+    assert len(wp_noisy.vocab) == 1024
+    assert digest == "c4ceef21c4181dd673e8c320d54d22d6d76c5691e8f8ed4b502de9c743274ff6"
 
 
 def test_pair_table_growth_and_compaction_keep_the_vocabulary(monkeypatch, small_corpus,
