@@ -14,12 +14,16 @@ config.txt and report.txt, and the repr of the final loss. For each
 workload whose traced run times corpus preparation, it also runs one
 cold harness.prepare on that workload's set-up corpus at each seed and
 prints the workload, the seed, the data key and the sha256 prefixes of
-the vocabulary, the dataset and the stats.
+the vocabulary, the dataset and the stats. Then it loads that seed's
+checkpoint, finetunes it for one epoch on a seeded two-class task drawn
+from the same corpus, encoded with the prepared vocabulary, and prints
+the workload, the seed, the sha256 prefix of the finetuned parameters
+and the repr of the accuracy.
 
-The second form reads such outputs and prints a markdown table of the
-training lines and one of the preparation lines. Given a second output,
-from the base tree, each table gains its values beside them and a
-column that says whether each run's bytes are the same.
+The second form reads such outputs and prints a markdown table each of
+the training, the preparation and the finetuning lines. Given a second
+output, from the base tree, each table gains its values beside them and
+a column that says whether each run's bytes are the same.
 """
 
 import hashlib
@@ -27,16 +31,32 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 SEEDS = (1, 3)
 # Each table's line fields after workload and seed: the digests, shown
-# in one column joined by " / ", then the other fields.
+# in one column joined by " / ", then the other fields. A line's count
+# of fields names its table.
 TABLES = ((("curve", "manifest", "blob", "config", "report"), ("final_loss",)),
-          (("prepare key", "vocab", "data", "stats"), ()))
+          (("prepare key", "vocab", "data", "stats"), ()),
+          (("finetuned params",), ("accuracy",)))
+TASK_ROWS = 64
 
 
 def sha256_prefix(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
+def two_class_task(corpus: str, seed: int) -> list[tuple[str, str]]:
+    """(line, label) for TASK_ROWS seeded lines of the corpus file, the
+    label saying whether the line has more words than their median."""
+    with open(corpus, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = np.random.default_rng(seed).choice(len(lines), TASK_ROWS, replace=False)
+    picked = [lines[i] for i in rows]
+    median = np.median([len(line.split()) for line in picked])
+    return [(line, "long" if len(line.split()) > median else "short") for line in picked]
 
 
 def digest_lines(tree: str) -> list[str]:
@@ -47,10 +67,13 @@ def digest_lines(tree: str) -> list[str]:
     import workloads
     from cramlab.checkpoint import blob_path
     from cramlab.harness import prepare, run_pretrain
+    from cramlab.model import Model
+    from cramlab.tokenizer import Vocab, WordPieceModel
+    from cramlab.trainer import FinetuneProtocol, TaskExample, finetune
 
     if not os.path.abspath(cramlab.__file__).startswith(src + os.sep):
         raise SystemExit(f"cramlab was imported from {cramlab.__file__}, not from {src}")
-    lines = []
+    tables = ([], [], [])
     for name, workload in sorted(workloads.WORKLOADS.items()):
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as work:
@@ -60,16 +83,26 @@ def digest_lines(tree: str) -> list[str]:
                 paths = (art.curve_path, art.checkpoint_path, blob_path(art.checkpoint_path),
                          art.config_path, art.report_path)
                 digests = " ".join(sha256_prefix(p) for p in paths)
-                lines.append(f"{name} {seed} {digests} {res.curve.points[-1].loss!r}")
-    for name, workload in sorted(workloads.WORKLOADS.items()):
-        for seed in SEEDS if workload.prepare else ():
-            with tempfile.TemporaryDirectory() as work:
+                tables[0].append(f"{name} {seed} {digests} {res.curve.points[-1].loss!r}")
+                if workload.prepare is None:
+                    continue
+                prep_cfg = workload.prepare.config(seed)
                 corpus = workloads.setup_prepare(workload.prepare, seed, work)
-                pd = prepare(workload.prepare.config(seed), corpus, os.path.join(work, "cache"))
+                pd = prepare(prep_cfg, corpus, os.path.join(work, "cache"))
                 digests = " ".join(sha256_prefix(p) for p in (pd.vocab_path, pd.data_path,
                                                                pd.stats_path))
-                lines.append(f"{name} {seed} {pd.key} {digests}")
-    return lines
+                tables[1].append(f"{name} {seed} {pd.key} {digests}")
+                model = Model.load(art.checkpoint_path)
+                wp = WordPieceModel(Vocab.load(pd.vocab_path),
+                                    prep_cfg.tokenizer.max_chars_per_word)
+                task = [TaskExample(text, None, label)
+                        for text, label in two_class_task(corpus, seed)]
+                metrics = finetune(model, wp, task, FinetuneProtocol(epochs=1), seed=seed)
+                params = hashlib.sha256()
+                for p in model.params.values():
+                    params.update(p.data.tobytes())
+                tables[2].append(f"{name} {seed} {params.hexdigest()[:16]} {metrics.accuracy!r}")
+    return [line for table in tables for line in table]
 
 
 def read_runs(path: str, digests: tuple[str, ...],

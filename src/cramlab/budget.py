@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .model import ModelConfig, param_count, param_layout
+from .serde import read_text
 from .tensor import STREAM_BLOCK
 
 
@@ -163,15 +164,15 @@ def load_devices(path: str | None = None) -> dict[str, DeviceSpec]:
     """Parse the name/TFLOP-per-second table shipped with the package."""
     path = path or default_devices_path()
     out: dict[str, DeviceSpec] = {}
-    with open(path, encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                name, peak = line.split()
-                spec = DeviceSpec(name=name, peak_tflops=float(peak))
-            except ValueError as exc:
-                raise ConfigurationError(f"bad device line: {raw.rstrip()} ({exc})") from None
-            out[spec.name] = spec
+    for n, raw in enumerate(read_text(path, "ascii").split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            name, peak = line.split()
+            spec = DeviceSpec(name=name, peak_tflops=float(peak))
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{path}:{n}: bad device line: {raw.rstrip()} ({exc})") from None
+        out[spec.name] = spec
     return out

@@ -126,7 +126,11 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
-    return parse_run_config(read_text(path))
+    text = read_text(path)
+    try:
+        return parse_run_config(text)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def render_run_config(cfg: RunConfig) -> str:
@@ -174,19 +178,10 @@ PRESETS: dict[str, dict[str, str]] = {
         "train.schedule_kind": "cosine_decay",
         "train.ramp_end_fraction": "0.0",
     },
-    "minimal_arch": {
-        "model.embedding_kind": "learned",
-        "model.ffn_kind": "gelu",
-        "model.qkv_bias": "true",
-        "model.linear_bias": "true",
-        "model.decoder_bias": "true",
-        "model.nonlinear_head": "true",
-        "model.final_norm": "false",
-        "model.norm_placement": "pre",
-        "model.sparse_prediction": "true",
-        "model.layer_norm_eps": "1e-6",
-    },
 }
+# original_arch with pre-norm, sparse prediction and a smaller epsilon.
+PRESETS["minimal_arch"] = {**PRESETS["original_arch"], "model.norm_placement": "pre",
+                           "model.sparse_prediction": "true", "model.layer_norm_eps": "1e-6"}
 
 for _p in (12, 13, 14, 15, 16):
     PRESETS[f"vocab_{2 ** _p}"] = {

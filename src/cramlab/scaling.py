@@ -41,15 +41,16 @@ class ShiftEstimate:
     residual: float
 
 
-def _curve_arrays(curve) -> tuple[np.ndarray, np.ndarray]:
+def _window(curve, burn_in) -> tuple[np.ndarray, np.ndarray, float]:
+    """(tokens, losses, burn_in) of a LossCurve or a (tokens, losses)
+    pair, sorted by tokens, from burn_in tokens on (default: 10% of the
+    largest token count)."""
     if hasattr(curve, "tokens"):
-        return curve.tokens(), curve.losses()
-    tokens, losses = curve
-    return (np.asarray(tokens, dtype=np.float64),
-            np.asarray(losses, dtype=np.float64))
-
-
-def _apply_burn_in(tokens, losses, burn_in):
+        tokens, losses = curve.tokens(), curve.losses()
+    else:
+        tokens, losses = (np.asarray(x, dtype=np.float64) for x in curve)
+    order = np.argsort(tokens)
+    tokens, losses = tokens[order], losses[order]
     if burn_in is None:
         burn_in = 0.1 * float(tokens.max()) if tokens.size else 0.0
     keep = tokens >= burn_in
@@ -86,10 +87,7 @@ def fit_power_law(curve, burn_in: float | None = None) -> PowerLawFit:
     linear-space RMS with the closed-form nonnegative (a, c) of each
     gridpoint (see _nonnegative_fits); the first of equal minima wins.
     The grid is taken in blocks of FIT_BLOCK elements."""
-    tokens, losses = _curve_arrays(curve)
-    order = np.argsort(tokens)
-    tokens, losses = tokens[order], losses[order]
-    n, L, burn_in = _apply_burn_in(tokens, losses, burn_in)
+    n, L, burn_in = _window(curve, burn_in)
     if n.size < 10:
         raise AnalysisError(f"need at least 10 points beyond burn-in, have {n.size}")
     if (n <= 0).any() or (L <= 0).any():
@@ -117,10 +115,7 @@ def fit_power_law(curve, burn_in: float | None = None) -> PowerLawFit:
 
 def _monotone_log_curve(curve, burn_in):
     """(log tokens, running-min losses) beyond burn-in, ready for interp."""
-    tokens, losses = _curve_arrays(curve)
-    order = np.argsort(tokens)
-    tokens, losses = tokens[order], losses[order]
-    tokens, losses, _ = _apply_burn_in(tokens, losses, burn_in)
+    tokens, losses, _ = _window(curve, burn_in)
     if tokens.size < 2:
         raise AnalysisError("curve too short beyond burn-in")
     if (tokens <= 0).any():

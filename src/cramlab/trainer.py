@@ -14,6 +14,12 @@ evaluation runs without dropout.
 All randomness flows through one seeded generator, so a fixed (seed,
 config, data) triple reproduces runs bit for bit in step-budget mode.
 
+One update rule serves pretraining and finetuning: _update zeroes the
+gradients, backpropagates each of a step's n batches at 1/n, refuses a
+non-finite mean loss, clips the global gradient norm and takes one Adam
+step. Each completed pretraining step makes one CurvePoint, kept every
+curve_interval steps and as the closing point.
+
 Divergence handling: the pretraining steps run with the per-op
 finiteness guard off. A non-finite step loss or gradient norm, both
 checked before the optimizer update, aborts the run; the failed step's
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import Field, dataclass, field, fields, make_dataclass
+from dataclasses import Field, dataclass, fields, make_dataclass
 from typing import get_type_hints
 
 import numpy as np
@@ -440,6 +446,26 @@ class PretrainResult:
         return self.abort_reason is not None
 
 
+def _update(params: dict[str, Tensor], state: AdamState, lr: float, cfg: OptimizerConfig,
+            loss_of, batches) -> float:
+    """One optimizer step over the mean of loss_of(batch), which it
+    returns. A non-finite mean or gradient norm raises
+    FloatingPointError before adam_step touches the parameters."""
+    for p in params.values():
+        p.zero_grad()
+    mean = 0.0
+    for batch in batches:
+        with Tape() as tape:
+            loss = loss_of(batch)
+            tape.backward(mul(loss, 1.0 / len(batches)))
+        mean += loss.item() / len(batches)
+    if not math.isfinite(mean):
+        raise FloatingPointError("non-finite training loss")
+    clip_gradients((p.grad for p in params.values()), cfg.clip_norm)
+    adam_step(params, state, lr, cfg, Model.decay_exempt)
+    return mean
+
+
 def planned_samples(schedule: ScheduleConfig, ramp: BatchRampConfig) -> int:
     """Sequences an uninterrupted step-budget run would consume."""
     total = 0
@@ -483,11 +509,8 @@ def pretrain(
 
     start = time.monotonic()
     seqs = dataset.sequences
-    vocab_size = dataset.vocab_size
-    train_rate = model.config.dropout_rate
     cursor = 0
     step = 0
-    tokens = 0
     abort_reason = None
 
     def elapsed() -> float:
@@ -499,13 +522,14 @@ def pretrain(
     def curve_seconds() -> float:
         return elapsed() if wallclock_mode else 0.0
 
-    def masked_loss(rows: np.ndarray, gen: np.random.Generator,
-                    dropout_rate: float = 0.0) -> Tensor:
+    def micro_batch_loss(row: int, gen: np.random.Generator = rng,
+                         dropout_rate: float = model.config.dropout_rate) -> Tensor:
         # gen draws the masking, then the dropout masks.
-        inputs, positions, labels = mask_batch(rows, masking, gen, vocab_size)
+        batch = seqs[row:row + ramp.micro_batch]
+        inputs, positions, labels = mask_batch(batch, masking, gen, dataset.vocab_size)
         return model.loss(inputs, positions, labels, dropout_rate=dropout_rate, rng=gen)
 
-    def failing_op(step_cursor: int, rng_state: dict) -> str | None:
+    def failing_op(rows: range, rng_state: dict) -> str | None:
         """Replay the failed step's micro-batch forwards (same rows, same
         masking and dropout draws, the step's starting parameters) with
         the op guard on. Returns the guard's message naming the first op
@@ -513,14 +537,14 @@ def pretrain(
         rng.bit_generator.state = rng_state
         set_finite_checks(True)
         try:
-            for row in range(step_cursor, cursor, ramp.micro_batch):
-                masked_loss(seqs[row:row + ramp.micro_batch], rng, train_rate)
+            for row in rows:
+                micro_batch_loss(row)
         except FloatingPointError as exc:
             return str(exc)
         return None
 
     if sched.total_steps > 0:
-        step0_loss = masked_loss(seqs[:ramp.micro_batch], eval_rng).item()
+        step0_loss = micro_batch_loss(0, eval_rng, 0.0).item()
         curve.append(CurvePoint(0, 0, 0.0, step0_loss, curve_seconds()))
 
     # Steps run with the per-op guard off: the step-loss check and
@@ -532,41 +556,26 @@ def pretrain(
     try:
         while (now := progress()) < sched.total_steps:
             acc = accumulation_at(now, ramp, sched.total_steps)
-            if cursor + acc * ramp.micro_batch > seqs.shape[0]:
+            rows = range(cursor, cursor + acc * ramp.micro_batch, ramp.micro_batch)
+            if rows.stop > seqs.shape[0]:
                 break  # single epoch: not enough rows for a full step
-            model.zero_grads()
-            step_cursor, step_rng_state = cursor, rng.bit_generator.state
-            step_loss = 0.0
-            for _ in range(acc):
-                rows = seqs[cursor:cursor + ramp.micro_batch]
-                cursor += ramp.micro_batch
-                with Tape() as tape:
-                    loss = masked_loss(rows, rng, train_rate)
-                    tape.backward(mul(loss, 1.0 / acc))
-                step_loss += loss.item() / acc
-            if not math.isfinite(step_loss):
-                raise FloatingPointError("non-finite training loss")
-            clip_gradients(
-                (p.grad for p in model.params.values()), optimizer.clip_norm
-            )
             lr = lr_at(now, sched)
-            adam_step(model.params, state, lr, optimizer, Model.decay_exempt)
-            step += 1
-            tokens += (cursor - step_cursor) * seqs.shape[1]
+            rng_state = rng.bit_generator.state
+            loss = _update(model.params, state, lr, optimizer, micro_batch_loss, rows)
+            step, cursor = step + 1, rows.stop
+            point = CurvePoint(step, cursor * seqs.shape[1], lr, loss, curve_seconds())
             if step % curve_interval == 0:
-                curve.append(CurvePoint(step, tokens, lr, step_loss, curve_seconds()))
-            last_loss = step_loss
-            last_lr = lr
+                curve.append(point)
     except FloatingPointError as exc:
         # Both checks run before adam_step, so the parameters still hold
         # the last completed step's values, which the replay starts from.
-        reason = failing_op(step_cursor, step_rng_state) or str(exc)
+        reason = failing_op(rows, rng_state) or str(exc)
         abort_reason = f"{reason} at step {step + 1}"
     finally:
         np.seterr(**err_state)
         set_finite_checks(checks_state)
-    if step > 0 and step % curve_interval != 0:
-        curve.append(CurvePoint(step, tokens, last_lr, last_loss, curve_seconds()))
+    if step % curve_interval:
+        curve.append(point)  # the last completed step, off the interval
     return PretrainResult(curve, abort_reason)
 
 
@@ -584,7 +593,7 @@ class TaskExample:
 def load_task(path: str) -> list[TaskExample]:
     """Tab-separated rows: text[<tab>text2]<tab>label."""
     examples: list[TaskExample] = []
-    for line in read_text(path).split("\n"):
+    for n, line in enumerate(read_text(path).split("\n"), 1):
         if not line.strip():
             continue
         cols = line.split("\t")
@@ -593,7 +602,7 @@ def load_task(path: str) -> list[TaskExample]:
         elif len(cols) == 3:
             examples.append(TaskExample(cols[0], cols[1], cols[2]))
         else:
-            raise ConfigurationError(f"task row needs 2 or 3 columns: {line!r}")
+            raise ConfigurationError(f"{path}:{n}: task row needs 2 or 3 columns: {line!r}")
     return examples
 
 
@@ -615,9 +624,6 @@ def encode_task_batch(
 class FinetuneMetrics:
     accuracy: float
     matthews: float
-    n_train: int
-    n_eval: int
-    label_names: list[str] = field(default_factory=list)
 
 
 def matthews_correlation(true_ids: np.ndarray, pred_ids: np.ndarray, n_classes: int) -> float:
@@ -675,9 +681,7 @@ def finetune(
                     requires_grad=True, name="cls_head_w")
     head_b = Tensor(np.zeros(n_classes, model.dtype), requires_grad=True,
                     name="cls_head_b")
-    trainable = dict(model.params)
-    trainable["cls_head_w"] = head_w
-    trainable["cls_head_b"] = head_b
+    trainable = {**model.params, "cls_head_w": head_w, "cls_head_b": head_b}
 
     x_train = encode_task_batch(wp, train_examples, cfg.seq_len)
     y_train = np.asarray([label_id[ex.label] for ex in train_examples], dtype=np.int64)
@@ -700,20 +704,16 @@ def finetune(
         cls_h = dropout(gather_rows(flat, np.arange(B) * S), rate, rng)
         return matmul(cls_h, head_w, head_b)
 
+    def batch_loss(rows: np.ndarray) -> Tensor:
+        logits = class_logits(x_train[rows], train_mode=True)
+        return cross_entropy_from_logits(logits, y_train[rows])
+
     step = 0
     for _ in range(protocol.epochs):
         order = rng.permutation(n)
         for b in range(batches_per_epoch):
             rows = order[b * bs:(b + 1) * bs]
-            for p in trainable.values():
-                p.zero_grad()
-            with Tape() as tape:
-                logits = class_logits(x_train[rows], train_mode=True)
-                loss = cross_entropy_from_logits(logits, y_train[rows])
-                tape.backward(loss)
-            clip_gradients((p.grad for p in trainable.values()), optimizer.clip_norm)
-            lr = lr_at(step, sched)
-            adam_step(trainable, state, lr, optimizer, Model.decay_exempt)
+            _update(trainable, state, lr_at(step, sched), optimizer, batch_loss, [rows])
             step += 1
 
     x_eval = encode_task_batch(wp, eval_examples, cfg.seq_len)
@@ -722,11 +722,5 @@ def finetune(
     for b in range(0, len(eval_examples), 64):
         logits = class_logits(x_eval[b:b + 64], train_mode=False)
         preds[b:b + 64] = np.argmax(logits.data, axis=1)
-    accuracy = float(np.mean(preds == y_eval))
-    return FinetuneMetrics(
-        accuracy=accuracy,
-        matthews=matthews_correlation(y_eval, preds, n_classes),
-        n_train=n,
-        n_eval=len(eval_examples),
-        label_names=labels,
-    )
+    return FinetuneMetrics(float(np.mean(preds == y_eval)),
+                           matthews_correlation(y_eval, preds, n_classes))

@@ -1,6 +1,7 @@
 """Budget accounting tests: the exaFLOP table arithmetic, the 6*N*D
 estimator and the memory estimate."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -143,8 +144,8 @@ def test_load_devices_custom_file(tmp_path):
 
 def test_load_devices_rejects_malformed_line(tmp_path):
     path = tmp_path / "devices.txt"
-    path.write_text("gpu 12 extra\n", encoding="ascii")
-    with pytest.raises(ConfigurationError):
+    path.write_text("# name  peak TFLOP/s\ngpu 12 extra\n", encoding="ascii")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}:2: bad device line"):
         load_devices(str(path))
 
 

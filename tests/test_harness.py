@@ -1056,6 +1056,7 @@ def test_cli_fit_scaling(finished_run, tmp_path, capsys):
 # The readers of the text files the CLI is given, each with its encoding.
 TEXT_READERS = {
     "curve": (LossCurve.from_csv, "ascii"),
+    "devices": (budget.load_devices, "ascii"),
     "manifest": (ckpt.load_checkpoint, "ascii"),
     "vocab": (Vocab.load, "ascii"),
     "task": (load_task, "utf-8"),
@@ -1072,6 +1073,14 @@ def test_undecodable_byte_names_the_file_and_line(tmp_path, reader):
     with pytest.raises(ContractError) as info:
         read(str(path))
     assert str(info.value) == f"{path}:3: byte 0xe9 is not {encoding} text"
+
+
+def test_cli_config_error_names_the_file_and_line(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("train.seed = 1\ntrain.micro_batch = many\n", encoding="utf-8")
+    assert cli.main(["pretrain", "--config", str(config), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: {config}: line 2: train.micro_batch: not an integer: 'many'\n")
 
 
 def test_cli_malformed_run_files_are_runtime_errors(finished_run, prepared, task_path,

@@ -2,7 +2,9 @@
 ramp, Adam, the pretraining loop contract, and finetuning."""
 
 import dataclasses
+import hashlib
 import math
+import re
 import time
 import tracemalloc
 import types
@@ -19,7 +21,7 @@ from cramlab.corpus import PackedDataset, TokenizedEntry, load_dataset, pack, sa
 from cramlab.errors import ConfigurationError, ContractError
 from cramlab.harness import write_text_atomic
 from cramlab.model import Model, ModelConfig, build
-from cramlab.tensor import STREAM_BLOCK, Tape, Tensor, add, mul, set_finite_checks
+from cramlab.tensor import STREAM_BLOCK, Tape, Tensor, add, mul, set_finite_checks, tsum
 from cramlab.tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID
 from cramlab.trainer import (
     AdamState,
@@ -397,6 +399,29 @@ def test_recipe_configs_are_frozen_values(config):
     for f in dataclasses.fields(config):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(config, f.name, getattr(config, f.name))
+
+
+def test_update_takes_the_mean_of_its_batches():
+    # Batches weighting one parameter by 1 and 3: the step's loss and
+    # gradient are their means, over a stale gradient zeroed first.
+    w = Tensor(np.ones(3, np.float32), requires_grad=True, name="w")
+    w.grad = np.full(3, 5.0, np.float32)
+    loss = trainer_module._update({"w": w}, AdamState(), 0.1, OptimizerConfig(clip_norm=None),
+                                  lambda c: tsum(mul(w, c)), [1.0, 3.0])
+    assert loss == 6.0
+    assert w.grad.tolist() == [2.0, 2.0, 2.0]
+    assert (w.data < 1.0).all()
+
+
+def test_update_refuses_a_non_finite_loss_before_the_parameters_change(monkeypatch):
+    # An infinite loss with a finite gradient, and no op guard: only the
+    # loss check sees it.
+    monkeypatch.setattr(tensor, "_finite_checks", False)
+    w = Tensor(np.ones(3, np.float32), requires_grad=True, name="w")
+    with pytest.raises(FloatingPointError, match="non-finite training loss"):
+        trainer_module._update({"w": w}, AdamState(), 0.1, OptimizerConfig(),
+                               lambda _: add(tsum(w), math.inf), [None])
+    assert w.data.tolist() == [1.0, 1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +808,35 @@ def test_wallclock_schedule_ramp_and_stop_read_elapsed_seconds(monkeypatch):
     assert res.steps == len(starts)
 
 
+def test_aborted_wallclock_run_closes_at_its_last_step_time(monkeypatch):
+    # A fake clock advances 1 s per forward: the step-0 evaluation, each
+    # step's micro-batch and the guarded replay of the failed step. The
+    # closing point carries the time its own step completed, not the
+    # time after the failed step and its replay.
+    clock = [0.0]
+    loss = Model.loss
+
+    def ticking_loss(self, *args, **kwargs):
+        clock[0] += 1.0
+        return loss(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "loss", ticking_loss)
+    monkeypatch.setattr(trainer_module, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    runs = {}
+    for interval in (1, 1000):
+        clock[0] = 0.0
+        train = TrainSection(schedule_kind="constant", peak_lr=1e4, micro_batch=8,
+                             final_batch=8, weight_decay=0.5, budget_hours=1000 / 3600, seed=13)
+        runs[interval] = pretrain(tiny_model(seed=6), toy_dataset(n_rows=800), train,
+                                  curve_interval=interval)
+    every, closing = runs[1], runs[1000]
+    assert closing.aborted and 0 < closing.steps < 1000
+    last = closing.curve.points[-1]
+    assert last.seconds == 1.0 + last.step
+    assert [last] == every.curve.points[closing.steps:]
+    assert clock[0] == last.seconds + 2.0  # the failed step and its replay
+
+
 # ---------------------------------------------------------------------------
 # Task encoding and metrics
 
@@ -799,8 +853,8 @@ def test_load_task_parses_two_and_three_columns(tmp_path):
 
 def test_load_task_rejects_wrong_column_count(tmp_path):
     path = tmp_path / "bad.tsv"
-    path.write_text("a\tb\tc\td\n", encoding="utf-8")
-    with pytest.raises(ConfigurationError):
+    path.write_text("a\tcoast\n\na\tb\tc\td\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}:3: task row needs"):
         load_task(str(path))
 
 
@@ -880,8 +934,23 @@ def test_finetune_separates_two_constant_classes(wp_small, lexicon):
     )
     assert metrics.accuracy >= 0.9
     assert metrics.matthews >= 0.8
-    assert metrics.label_names == ["alpha", "beta"]
-    assert metrics.n_train == 32 and metrics.n_eval == 32
+
+
+def test_finetune_bytes_are_pinned(wp_small, lexicon, small_corpus):
+    # Two epochs over 96 corpus sentences, each led by its class's word
+    # and cut to three more words, with the protocol's dropout; the pin
+    # holds the accuracy and every finetuned parameter's bytes.
+    words = pick_separable_words(wp_small, lexicon)
+    train = [TaskExample(" ".join([words[i % 2], *s.split()[:3]]), None, ("alpha", "beta")[i % 2])
+             for i, s in enumerate(small_corpus[:96])]
+    model = tiny_model(seed=10, vocab_size=len(wp_small.vocab))
+    metrics = finetune(model, wp_small, train,
+                       FinetuneProtocol(epochs=2, batch_size=8, lr=1e-2), seed=3)
+    digest = hashlib.sha256()
+    for p in model.params.values():
+        digest.update(p.data.tobytes())
+    assert metrics.accuracy == 95 / 96
+    assert digest.hexdigest()[:16] == "a47233fa79bf40e2"
 
 
 def test_finetune_validation_errors(wp_small):
@@ -898,6 +967,17 @@ def test_finetune_validation_errors(wp_small):
     # An empty eval set has no accuracy to report.
     with pytest.raises(ConfigurationError, match="empty eval task"):
         finetune(model, wp_small, train, FinetuneProtocol(), eval_examples=[])
+
+
+def test_finetune_refuses_a_non_finite_loss(wp_small, monkeypatch):
+    # finetune steps through pretraining's update, finite-loss check included.
+    monkeypatch.setattr(tensor, "_finite_checks", False)
+    monkeypatch.setattr(trainer_module, "cross_entropy_from_logits",
+                        lambda logits, labels: add(tsum(logits), math.inf))
+    model = tiny_model(seed=11, vocab_size=len(wp_small.vocab))
+    train = [TaskExample("misty", None, "a"), TaskExample("harbor", None, "b")]
+    with pytest.raises(FloatingPointError, match="non-finite training loss"):
+        finetune(model, wp_small, train, FinetuneProtocol())
 
 
 @pytest.mark.parametrize("extra", [-8, 8])
