@@ -20,10 +20,18 @@ from the same corpus, encoded with the prepared vocabulary, and prints
 the workload, the seed, the sha256 prefix of the finetuned parameters
 and the repr of the accuracy.
 
+It also drives one run per workload and seed into divergence: run_pretrain
+on the same config and data with DIVERGE's overrides, and, for each
+workload with a finetuning line, finetune of that seed's checkpoint on
+the same task at FinetuneProtocol(epochs=1, lr=1e25). Each prints the
+workload (with /finetune appended for finetuning), the seed, the sha256
+prefix of the parameters the run left, the steps it completed and its
+abort message with spaces turned into _ (none if it finished).
+
 The second form reads such outputs and prints a markdown table each of
-the training, the preparation and the finetuning lines. Given a second
-output, from the base tree, each table gains its values beside them and
-a column that says whether each run's bytes are the same.
+the training, the preparation, the finetuning and the diverging lines.
+Given a second output, from the base tree, each table gains its values
+beside them and a column that says whether each run's bytes are the same.
 """
 
 import hashlib
@@ -39,13 +47,27 @@ SEEDS = (1, 3)
 # of fields names its table.
 TABLES = ((("curve", "manifest", "blob", "config", "report"), ("final_loss",)),
           (("prepare key", "vocab", "data", "stats"), ()),
-          (("finetuned params",), ("accuracy",)))
+          (("finetuned params",), ("accuracy",)),
+          (("params",), ("steps", "abort")))
 TASK_ROWS = 64
+# A constant learning rate this large overflows float32 within two steps.
+DIVERGE = {"train.schedule_kind": "constant", "train.peak_lr": "1e25"}
 
 
 def sha256_prefix(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
+def params_prefix(model) -> str:
+    digest = hashlib.sha256()
+    for p in model.params.values():
+        digest.update(p.data.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def abort_field(reason: str | None) -> str:
+    return "none" if reason is None else reason.replace(" ", "_")
 
 
 def two_class_task(corpus: str, seed: int) -> list[tuple[str, str]]:
@@ -65,7 +87,9 @@ def digest_lines(tree: str) -> list[str]:
     sys.path[:0] = [src, os.path.join(tree, "cramlab_bench")]
     import cramlab
     import workloads
+    from cramlab import trainer
     from cramlab.checkpoint import blob_path
+    from cramlab.config import apply_overrides
     from cramlab.harness import prepare, run_pretrain
     from cramlab.model import Model
     from cramlab.tokenizer import Vocab, WordPieceModel
@@ -73,7 +97,7 @@ def digest_lines(tree: str) -> list[str]:
 
     if not os.path.abspath(cramlab.__file__).startswith(src + os.sep):
         raise SystemExit(f"cramlab was imported from {cramlab.__file__}, not from {src}")
-    tables = ([], [], [])
+    tables = ([], [], [], [])
     for name, workload in sorted(workloads.WORKLOADS.items()):
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as work:
@@ -84,6 +108,11 @@ def digest_lines(tree: str) -> list[str]:
                          art.config_path, art.report_path)
                 digests = " ".join(sha256_prefix(p) for p in paths)
                 tables[0].append(f"{name} {seed} {digests} {res.curve.points[-1].loss!r}")
+                art_d, res_d = run_pretrain(apply_overrides(workload.config(seed), DIVERGE),
+                                            os.path.join(work, "diverge"), data=data)
+                diverged = Model.load(art_d.checkpoint_path)
+                tables[3].append(f"{name} {seed} {params_prefix(diverged)} {res_d.steps} "
+                                 f"{abort_field(res_d.abort_reason)}")
                 if workload.prepare is None:
                     continue
                 prep_cfg = workload.prepare.config(seed)
@@ -98,10 +127,19 @@ def digest_lines(tree: str) -> list[str]:
                 task = [TaskExample(text, None, label)
                         for text, label in two_class_task(corpus, seed)]
                 metrics = finetune(model, wp, task, FinetuneProtocol(epochs=1), seed=seed)
-                params = hashlib.sha256()
-                for p in model.params.values():
-                    params.update(p.data.tobytes())
-                tables[2].append(f"{name} {seed} {params.hexdigest()[:16]} {metrics.accuracy!r}")
+                tables[2].append(f"{name} {seed} {params_prefix(model)} {metrics.accuracy!r}")
+                # adam_step runs once per completed step, so wrapping it counts them.
+                model, steps, reason = Model.load(art.checkpoint_path), [], None
+                adam_step = trainer.adam_step
+                trainer.adam_step = lambda *args: steps.append(1) or adam_step(*args)
+                try:
+                    finetune(model, wp, task, FinetuneProtocol(epochs=1, lr=1e25), seed=seed)
+                except FloatingPointError as exc:
+                    reason = str(exc)
+                finally:
+                    trainer.adam_step = adam_step
+                tables[3].append(f"{name}/finetune {seed} {params_prefix(model)} {len(steps)} "
+                                 f"{abort_field(reason)}")
     return [line for table in tables for line in table]
 
 

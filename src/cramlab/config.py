@@ -66,6 +66,8 @@ class RunConfig:
         self.pipeline.validate()
         self.model.validate()
         self.train.validate()
+        if self.tokenizer.max_chars_per_word < 1:
+            raise ConfigurationError("tokenizer.max_chars_per_word must be positive")
         if self.report.curve_interval < 1:
             raise ConfigurationError("report.curve_interval must be positive")
         if self.tokenizer.vocab_size != self.model.vocab_size:

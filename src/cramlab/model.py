@@ -67,6 +67,8 @@ class ModelConfig:
             raise ConfigurationError("hidden_dim must be even for sinusoidal tables")
         if self.ffn_kind not in FFN_KINDS:
             raise ConfigurationError(f"unknown ffn_kind {self.ffn_kind!r}")
+        if self.ffn_dim < 1:
+            raise ConfigurationError("ffn_dim must be positive")
         if self.ffn_kind == "glu_gelu" and self.ffn_dim % 2:
             raise ConfigurationError("glu_gelu requires even ffn_dim")
         if self.norm_placement not in NORM_PLACEMENTS:

@@ -96,10 +96,10 @@ _F32_SQRT_HALF = np.float32(math.sqrt(0.5))
 
 # Non-finite op outputs raise FloatingPointError immediately, naming the
 # op, instead of propagating NaN. The check is on by default for direct
-# use and finetuning. Pretraining turns it off for its steps, which
-# check the loss and gradient norm once per step instead, and turns it
-# back on to replay a failed step and name the op; oracles may disable
-# it around intentional overflow probes.
+# use and evaluation. Every optimizer step (trainer._update) turns it
+# off, checks the loss and gradient norm once instead, and turns it back
+# on to replay a failed step and name the op; oracles may disable it
+# around intentional overflow probes.
 _finite_checks = True
 
 

@@ -20,12 +20,12 @@ non-finite mean loss, clips the global gradient norm and takes one Adam
 step. Each completed pretraining step makes one CurvePoint, kept every
 curve_interval steps and as the closing point.
 
-Divergence handling: the pretraining steps run with the per-op
-finiteness guard off. A non-finite step loss or gradient norm, both
-checked before the optimizer update, aborts the run; the failed step's
-micro-batch forwards are then replayed with the guard on, so the abort
-reason names the op that first produced a non-finite value. The failed
-step never reaches the parameters, so the run keeps its last completed step.
+Divergence handling, one rule for every optimizer step: _update runs it
+with the per-op finiteness guard off and checks the step loss and the
+gradient norm before the Adam update. A non-finite one aborts the step,
+whose forwards are replayed with the guard on from the same generator
+state, so the error names the op that first produced a non-finite value.
+A failed step never reaches the parameters.
 """
 
 from __future__ import annotations
@@ -210,6 +210,8 @@ class LossCurve:
             self.append(p)
 
     def append(self, point: CurvePoint) -> None:
+        if not all(map(math.isfinite, (point.lr, point.loss, point.seconds))):
+            raise ContractError("curve lr, loss and seconds must be finite")
         if self.points:
             last = self.points[-1]
             if point.tokens <= last.tokens:
@@ -246,7 +248,7 @@ class LossCurve:
                 curve.append(CurvePoint(int(s), int(t), float(lr), float(loss), float(sec)))
             except ValueError:
                 raise ContractError(f"{path}:{n}: malformed curve row {ln!r}") from None
-            except ContractError as exc:  # out of order
+            except ContractError as exc:  # out of order or non-finite
                 raise ContractError(f"{path}:{n}: {exc}") from None
         return curve
 
@@ -447,21 +449,37 @@ class PretrainResult:
 
 
 def _update(params: dict[str, Tensor], state: AdamState, lr: float, cfg: OptimizerConfig,
-            loss_of, batches) -> float:
+            loss_of, batches, rng: np.random.Generator) -> float:
     """One optimizer step over the mean of loss_of(batch), which it
-    returns. A non-finite mean or gradient norm raises
-    FloatingPointError before adam_step touches the parameters."""
-    for p in params.values():
-        p.zero_grad()
-    mean = 0.0
-    for batch in batches:
-        with Tape() as tape:
-            loss = loss_of(batch)
-            tape.backward(mul(loss, 1.0 / len(batches)))
-        mean += loss.item() / len(batches)
-    if not math.isfinite(mean):
-        raise FloatingPointError("non-finite training loss")
-    clip_gradients((p.grad for p in params.values()), cfg.clip_norm)
+    returns, run with the per-op guard and numpy's float warnings off.
+    A non-finite mean or gradient norm raises before adam_step; the
+    batches are then replayed from rng's saved state with the guard on,
+    outside any tape, so the error names the first non-finite op, or is
+    the step check's own when every op output is finite."""
+    rng_state = rng.bit_generator.state
+    checks_state = set_finite_checks(False)
+    err_state = np.seterr(over="ignore", invalid="ignore", divide="ignore")
+    try:
+        for p in params.values():
+            p.zero_grad()
+        mean = 0.0
+        for batch in batches:
+            with Tape() as tape:
+                loss = loss_of(batch)
+                tape.backward(mul(loss, 1.0 / len(batches)))
+            mean += loss.item() / len(batches)
+        if not math.isfinite(mean):
+            raise FloatingPointError("non-finite training loss")
+        clip_gradients((p.grad for p in params.values()), cfg.clip_norm)
+    except FloatingPointError:
+        rng.bit_generator.state = rng_state
+        set_finite_checks(True)
+        for batch in batches:
+            loss_of(batch)
+        raise
+    finally:
+        np.seterr(**err_state)
+        set_finite_checks(checks_state)
     adam_step(params, state, lr, cfg, Model.decay_exempt)
     return mean
 
@@ -529,30 +547,10 @@ def pretrain(
         inputs, positions, labels = mask_batch(batch, masking, gen, dataset.vocab_size)
         return model.loss(inputs, positions, labels, dropout_rate=dropout_rate, rng=gen)
 
-    def failing_op(rows: range, rng_state: dict) -> str | None:
-        """Replay the failed step's micro-batch forwards (same rows, same
-        masking and dropout draws, the step's starting parameters) with
-        the op guard on. Returns the guard's message naming the first op
-        with a non-finite output, or None when every op output is finite."""
-        rng.bit_generator.state = rng_state
-        set_finite_checks(True)
-        try:
-            for row in rows:
-                micro_batch_loss(row)
-        except FloatingPointError as exc:
-            return str(exc)
-        return None
-
     if sched.total_steps > 0:
         step0_loss = micro_batch_loss(0, eval_rng, 0.0).item()
         curve.append(CurvePoint(0, 0, 0.0, step0_loss, curve_seconds()))
 
-    # Steps run with the per-op guard off: the step-loss check and
-    # clip_gradients' norm catch a non-finite value once per step, and
-    # failing_op names its op only after a detection. numpy's own
-    # overflow warnings would just add noise.
-    checks_state = set_finite_checks(False)
-    err_state = np.seterr(over="ignore", invalid="ignore", divide="ignore")
     try:
         while (now := progress()) < sched.total_steps:
             acc = accumulation_at(now, ramp, sched.total_steps)
@@ -560,20 +558,13 @@ def pretrain(
             if rows.stop > seqs.shape[0]:
                 break  # single epoch: not enough rows for a full step
             lr = lr_at(now, sched)
-            rng_state = rng.bit_generator.state
-            loss = _update(model.params, state, lr, optimizer, micro_batch_loss, rows)
+            loss = _update(model.params, state, lr, optimizer, micro_batch_loss, rows, rng)
             step, cursor = step + 1, rows.stop
             point = CurvePoint(step, cursor * seqs.shape[1], lr, loss, curve_seconds())
             if step % curve_interval == 0:
                 curve.append(point)
     except FloatingPointError as exc:
-        # Both checks run before adam_step, so the parameters still hold
-        # the last completed step's values, which the replay starts from.
-        reason = failing_op(rows, rng_state) or str(exc)
-        abort_reason = f"{reason} at step {step + 1}"
-    finally:
-        np.seterr(**err_state)
-        set_finite_checks(checks_state)
+        abort_reason = f"{exc} at step {step + 1}"
     if step % curve_interval:
         curve.append(point)  # the last completed step, off the interval
     return PretrainResult(curve, abort_reason)
@@ -713,7 +704,7 @@ def finetune(
         order = rng.permutation(n)
         for b in range(batches_per_epoch):
             rows = order[b * bs:(b + 1) * bs]
-            _update(trainable, state, lr_at(step, sched), optimizer, batch_loss, [rows])
+            _update(trainable, state, lr_at(step, sched), optimizer, batch_loss, [rows], rng)
             step += 1
 
     x_eval = encode_task_batch(wp, eval_examples, cfg.seq_len)

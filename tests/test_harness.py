@@ -306,6 +306,15 @@ def test_validate_catches_cross_section_mismatches():
         cfg.validate()
 
 
+def test_validate_refuses_a_nonpositive_max_chars_per_word():
+    # Else prepare trains the whole vocabulary before WordPieceModel
+    # refuses it.
+    cfg = base_cfg()
+    cfg.tokenizer.max_chars_per_word = 0
+    with pytest.raises(ConfigurationError, match="tokenizer.max_chars_per_word must be positive"):
+        cfg.validate()
+
+
 def test_every_preset_applies_and_validates():
     for name, overrides in PRESETS.items():
         cfg = RunConfig()
@@ -601,7 +610,7 @@ def test_every_bias_fused_into_its_product_trains_bit_for_bit_like_separate_adds
 @pytest.mark.parametrize("preset", ["crammed", "original_arch"])
 def test_guard_off_steps_train_bit_for_bit_like_guarded_steps(prepared, tmp_path,
                                                               monkeypatch, preset):
-    # pretrain runs its steps with the per-op finiteness guard off; the
+    # Each optimizer step runs with the per-op finiteness guard off; the
     # guard only reads op outputs, so a run with it kept on throughout
     # must give the same curve and parameters.
     cfg = base_cfg()
@@ -614,7 +623,7 @@ def test_guard_off_steps_train_bit_for_bit_like_guarded_steps(prepared, tmp_path
     monkeypatch.setattr("cramlab.trainer.set_finite_checks",
                         lambda enabled: toggles.append(enabled) or True)
     guarded = _curve_and_blob(cfg, str(tmp_path / "guarded"), prepared)
-    assert toggles == [False, True]  # off for the steps, then restored
+    assert toggles == [False, True] * 4  # off for each step, then restored
     assert unguarded[0].count("\n") == 6  # header, steps 0-4
     assert guarded == unguarded
 

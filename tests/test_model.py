@@ -382,6 +382,7 @@ def test_encode_validates_batch():
     {"dropout_rate": 1.0},
     {"layer_norm_eps": 0.0},
     {"num_heads": 16, "hidden_dim": 16, "embedding_kind": "rotary"},
+    {"ffn_dim": -4},
 ])
 def test_config_validation_rejects(kw):
     with pytest.raises(ConfigurationError):

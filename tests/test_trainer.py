@@ -407,21 +407,46 @@ def test_update_takes_the_mean_of_its_batches():
     w = Tensor(np.ones(3, np.float32), requires_grad=True, name="w")
     w.grad = np.full(3, 5.0, np.float32)
     loss = trainer_module._update({"w": w}, AdamState(), 0.1, OptimizerConfig(clip_norm=None),
-                                  lambda c: tsum(mul(w, c)), [1.0, 3.0])
+                                  lambda c: tsum(mul(w, c)), [1.0, 3.0], np.random.default_rng(0))
     assert loss == 6.0
     assert w.grad.tolist() == [2.0, 2.0, 2.0]
     assert (w.data < 1.0).all()
 
 
-def test_update_refuses_a_non_finite_loss_before_the_parameters_change(monkeypatch):
-    # An infinite loss with a finite gradient, and no op guard: only the
-    # loss check sees it.
-    monkeypatch.setattr(tensor, "_finite_checks", False)
+def test_update_refuses_a_non_finite_loss_before_the_parameters_change():
+    # An infinite loss with a finite gradient on the step, and a finite
+    # replay: only the loss check sees it, and its own error is raised.
+    offsets = iter([math.inf, 0.0])
     w = Tensor(np.ones(3, np.float32), requires_grad=True, name="w")
     with pytest.raises(FloatingPointError, match="non-finite training loss"):
         trainer_module._update({"w": w}, AdamState(), 0.1, OptimizerConfig(),
-                               lambda _: add(tsum(w), math.inf), [None])
+                               lambda _: add(tsum(w), next(offsets)), [None],
+                               np.random.default_rng(0))
+    assert next(offsets, None) is None  # the step, then the replay
     assert w.data.tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("setting", [True, False])
+def test_update_restores_the_callers_guard_and_numpy_error_state(setting):
+    # The step runs with the guard and numpy's warnings off, and a failed
+    # step's replay with the guard on; the caller gets its own back.
+    w = Tensor(np.ones(3, np.float32), requires_grad=True, name="w")
+
+    def step(offset):
+        trainer_module._update({"w": w}, AdamState(), 0.1, OptimizerConfig(),
+                               lambda _: add(tsum(w), offset), [None], np.random.default_rng(0))
+
+    previous = set_finite_checks(setting)
+    try:
+        with np.errstate(over="raise", invalid="warn", divide="print", under="warn"):
+            caller = np.geterr()
+            step(0.0)
+            assert tensor._finite_checks is setting and np.geterr() == caller
+            with pytest.raises(FloatingPointError, match="produced by add"):
+                step(math.inf)
+            assert tensor._finite_checks is setting and np.geterr() == caller
+    finally:
+        set_finite_checks(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +509,17 @@ def test_curve_malformed_row_names_the_file_and_line(tmp_path, row):
     with pytest.raises(ContractError) as info:
         LossCurve.from_csv(str(path))
     assert str(info.value) == f"{path}:4: malformed curve row {row!r}"
+
+
+def test_curve_row_with_a_non_finite_value_names_the_file_and_line(tmp_path):
+    # A nan loss would otherwise load and fit_power_law would return a
+    # nan fit.
+    path = tmp_path / "curve.csv"
+    for row in ("4,512,nan,5.0,0.0", "4,512,0.001,nan,0.0", "4,512,0.001,5.0,inf"):
+        path.write_text(f"step,tokens,lr,loss,seconds\n0,0,0.0,6.0,0.0\n{row}\n")
+        with pytest.raises(ContractError) as info:
+            LossCurve.from_csv(str(path))
+        assert str(info.value) == f"{path}:3: curve lr, loss and seconds must be finite"
 
 
 # ---------------------------------------------------------------------------
@@ -953,6 +989,51 @@ def test_finetune_bytes_are_pinned(wp_small, lexicon, small_corpus):
     assert digest.hexdigest()[:16] == "a47233fa79bf40e2"
 
 
+def test_finetune_trains_bit_for_bit_with_the_op_guard_kept_on(wp_small, lexicon, small_corpus,
+                                                               monkeypatch):
+    # The steps run with the guard off; the guard only reads op outputs,
+    # so finetuning with it kept on throughout gives the same bytes.
+    words = pick_separable_words(wp_small, lexicon)
+    train = [TaskExample(" ".join([words[i % 2], *s.split()[:3]]), None, ("alpha", "beta")[i % 2])
+             for i, s in enumerate(small_corpus[:96])]
+
+    def finetuned_params() -> list[bytes]:
+        model = tiny_model(seed=10, vocab_size=len(wp_small.vocab))
+        finetune(model, wp_small, train, FinetuneProtocol(epochs=1, batch_size=8, lr=1e-2), seed=3)
+        return [p.data.tobytes() for p in model.params.values()]
+
+    unguarded = finetuned_params()
+    toggles = []
+    monkeypatch.setattr(trainer_module, "set_finite_checks",
+                        lambda enabled: toggles.append(enabled) or True)
+    assert finetuned_params() == unguarded
+    assert toggles == [False, True] * 12  # off for each step, then restored
+
+
+def test_finetune_divergence_replay_draws_the_failed_step_dropout_masks(wp_small, monkeypatch):
+    # As in pretraining, the guarded replay of a failed finetuning step
+    # draws the masks that step drew, so it runs the forward that failed.
+    draws = []
+    dropout = model_module.dropout
+
+    def recording_dropout(x, rate, rng):
+        if rate:  # evaluation draws nothing
+            draws.append((tensor._finite_checks, rng.bit_generator.state))
+        return dropout(x, rate, rng)
+
+    monkeypatch.setattr(model_module, "dropout", recording_dropout)
+    monkeypatch.setattr(trainer_module, "dropout", recording_dropout)
+    model = tiny_model(seed=11, vocab_size=len(wp_small.vocab))
+    train = [TaskExample(w, None, ("a", "b")[i % 2])
+             for i, w in enumerate(["misty", "harbor", "lantern", "meadow"])]
+    with pytest.raises(FloatingPointError, match="produced by"):
+        finetune(model, wp_small, train, FinetuneProtocol(epochs=1, batch_size=1, lr=1e25))
+    steps = [state for guarded, state in draws if not guarded]
+    replay = [state for guarded, state in draws if guarded]
+    assert len(steps) % 6 == 0  # the embedding, two per block and the <cls> row
+    assert replay and replay == steps[len(steps) - 6:][:len(replay)]
+
+
 def test_finetune_validation_errors(wp_small):
     model = tiny_model(seed=11, vocab_size=len(wp_small.vocab))
     with pytest.raises(ConfigurationError):
@@ -970,14 +1051,17 @@ def test_finetune_validation_errors(wp_small):
 
 
 def test_finetune_refuses_a_non_finite_loss(wp_small, monkeypatch):
-    # finetune steps through pretraining's update, finite-loss check included.
-    monkeypatch.setattr(tensor, "_finite_checks", False)
+    # finetune steps through pretraining's update: the loss check fires,
+    # the guarded replay names the op, and the parameters stay as loaded.
     monkeypatch.setattr(trainer_module, "cross_entropy_from_logits",
                         lambda logits, labels: add(tsum(logits), math.inf))
     model = tiny_model(seed=11, vocab_size=len(wp_small.vocab))
+    loaded = [p.data.copy() for p in model.params.values()]
     train = [TaskExample("misty", None, "a"), TaskExample("harbor", None, "b")]
-    with pytest.raises(FloatingPointError, match="non-finite training loss"):
+    with pytest.raises(FloatingPointError, match="produced by add"):
         finetune(model, wp_small, train, FinetuneProtocol())
+    for p, q in zip(model.params.values(), loaded):
+        assert np.array_equal(p.data, q)
 
 
 @pytest.mark.parametrize("extra", [-8, 8])
