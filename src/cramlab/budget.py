@@ -55,44 +55,53 @@ def _activation_floats(config: ModelConfig, mask_rate: float) -> int:
 
     Counts the buffers each op keeps for backward at the end of the
     forward pass (the tape frees them as backward proceeds), plus the
-    loss head's and the top block's FFN backward temporaries. Checked
+    loss head's and the top block's backward temporaries. Checked
     against tracemalloc peaks of whole runs in tests/test_budget.py.
     """
-    S, d, f, H, V = (config.seq_len, config.hidden_dim, config.ffn_dim,
-                     config.num_heads, config.vocab_size)
+    S, d, f, H, V, L = (config.seq_len, config.hidden_dim, config.ffn_dim,
+                        config.num_heads, config.vocab_size, config.num_layers)
+    masked = math.ceil(mask_rate * S)
+    # Sparse prediction gathers the masked rows after the last block's
+    # attention sublayer, so that block's FFN sublayer, the final norm
+    # and the head run on those rows only.
+    top = masked if config.sparse_prediction else S
     # Only inputs that some backward reads are kept: a sum, a sublayer's
     # output projection or a dropout output that feeds only an add or a
     # norm is freed once the forward has moved past it. A norm or GELU
     # output that feeds a product is rebuilt in the product's backward,
     # so it is not kept either.
     dropout = config.dropout_rate > 0
-    # Per block: norms keep x-hat, q/k/v their products (attention builds
-    # its per-head views from them), then the context, and each dropout
-    # its mask. A bias is added into its product, so it keeps no buffer
-    # of its own.
-    per_sd = 6 + 2 * dropout
-    # The FFN input projection, plus Phi (half width for the gated unit).
-    per_sf = 1.5 if config.ffn_kind == "glu_gelu" else 2.0
-    # Attention's per-row score max and sum, one each per head; backward
-    # recomputes the probabilities from them.
-    per_sh = 2 * H
-    blocks = config.num_layers * S * (per_sd * d + per_sf * f + per_sh)
-    # The embedding and final norms' x-hat, and the embedding dropout's
-    # mask and output (post-norm, the first block's q/k/v keep it).
-    embed_sd = config.embedding_norm + config.final_norm + 2 * dropout
-    masked = math.ceil(mask_rate * S)
-    rows = masked if config.sparse_prediction else S
-    # The gathered rows a sparse head reads, and a nonlinear head's
-    # projection, Phi and norm x-hat.
-    head = rows * d * (config.sparse_prediction + 3 * config.nonlinear_head)
+    # The attention sublayer: its norm's x-hat, q/k/v (attention builds
+    # its per-head views from them), then the context, and its dropout's
+    # mask; attention's per-row score max and sum, one each per head
+    # (backward recomputes the probabilities from them). A bias is added
+    # into its product, so it keeps no buffer of its own.
+    attn = S * ((5 + dropout) * d + 2 * H)
+    # The FFN sublayer: its norm's x-hat and dropout mask, the input
+    # projection and Phi (half width for the gated unit).
+    ffn = (1 + dropout) * d + (1.5 if config.ffn_kind == "glu_gelu" else 2.0) * f
+    blocks = L * attn + ((L - 1) * S + top if L else 0) * ffn
+    # The embedding norm's x-hat and the embedding dropout's mask and
+    # output (post-norm, the first block's q/k/v keep it), and the final
+    # norm's x-hat.
+    embed = S * d * (config.embedding_norm + 2 * dropout) + top * d * config.final_norm
+    # The un-normed rows a sparse model keeps: post-norm, the gathered
+    # rows the last FFN's input projection reads; without a final norm,
+    # the last residual sum the decoder reads. A nonlinear head keeps
+    # its projection, Phi and norm x-hat.
+    kept = config.sparse_prediction and (config.norm_placement == "post"
+                                         or not config.final_norm)
+    head = top * d * (kept + 3 * config.nonlinear_head)
     # Only masked rows are decoded, into one logits buffer that the
     # fused loss exponentiates in place and backward turns into their
     # gradient.
     head += masked * V
     # The backward pass of the top block runs while its inputs still
-    # live: two gradient buffers of FFN width. Attention's backward
-    # scratch is one row block per run, counted in memory_estimate.
-    return math.ceil(blocks + S * d * embed_sd + head + 2 * S * f)
+    # live: the larger of its FFN's two gradient buffers of FFN width
+    # and its attention's q, k and v gradients (which outweigh the FFN's
+    # at the masked rows). Attention's backward scratch is one row block
+    # per run, counted in memory_estimate.
+    return math.ceil(blocks + embed + head + max(2 * top * f, 3 * S * d))
 
 
 def memory_estimate(config: ModelConfig, micro_batch: int, mask_rate: float) -> int:

@@ -205,7 +205,8 @@ def run_ablation(
     task_seeds: int = 1,
 ) -> tuple[list[AblationRow], str]:
     """Run one pretraining per row, all sharing the base seed and
-    budget. Rows that abort are marked failed; the rest still run.
+    budget. Rows whose pretraining aborts, or whose finetuning on the
+    task diverges, are marked failed; the rest still run.
 
     Every row passes check_run, and the run directories and the seed
     count are checked, up front, so a typo, a row that cannot fit in
@@ -237,11 +238,15 @@ def run_ablation(
             status="failed" if res.aborted else "ok",
         )
         if task_path is not None and not res.aborted:
-            runs = finetune_seeds(
-                art.checkpoint_path, data.vocab_path,
-                task_path, FinetuneProtocol(), task_seeds,
-                max_chars_per_word=cfg.tokenizer.max_chars_per_word)
-            row.task_metric = float(statistics.median(m.accuracy for m in runs))
+            try:
+                runs = finetune_seeds(
+                    art.checkpoint_path, data.vocab_path,
+                    task_path, FinetuneProtocol(), task_seeds,
+                    max_chars_per_word=cfg.tokenizer.max_chars_per_word)
+            except FloatingPointError:
+                row.status = "failed"
+            else:
+                row.task_metric = float(statistics.median(m.accuracy for m in runs))
         results.append(row)
     return results, render_ablation_table(results, with_task=task_path is not None)
 

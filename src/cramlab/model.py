@@ -5,8 +5,10 @@ linear unit FFN, scaled sinusoidal positions, no biases anywhere, tied
 embedding/decoder weights, layer norm after the embedding and at the
 end of the stack, and the head applied only at masked positions
 (sparse prediction). Either way the decoder computes logits only for
-the masked rows: sparse prediction gathers them before the head, dense
-prediction runs the head on every position and gathers them after it.
+the masked rows. Sparse prediction gathers them in the last block,
+right after its attention sublayer, so that block's FFN, the final norm
+and the head run on the masked rows only; dense prediction runs every
+layer and the head on every position and gathers the rows after it.
 
 param_layout is the one reader of the bias and tying toggles. The
 forward takes each optional parameter (a bias, the untied decoder) from
@@ -50,7 +52,9 @@ class ModelConfig:
     linear_bias: bool = False
     decoder_bias: bool = False
     nonlinear_head: bool = False
-    # False: the head runs on every position; only masked rows are decoded.
+    # True: the last block's FFN, the final norm and the head run only on
+    # the masked rows. False: they run on every position, and only the
+    # masked rows are decoded.
     sparse_prediction: bool = True
     final_norm: bool = True
     embedding_norm: bool = True
@@ -217,8 +221,17 @@ class Model:
         key_mask: np.ndarray | None = None,
         dropout_rate: float = 0.0,
         rng: np.random.Generator | None = None,
+        rows: np.ndarray | None = None,
     ) -> Tensor:
-        """Hidden states (B, S, d) after all blocks and the final norm."""
+        """Hidden states (B, S, d) after all blocks and the final norm.
+
+        With rows, flat indices into the B*S positions, only those rows'
+        states come back, as (len(rows), d): the last block gathers them
+        after its attention sublayer (after that sublayer's norm
+        post-norm), so its FFN, its dropout masks and the final norm
+        compute those rows only. Every earlier op sees all B*S rows,
+        since the last block's keys and values read every position.
+        """
         cfg = self.config
         ids = np.asarray(ids)
         if ids.ndim != 2:
@@ -247,15 +260,18 @@ class Model:
             bias = np.where(np.asarray(key_mask, bool), 0.0, -1e9).astype(self.dtype)
             key_bias = bias[:, None, None, :]
 
+        last = cfg.num_layers - 1
         for i in range(cfg.num_layers):
-            x = self._block(x, i, key_bias, dropout_rate, rng)
+            x = self._block(x, i, key_bias, dropout_rate, rng, rows if i == last else None)
+        if rows is not None and last < 0:
+            x = gather_rows(reshape(x, (B * S, cfg.hidden_dim)), rows)
         if cfg.final_norm:
             x = self._ln(x, "final_norm")
         return x
 
-    def _block(self, x, i, key_bias, rate, rng):
+    def _block(self, x, i, key_bias, rate, rng, rows=None):
         # Pre-norm normalizes each sublayer's input, post-norm each
-        # residual sum.
+        # residual sum. Given rows, the FFN sublayer runs on those rows.
         cfg = self.config
         pre = cfg.norm_placement == "pre"
         sublayers = (
@@ -267,23 +283,27 @@ class Model:
             x = add(x, dropout(sublayer(self._ln(x, norm) if pre else x), rate, rng))
             if not pre:
                 x = self._ln(x, norm)
+            if stem == "attn" and rows is not None:
+                x = gather_rows(reshape(x, (-1, cfg.hidden_dim)), rows)
         return x
 
     def _decoded(self, ids, masked_positions, dropout_rate,
                  rng) -> tuple[Tensor, Tensor, Tensor | None]:
         """The head's output at the rows to decode (masked_positions, or
-        every row when None), the decoder table and its bias."""
+        every row when None), the decoder table and its bias: the one
+        forward of Model.loss and Model.logits. Sparse prediction has
+        encode gather the rows in the last block; dense gathers them
+        after the head."""
         cfg = self.config
-        hidden = self.encode(ids, dropout_rate=dropout_rate, rng=rng)
-        B, S, d = hidden.shape
-        h = reshape(hidden, (B * S, d))
         rows = masked_positions
-        if rows is not None and cfg.sparse_prediction:
-            h, rows = gather_rows(h, rows), None
+        gathered = rows is not None and cfg.sparse_prediction
+        h = self.encode(ids, dropout_rate=dropout_rate, rng=rng, rows=rows if gathered else None)
+        if not gathered:
+            h = reshape(h, (-1, cfg.hidden_dim))
         if cfg.nonlinear_head:
             h = gelu(matmul(h, self.params["head_w"], self.params.get("head_b")))
             h = self._ln(h, "head_norm")
-        if rows is not None:
+        if rows is not None and not gathered:
             # Dense prediction: the head ran on every position, but only
             # the masked rows are decoded.
             h = gather_rows(h, rows)
@@ -341,13 +361,14 @@ def attention(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: 
 
 
 def ffn(x: Tensor, params: dict[str, Tensor], config: ModelConfig, layer: int = 0) -> Tensor:
-    """Feedforward block: gated (value * gelu(gate)) or plain gelu."""
-    B, S, d = x.shape
+    """Feedforward block: gated (value * gelu(gate)) or plain gelu, on
+    (B, S, d) sequences or on (rows, d) gathered rows."""
+    shape = x.shape
     p = params
-    h = matmul(reshape(x, (B * S, d)), p[f"l{layer}_w1"], p.get(f"l{layer}_b1"))
+    h = matmul(reshape(x, (-1, shape[-1])), p[f"l{layer}_w1"], p.get(f"l{layer}_b1"))
     h = glu_gelu(h) if config.ffn_kind == "glu_gelu" else gelu(h)
     out = matmul(h, p[f"l{layer}_w2"], p.get(f"l{layer}_b2"))
-    return reshape(out, (B, S, d))
+    return reshape(out, shape)
 
 
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:

@@ -422,9 +422,10 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows of a 2-D tensor: out[i] = a[idx[i]].
 
-    Serves embedding lookup and the masked-row selection before the
-    decoder. Repeated rows sum their gradients, and backward returns
-    only the rows looked up.
+    Serves embedding lookup and the masked-row selection: in the last
+    block under sparse prediction, before the decoder under dense.
+    Repeated rows sum their gradients, and backward returns only the
+    rows looked up.
     """
     idx = np.asarray(idx)
     if a.data.ndim != 2:

@@ -645,7 +645,8 @@ def finetune(
 
     Updates the model in place; callers comparing seeds give each call
     a fresh load of the checkpoint. Reports accuracy on eval_examples
-    (train set when absent).
+    (train set when absent). A diverging step raises FloatingPointError
+    naming the op and the step, as pretrain's abort reason does.
     """
     if not train_examples:
         raise ConfigurationError("empty task")
@@ -704,7 +705,10 @@ def finetune(
         order = rng.permutation(n)
         for b in range(batches_per_epoch):
             rows = order[b * bs:(b + 1) * bs]
-            _update(trainable, state, lr_at(step, sched), optimizer, batch_loss, [rows], rng)
+            try:
+                _update(trainable, state, lr_at(step, sched), optimizer, batch_loss, [rows], rng)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} at step {step + 1}") from exc
             step += 1
 
     x_eval = encode_task_batch(wp, eval_examples, cfg.seq_len)

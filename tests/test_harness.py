@@ -10,6 +10,7 @@ experiments would.
 import dataclasses
 import hashlib
 import importlib
+import math
 import os
 import shutil
 import subprocess
@@ -23,6 +24,7 @@ import composed_ops
 from conftest import make_lexicon, make_sentences
 from cramlab import checkpoint as ckpt
 from cramlab import budget, cli, harness
+from cramlab import trainer as trainer_module
 from cramlab.config import (
     PRESETS, RunConfig, TokenizerSection, apply_overrides, config_diff, load_run_config,
     parse_run_config, render_run_config,
@@ -36,6 +38,7 @@ from cramlab.harness import (
 )
 from cramlab.model import Model
 from cramlab.serde import render_scalar
+from cramlab.tensor import add, tsum
 from cramlab.tokenizer import Vocab
 from cramlab.trainer import (
     CurvePoint, FinetuneProtocol, LossCurve, TrainSection, encode_task_batch, load_task,
@@ -812,6 +815,20 @@ def test_ablation_marks_diverged_rows_failed(corpus_path, workdir):
     results, table = run_ablation(base_cfg(), rows, corpus_path, workdir)
     assert results[0].status == "failed"
     assert "failed" in table
+
+
+def test_ablation_marks_rows_whose_finetuning_diverges_failed(corpus_path, workdir, task_path,
+                                                             monkeypatch):
+    # A finetuning divergence fails its row and leaves it no task metric;
+    # the rows after it still pretrain and finetune.
+    monkeypatch.setattr(trainer_module, "cross_entropy_from_logits",
+                        lambda logits, labels: add(tsum(logits), math.inf))
+    rows = [("first", {"train.budget_steps": "2"}),
+            ("second", {"train.budget_steps": "2", "train.seed": "1"})]
+    results, table = run_ablation(base_cfg(), rows, corpus_path, workdir, task_path=task_path)
+    assert [(r.status, r.steps, r.task_metric) for r in results] == [("failed", 2, None)] * 2
+    assert all(r.final_loss is not None for r in results)
+    assert [line.split()[-2:] for line in table.splitlines()[1:]] == [["failed", "n/a"]] * 2
 
 
 def test_ablation_table_renders_missing_values():

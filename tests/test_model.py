@@ -18,7 +18,7 @@ from cramlab.model import (
     Model, ModelConfig, attention, build, ffn, param_count, param_layout,
     rotary_tables, sinusoidal_table,
 )
-from cramlab.tensor import Tape, Tensor, cross_entropy_from_logits, mul, tsum
+from cramlab.tensor import Tape, Tensor, mul, tsum
 
 
 def small_config(**kw) -> ModelConfig:
@@ -305,27 +305,66 @@ def test_dense_without_positions_returns_all_rows():
     assert model.logits(ids).data.shape == (32, 64)
 
 
-def test_dense_and_sparse_prediction_decode_masked_rows_identically():
-    # Without a nonlinear head the two modes differ only in where the
-    # masked rows are gathered, so logits and every parameter gradient,
-    # the tied table's and the decoder bias's included, must match byte
-    # for byte.
-    cfg = dict(num_layers=1, seq_len=128, decoder_bias=True)
+@pytest.mark.parametrize("kw", [{}, dict(embedding_kind="rotary"),
+                                dict(norm_placement="post", decoder_bias=True)],
+                         ids=["crammed", "rotary", "post_norm"])
+def test_gathered_rows_match_full_rows_in_float64(kw):
+    # Sparse prediction gathers the masked rows inside the last block, so
+    # its FFN and the final norm see fewer rows; dense prediction without
+    # a nonlinear head is the same function over every row. In float64
+    # the loss and every parameter gradient must agree to rounding. The
+    # middle sequence has no masked row, so only its keys and values
+    # reach the loss.
     rng = np.random.default_rng(31)
-    ids = rng.integers(6, 64, size=(8, 128))
-    masked = np.sort(rng.choice(ids.size, 160, replace=False))
+    ids = rng.integers(6, 64, size=(3, 16))
+    masked = np.sort(np.concatenate([rng.choice(16, 5, replace=False),
+                                     32 + rng.choice(16, 4, replace=False)]))
     results = []
     for sparse in (True, False):
-        model = build(small_config(sparse_prediction=sparse, **cfg), seed=32)
+        model = build(small_config(sparse_prediction=sparse, **kw), seed=32, dtype=np.float64)
+        for p in model.params.values():
+            p.data[...] += np.random.default_rng(33).normal(scale=0.3, size=p.shape)
         with Tape() as tape:
-            logits = model.logits(ids, masked_positions=masked)
-            tape.backward(cross_entropy_from_logits(logits, ids.ravel()[masked]))
-        results.append((logits.data, {k: p.grad for k, p in model.params.items()}))
-    (sparse_logits, sparse_grads), (dense_logits, dense_grads) = results
-    assert sparse_logits.tobytes() == dense_logits.tobytes()
+            loss = model.loss(ids, masked, ids.ravel()[masked])
+            tape.backward(loss)
+        results.append((loss.item(), {k: p.grad for k, p in model.params.items()}))
+    (sparse_loss, sparse_grads), (dense_loss, dense_grads) = results
+    assert abs(sparse_loss - dense_loss) <= 1e-12 * abs(dense_loss)
     assert sparse_grads.keys() == dense_grads.keys()
     for name, g in sparse_grads.items():
-        assert g.tobytes() == dense_grads[name].tobytes(), name
+        want = dense_grads[name]
+        assert np.abs(want).max() > 0, name
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+def test_products_and_norms_see_the_rows_they_compute(monkeypatch, sparse):
+    # Sparse prediction runs the last block's FFN, the final norm and the
+    # decoder on the masked rows only; every other product and norm, and
+    # every one of a dense model's, sees all B*S rows.
+    seen = []
+
+    def counting(fn, rows_of):
+        def wrapped(*args, **kwargs):
+            seen.append(rows_of(*args))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    rows = lambda t: math.prod(t.shape[:-1])
+    monkeypatch.setattr(model_module, "matmul", counting(
+        model_module.matmul, lambda a, b, *_: (b.name, rows(a))))
+    monkeypatch.setattr(model_module, "layer_norm", counting(
+        model_module.layer_norm, lambda x, gain, *_: (gain.name, rows(x))))
+    monkeypatch.setattr(model_module, "decoder_cross_entropy", counting(
+        model_module.decoder_cross_entropy, lambda h, *_: ("decoder", rows(h))))
+    model = build(small_config(sparse_prediction=sparse), seed=34)
+    ids = np.random.default_rng(35).integers(6, 64, size=(2, 16))
+    masked = np.array([1, 5, 17, 30, 31])
+    model.loss(ids, masked, ids.ravel()[masked])
+    few = {"decoder"} | ({"l1_ffn_norm_gain", "l1_w1", "l1_w2", "final_norm_gain"}
+                         if sparse else set())
+    assert len(seen) == 6 * 2 + 2 * 2 + 2 + 1  # products, block norms, outer norms, decoder
+    assert seen == [(name, len(masked) if name in few else 32) for name, _ in seen]
 
 
 @pytest.mark.parametrize("kind", ["learned", "sinusoidal", "rotary"])

@@ -1034,6 +1034,25 @@ def test_finetune_divergence_replay_draws_the_failed_step_dropout_masks(wp_small
     assert replay and replay == steps[len(steps) - 6:][:len(replay)]
 
 
+def test_finetune_abort_names_the_step(wp_small, monkeypatch):
+    # As pretrain's abort reason does, a diverging finetune names the
+    # step that failed: here the third, after two finite ones (the
+    # guarded replay of the failed step diverges too).
+    calls = []
+    loss = trainer_module.cross_entropy_from_logits
+
+    def third_step_diverges(logits, labels):
+        calls.append(1)
+        return add(loss(logits, labels), math.inf if len(calls) >= 3 else 0.0)
+
+    monkeypatch.setattr(trainer_module, "cross_entropy_from_logits", third_step_diverges)
+    model = tiny_model(seed=11, vocab_size=len(wp_small.vocab))
+    train = [TaskExample(w, None, ("a", "b")[i % 2])
+             for i, w in enumerate(["misty", "harbor", "lantern", "meadow"])]
+    with pytest.raises(FloatingPointError, match="^non-finite values produced by add at step 3$"):
+        finetune(model, wp_small, train, FinetuneProtocol(epochs=1, batch_size=1))
+
+
 def test_finetune_validation_errors(wp_small):
     model = tiny_model(seed=11, vocab_size=len(wp_small.vocab))
     with pytest.raises(ConfigurationError):
@@ -1058,7 +1077,7 @@ def test_finetune_refuses_a_non_finite_loss(wp_small, monkeypatch):
     model = tiny_model(seed=11, vocab_size=len(wp_small.vocab))
     loaded = [p.data.copy() for p in model.params.values()]
     train = [TaskExample("misty", None, "a"), TaskExample("harbor", None, "b")]
-    with pytest.raises(FloatingPointError, match="produced by add"):
+    with pytest.raises(FloatingPointError, match="^non-finite values produced by add at step 1$"):
         finetune(model, wp_small, train, FinetuneProtocol())
     for p, q in zip(model.params.values(), loaded):
         assert np.array_equal(p.data, q)
